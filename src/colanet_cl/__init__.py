@@ -2,8 +2,9 @@
 
 The package splits into data handling (``dataset``, ``encoder``), the
 spiking model (``snncore``, ``colanet``), a dense reference model
-(``baseline``), the benchmark machinery (``clbench``), and a command-line
-front end (``cli``).
+(``baseline``), the state-file framing both models share (``statefile``),
+the benchmark machinery (``clbench``), and a command-line front end
+(``cli``).
 """
 
 from .colanet import (

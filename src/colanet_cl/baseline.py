@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import TaskSpec
 from .seeding import generator_from
+from .statefile import StateFormatError, StateReader, write_header  # noqa: F401 (re-export)
 
 N_IN = 784
 N_HIDDEN = 512
@@ -29,10 +30,12 @@ MLP_MAGIC = b"MLPB"
 MLP_FORMAT_VERSION = 1
 
 _PARAM_ORDER = ("W1", "b1", "W2", "b2")
-
-
-class StateFormatError(Exception):
-    """Raised when a serialized model file fails a structural check."""
+_SHAPES = {
+    "W1": (N_IN, N_HIDDEN),
+    "b1": (N_HIDDEN,),
+    "W2": (N_HIDDEN, N_OUT),
+    "b2": (N_OUT,),
+}
 
 
 @dataclass
@@ -212,8 +215,7 @@ def mlp_save(p: MlpParams, path: str) -> None:
     grad_sq and update_sq accumulators in the same parameter order.
     """
     with open(path, "wb") as f:
-        f.write(MLP_MAGIC)
-        f.write(struct.pack("<I", MLP_FORMAT_VERSION))
+        write_header(f, MLP_MAGIC, MLP_FORMAT_VERSION)
         f.write(struct.pack("<3I", N_IN, N_HIDDEN, N_OUT))
         for group in (
             {name: getattr(p, name) for name in _PARAM_ORDER},
@@ -231,43 +233,19 @@ def mlp_load(path: str) -> MlpParams:
     after load on every input.
 
     Raises:
-        StateFormatError: Bad magic, unsupported version, or truncated data.
+        StateFormatError: Bad magic, unsupported version, architecture
+            mismatch, or truncated or oversized data.
     """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MLP_MAGIC:
-            raise StateFormatError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != MLP_FORMAT_VERSION:
-            raise StateFormatError(f"{path}: unsupported format version {version}")
-        n_in, n_hidden, n_out = struct.unpack("<3I", f.read(12))
-        if (n_in, n_hidden, n_out) != (N_IN, N_HIDDEN, N_OUT):
-            raise StateFormatError(
-                f"{path}: architecture mismatch {(n_in, n_hidden, n_out)}"
-            )
-        shapes = {
-            "W1": (N_IN, N_HIDDEN),
-            "b1": (N_HIDDEN,),
-            "W2": (N_HIDDEN, N_OUT),
-            "b2": (N_OUT,),
-        }
-
-        def read_group() -> dict:
-            group = {}
-            for name in _PARAM_ORDER:
-                shape = shapes[name]
-                count = int(np.prod(shape))
-                data = f.read(count * 8)
-                if len(data) < count * 8:
-                    raise StateFormatError(f"{path}: truncated while reading {name}")
-                group[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-            return group
-
-        params = read_group()
-        grad_sq = read_group()
-        update_sq = read_group()
-        if f.read(1):
-            raise StateFormatError(f"{path}: trailing bytes after payload")
+        reader = StateReader(f, path, MLP_MAGIC, MLP_FORMAT_VERSION)
+        sizes = reader.unpack("<3I", "layer sizes")
+        if sizes != (N_IN, N_HIDDEN, N_OUT):
+            raise reader.error(f"architecture mismatch {sizes}")
+        params, grad_sq, update_sq = (
+            {name: reader.array(_SHAPES[name], name) for name in _PARAM_ORDER}
+            for _ in range(3)
+        )
+        reader.finish()
     return MlpParams(**params, grad_sq=grad_sq, update_sq=update_sq)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clbench, dataset
-from .baseline import MlpAdapter, mlp_evaluate, mlp_init, mlp_train_epoch
+from .baseline import MlpAdapter
 from .clbench import (
     DegradationProfile,
     ProfileFormatError,
@@ -210,9 +210,17 @@ def load_experiment_config(
     if seed is not None:
         values["seeds"] = (seed,)
     try:
-        return ExperimentConfig(**values)
+        cfg = ExperimentConfig(**values)
     except TypeError as exc:
         raise UsageError(str(exc)) from exc
+    if cfg.model == "colanet":
+        try:
+            for alpha in cfg.alpha_grid or (cfg.alpha,):
+                for ns in cfg.ns_grid or (cfg.ns,):
+                    colanet_config(dataclasses.replace(cfg, alpha=alpha, ns=ns), 0)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +253,26 @@ def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
     ]
 
 
+def colanet_config(cfg: ExperimentConfig, seed: int) -> ColaNetConfig:
+    """The network config of one colanet run; raises ValueError if invalid."""
+    return ColaNetConfig(
+        microcolumns=cfg.microcolumns,
+        alpha=cfg.alpha,
+        ns=cfg.ns,
+        eta_plus=cfg.eta_plus,
+        eta_minus=cfg.eta_minus,
+        init_high=cfg.init_high,
+        u_const=cfg.u_const,
+        leak=cfg.leak,
+        seed=seed,
+    )
+
+
 def build_adapter(cfg: ExperimentConfig, seed: int):
     """Construct the model adapter for one run."""
     if cfg.model == "mlp":
         return MlpAdapter(seed, batch_size=cfg.batch_size)
-    return ColaNetAdapter(
-        ColaNetConfig(
-            microcolumns=cfg.microcolumns,
-            alpha=cfg.alpha,
-            ns=cfg.ns,
-            eta_plus=cfg.eta_plus,
-            eta_minus=cfg.eta_minus,
-            init_high=cfg.init_high,
-            u_const=cfg.u_const,
-            leak=cfg.leak,
-            seed=seed,
-        )
-    )
+    return ColaNetAdapter(colanet_config(cfg, seed))
 
 
 def _git_blob_sha1(path: str) -> str:
@@ -431,15 +442,9 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
     write_manifest(cfg, cfg.out_dir, "baseline-acc")
     accuracies = []
     for task in tasks:
-        fresh_seed = derive_seed(seed, "fwt-baseline", task.task_id)
-        if cfg.model == "mlp":
-            params = mlp_init(fresh_seed)
-            mlp_train_epoch(params, task, batch_size=cfg.batch_size)
-            accuracies.append(mlp_evaluate(params, task))
-        else:
-            adapter = build_adapter(cfg, fresh_seed)
-            adapter.train_task(task)
-            accuracies.append(adapter.evaluate_task(task))
+        adapter = build_adapter(cfg, derive_seed(seed, "fwt-baseline", task.task_id))
+        adapter.train_task(task)
+        accuracies.append(adapter.evaluate_task(task))
     path = os.path.join(cfg.out_dir, "baseline_acc.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("task,accuracy\n")

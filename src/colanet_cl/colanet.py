@@ -14,8 +14,8 @@ Training routes plasticity by reward: a winner in the labeled column is
 potentiated; a winner in a wrong column is depressed and the teacher then
 rewards the labeled column's least-committed microcolumn (the one with the
 smallest positive weight sum), which recruits fresh capacity early on and
-for novel tasks. Prediction reads out the column with the greatest spike
-count during the active window.
+for novel tasks. Prediction reads out the race winner's column (class 0
+when nothing fires).
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
@@ -26,23 +26,20 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .encoder import encode_active_batch
-from .seeding import derive_seed, generator_from
-from .snncore import N_INPUTS
+from .seeding import generator_from
+from .snncore import N_INPUTS, depress, potentiate
+from .statefile import StateFormatError, StateReader, write_header  # noqa: F401 (re-export)
 
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
 
 #: Sentinel step value meaning "did not fire within the active window".
 _NO_FIRE = np.iinfo(np.int64).max
-
-
-class StateFormatError(Exception):
-    """Raised when a serialized network file fails a structural check."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +99,14 @@ class ColaNetConfig:
             raise ValueError("leak must be in [0, 1)")
         if self.u_const <= 0 or self.alpha < 0:
             raise ValueError("u_const must be > 0 and alpha >= 0")
+        if self.eta_plus <= 0 or self.eta_minus <= 0:
+            raise ValueError("plasticity rates must be positive")
+        if self.ns is not None and self.ns < 0:
+            raise ValueError("ns must be >= 0 (or the infinity sentinel)")
+        if self.w_min > self.w_max:
+            raise ValueError("w_min must be <= w_max")
+        if self.steps_active < 1:
+            raise ValueError("steps_active must be >= 1")
 
     @property
     def renormalization_active(self) -> bool:
@@ -123,13 +128,10 @@ class PresentationOutcome:
         effective_winner: The microcolumn that received reward routing: the
             raw winner when it sits in the labeled column, otherwise the
             teacher-designated least-committed microcolumn of that column.
-        winner_spikes: Number of spikes the raw winner emitted during the
-            active window (everything else was inhibited).
     """
 
     raw_winner: tuple[int, int] | None
     effective_winner: tuple[int, int] | None
-    winner_spikes: int
 
 
 class Network:
@@ -181,65 +183,40 @@ class Network:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _first_crossings(self, drive: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """First threshold-crossing step per neuron for given drives.
+    def race(self, spikes: np.ndarray) -> np.ndarray:
+        """Run the winner-take-all race for a batch of presentations.
 
-        Valid up to each neuron's first spike (after which inhibition or the
-        winner's own reset applies, neither of which matters for the race).
+        Each neuron integrates its summed synaptic drive step by step (with
+        the configured leak); the first neuron to reach its adaptive
+        threshold wins, ties at the same step going to the lowest flat
+        index. Only first crossings matter, so neither inhibition nor the
+        winner's own reset is simulated.
 
         Args:
-            drive: (..., T, N) per-step summed synaptic drive.
-            thresholds: (N,) firing thresholds.
+            spikes: (B, T, 784) boolean active-window rasters.
 
         Returns:
-            (... , N) int64 first-crossing step (0-based), or the no-fire
-            sentinel.
+            (B,) int64 flat index of each presentation's winner, or -1 when
+            no neuron fired within the active window.
         """
+        batch, steps, _ = spikes.shape
+        flat = spikes.reshape(-1, N_INPUTS).astype(np.float64)
+        drive = (flat @ self.weights.T).reshape(batch, steps, -1)
         leak = self.config.leak
         if leak == 0.0:
-            potential = np.cumsum(drive, axis=-2)
+            potential = np.cumsum(drive, axis=1)
         else:
             potential = np.empty_like(drive)
-            u = np.zeros_like(drive[..., 0, :])
-            for t in range(drive.shape[-2]):
-                u = (1.0 - leak) * u + drive[..., t, :]
-                potential[..., t, :] = u
-        crossed = potential >= thresholds
-        first = crossed.argmax(axis=-2).astype(np.int64)
-        never = ~crossed.any(axis=-2)
-        first[never] = _NO_FIRE
-        return first
-
-    def _race(self, spikes_active: np.ndarray) -> tuple[int | None, np.ndarray, np.ndarray]:
-        """Run the winner-take-all race for one presentation.
-
-        Args:
-            spikes_active: (T, 784) boolean active-window raster.
-
-        Returns:
-            (winner_flat or None, drive matrix (T, N), thresholds (N,)).
-        """
-        drive = spikes_active.astype(np.float64) @ self.weights.T
-        thresholds = self.thresholds()
-        first = self._first_crossings(drive, thresholds)
-        winner = int(first.argmin())
-        if first[winner] == _NO_FIRE:
-            return None, drive, thresholds
-        return winner, drive, thresholds
-
-    def _winner_spike_count(
-        self, drive: np.ndarray, winner_flat: int, threshold: float
-    ) -> int:
-        """Count the winner's spikes over the window (integrate with resets)."""
-        leak = self.config.leak
-        u = 0.0
-        count = 0
-        for t in range(drive.shape[0]):
-            u = (1.0 - leak) * u + drive[t, winner_flat]
-            if u >= threshold:
-                count += 1
-                u = 0.0
-        return count
+            u = np.zeros_like(drive[:, 0, :])
+            for t in range(steps):
+                u = (1.0 - leak) * u + drive[:, t, :]
+                potential[:, t, :] = u
+        crossed = potential >= self.thresholds()
+        first = crossed.argmax(axis=1).astype(np.int64)
+        first[~crossed.any(axis=1)] = _NO_FIRE
+        winners = first.argmin(axis=1)
+        fired = first[np.arange(batch), winners] != _NO_FIRE
+        return np.where(fired, winners, -1)
 
     def designated_microcolumn(self, column: int) -> int:
         """The column's least-committed microcolumn (smallest positive mass).
@@ -280,46 +257,22 @@ class Network:
             raise ValueError("label must be supplied exactly when train_mode")
         if rng is None:
             rng = self.rng
-        cfg = self.config
-        p = np.asarray(img, dtype=np.float64) / 255.0
-        spikes = rng.random((cfg.steps_active, N_INPUTS)) < p
-        winner_flat, drive, thresholds = self._race(spikes)
-
-        raw = self._unflat(winner_flat) if winner_flat is not None else None
-        spike_count = (
-            self._winner_spike_count(drive, winner_flat, thresholds[winner_flat])
-            if winner_flat is not None
-            else 0
+        spikes = encode_active_batch(
+            np.asarray(img)[None], self.config.steps_active, rng
         )
+        winner_flat = int(self.race(spikes)[0])
+        raw = self._unflat(winner_flat) if winner_flat >= 0 else None
         effective = raw
         if train_mode and (raw is None or raw[0] != label):
             effective = (label, self.designated_microcolumn(label))
-        outcome = PresentationOutcome(
-            raw_winner=raw, effective_winner=effective, winner_spikes=spike_count
-        )
-        eligibility = spikes.sum(axis=0, dtype=np.float64)
-        return outcome, eligibility
+        eligibility = spikes[0].sum(axis=0, dtype=np.float64)
+        return PresentationOutcome(raw, effective), eligibility
 
     # -- plasticity --------------------------------------------------------
 
-    def _potentiate(self, flat: int, eligibility: np.ndarray) -> None:
-        cfg = self.config
-        w = self.weights[flat]
-        before = w.sum()
-        np.minimum(
-            w + cfg.eta_plus * eligibility / cfg.steps_active, cfg.w_max, out=w
-        )
-        if cfg.renormalization_active:
-            added = w.sum() - before
-            np.maximum(w - added / (N_INPUTS + cfg.ns), cfg.w_min, out=w)
-        self._refresh_neuron(flat)
-
-    def _depress(self, flat: int, eligibility: np.ndarray) -> None:
-        cfg = self.config
-        w = self.weights[flat]
-        np.maximum(
-            w - cfg.eta_minus * eligibility / cfg.steps_active, cfg.w_min, out=w
-        )
+    def _learn(self, rule, flat: int, eligibility: np.ndarray) -> None:
+        """Apply a plasticity rule to one neuron's row, then re-cache its mass."""
+        rule(self.weights[flat], eligibility, self.config)
         self._refresh_neuron(flat)
 
 
@@ -373,12 +326,26 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
     outcome, eligibility = net.present_full(img, train_mode=True, label=label)
     raw = outcome.raw_winner
     if raw is not None and raw[0] == label:
-        net._potentiate(net._flat(*raw), eligibility)
+        net._learn(potentiate, net._flat(*raw), eligibility)
     else:
         if raw is not None:
-            net._depress(net._flat(*raw), eligibility)
-        net._potentiate(net._flat(*outcome.effective_winner), eligibility)
+            net._learn(depress, net._flat(*raw), eligibility)
+        net._learn(potentiate, net._flat(*outcome.effective_winner), eligibility)
     return outcome
+
+
+def _classify(
+    net: Network, images: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode and race a batch in inference mode; read out the classes.
+
+    Returns:
+        (predicted, silent): the race winner's column per image, and a mask
+        of the presentations where nothing fired, which read out class 0.
+    """
+    winners = net.race(encode_active_batch(images, net.config.steps_active, rng))
+    silent = winners < 0
+    return np.where(silent, 0, winners // net.config.microcolumns), silent
 
 
 def predict(
@@ -389,12 +356,10 @@ def predict(
 ) -> int:
     """Classify one image without plasticity.
 
-    The image is presented in inference mode and the column with the
-    greatest total spike count over the active window wins (under global
-    winner-take-all only the race winner emits spikes, so this is its
-    column); ties go to the lowest column index. A presentation with no
-    spikes at all predicts class 0 and increments ``diagnostics["silent"]``
-    when a diagnostics dict is supplied.
+    The image is raced in inference mode as a batch of one and the race
+    winner's column is the prediction (the readout ``evaluate_task`` uses).
+    A presentation in which nothing fires predicts class 0 and increments
+    ``diagnostics["silent"]`` when a diagnostics dict is supplied.
 
     Args:
         net: The network (not mutated).
@@ -409,15 +374,10 @@ def predict(
     """
     if rng is None:
         rng = np.random.default_rng()
-    outcome, _ = net.present_full(img, train_mode=False, label=None, rng=rng)
-    counts = np.zeros(net.config.class_count, dtype=np.int64)
-    if outcome.raw_winner is not None:
-        counts[outcome.raw_winner[0]] = outcome.winner_spikes
-    if counts.sum() == 0:
-        if diagnostics is not None:
-            diagnostics["silent"] = diagnostics.get("silent", 0) + 1
-        return 0
-    return int(counts.argmax())
+    predicted, silent = _classify(net, np.asarray(img)[None], rng)
+    if silent[0] and diagnostics is not None:
+        diagnostics["silent"] = diagnostics.get("silent", 0) + 1
+    return int(predicted[0])
 
 
 def train_task(net: Network, task) -> None:
@@ -462,22 +422,11 @@ def evaluate_task(
     labels = task.test.labels
     if len(images) == 0:
         return 0.0
-    thresholds = net.thresholds()
-    m = net.config.microcolumns
     correct = 0
     silent = 0
     for start in range(0, len(images), batch_size):
-        batch = images[start : start + batch_size]
-        spikes = encode_active_batch(batch, net.config.steps_active, rng)
-        flat = spikes.reshape(-1, N_INPUTS).astype(np.float64)
-        drive = (flat @ net.weights.T).reshape(
-            len(batch), net.config.steps_active, -1
-        )
-        first = net._first_crossings(drive, thresholds)
-        winners = first.argmin(axis=1)
-        fired = first[np.arange(len(batch)), winners] != _NO_FIRE
-        predicted = np.where(fired, winners // m, 0)
-        silent += int((~fired).sum())
+        predicted, quiet = _classify(net, images[start : start + batch_size], rng)
+        silent += int(quiet.sum())
         correct += int((predicted == labels[start : start + batch_size]).sum())
     if diagnostics is not None:
         diagnostics["silent"] = diagnostics.get("silent", 0) + silent
@@ -488,41 +437,26 @@ def evaluate_task(
 # Serialization
 # ---------------------------------------------------------------------------
 
+#: The config block packs every ColaNetConfig field in declaration order.
 _CONFIG_PACK = "<II d d d d d II Q d d d d"
+_CONFIG_FIELDS = tuple(f.name for f in fields(ColaNetConfig))
 
 
 def save_state(net: Network, path: str) -> None:
     """Serialize the network to a binary state file.
 
-    Layout: magic ``CLNT``, uint32 format version, packed config block,
-    little-endian float64 weight array (C*M x 784, row-major), then the
-    training generator's state. Reloading reproduces bit-identical
-    predictions and bit-identical continued training.
+    Layout: magic ``CLNT``, uint32 format version, packed config block
+    (``ns`` None stored as infinity, ``seed`` as uint64), little-endian
+    float64 weight array (C*M x 784, row-major), then the training
+    generator's state. Reloading reproduces bit-identical predictions and
+    bit-identical continued training.
     """
-    cfg = net.config
-    ns_value = math.inf if cfg.ns is None else float(cfg.ns)
+    values = {name: getattr(net.config, name) for name in _CONFIG_FIELDS}
+    values["ns"] = math.inf if values["ns"] is None else float(values["ns"])
+    values["seed"] &= 0xFFFFFFFFFFFFFFFF
     with open(path, "wb") as f:
-        f.write(STATE_MAGIC)
-        f.write(struct.pack("<I", STATE_FORMAT_VERSION))
-        f.write(
-            struct.pack(
-                _CONFIG_PACK,
-                cfg.class_count,
-                cfg.microcolumns,
-                cfg.alpha,
-                ns_value,
-                cfg.u_const,
-                cfg.eta_plus,
-                cfg.eta_minus,
-                cfg.steps_active,
-                cfg.steps_silent,
-                cfg.seed & 0xFFFFFFFFFFFFFFFF,
-                cfg.leak,
-                cfg.w_min,
-                cfg.w_max,
-                cfg.init_high,
-            )
-        )
+        write_header(f, STATE_MAGIC, STATE_FORMAT_VERSION)
+        f.write(struct.pack(_CONFIG_PACK, *values.values()))
         f.write(np.ascontiguousarray(net.weights, dtype="<f8").tobytes())
         state = net.rng.bit_generator.state
         f.write(state["state"]["state"].to_bytes(16, "little"))
@@ -534,69 +468,24 @@ def load_state(path: str) -> Network:
     """Load a network saved by ``save_state``.
 
     Raises:
-        StateFormatError: Bad magic, unsupported version, or truncated or
-            oversized payload.
+        StateFormatError: Bad magic, unsupported version, an invalid config
+            block, or a truncated or oversized payload.
     """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != STATE_MAGIC:
-            raise StateFormatError(f"{path}: bad magic {magic!r}")
-        version_bytes = f.read(4)
-        if len(version_bytes) < 4:
-            raise StateFormatError(f"{path}: truncated header")
-        (version,) = struct.unpack("<I", version_bytes)
-        if version != STATE_FORMAT_VERSION:
-            raise StateFormatError(f"{path}: unsupported format version {version}")
-        config_size = struct.calcsize(_CONFIG_PACK)
-        config_bytes = f.read(config_size)
-        if len(config_bytes) < config_size:
-            raise StateFormatError(f"{path}: truncated config block")
-        (
-            class_count,
-            microcolumns,
-            alpha,
-            ns_value,
-            u_const,
-            eta_plus,
-            eta_minus,
-            steps_active,
-            steps_silent,
-            seed,
-            leak,
-            w_min,
-            w_max,
-            init_high,
-        ) = struct.unpack(_CONFIG_PACK, config_bytes)
-        config = ColaNetConfig(
-            class_count=class_count,
-            microcolumns=microcolumns,
-            alpha=alpha,
-            ns=None if math.isinf(ns_value) else ns_value,
-            u_const=u_const,
-            eta_plus=eta_plus,
-            eta_minus=eta_minus,
-            steps_active=steps_active,
-            steps_silent=steps_silent,
-            seed=seed,
-            leak=leak,
-            w_min=w_min,
-            w_max=w_max,
-            init_high=init_high,
+        reader = StateReader(f, path, STATE_MAGIC, STATE_FORMAT_VERSION)
+        values = dict(
+            zip(_CONFIG_FIELDS, reader.unpack(_CONFIG_PACK, "config block"))
         )
-        count = config.neuron_count * N_INPUTS
-        weight_bytes = f.read(count * 8)
-        if len(weight_bytes) < count * 8:
-            raise StateFormatError(f"{path}: truncated weight payload")
-        weights = (
-            np.frombuffer(weight_bytes, dtype="<f8")
-            .reshape(config.neuron_count, N_INPUTS)
-            .copy()
-        )
-        rng_bytes = f.read(16 + 16 + 8)
-        if len(rng_bytes) < 40:
-            raise StateFormatError(f"{path}: truncated rng state")
-        if f.read(1):
-            raise StateFormatError(f"{path}: trailing bytes after payload")
+        if math.isinf(values["ns"]):
+            values["ns"] = None
+        try:
+            config = ColaNetConfig(**values)
+        except ValueError as exc:
+            raise reader.error(f"invalid config block: {exc}") from None
+        weights = reader.array((config.neuron_count, N_INPUTS), "weight payload")
+        rng_bytes = reader.take(16 + 16 + 8, "rng state")
+        reader.finish()
+    has_uint32, uinteger = struct.unpack("<II", rng_bytes[32:40])
     bit_gen = np.random.PCG64()
     bit_gen.state = {
         "bit_generator": "PCG64",
@@ -604,8 +493,8 @@ def load_state(path: str) -> Network:
             "state": int.from_bytes(rng_bytes[:16], "little"),
             "inc": int.from_bytes(rng_bytes[16:32], "little"),
         },
-        "has_uint32": struct.unpack("<I", rng_bytes[32:36])[0],
-        "uinteger": struct.unpack("<I", rng_bytes[36:40])[0],
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
     }
     return Network(config, weights=weights, rng=np.random.Generator(bit_gen))
 

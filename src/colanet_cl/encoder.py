@@ -68,10 +68,9 @@ def encode(
         raise ValueError("step counts must be >= 0")
     if rng is None:
         rng = np.random.default_rng()
-    p = np.asarray(img, dtype=np.float64) / 255.0
     spikes = np.zeros((steps_active + steps_silent, 784), dtype=bool)
-    if steps_active:
-        spikes[:steps_active] = rng.random((steps_active, 784)) < p
+    active = encode_active_batch(np.asarray(img)[None], steps_active, rng)
+    spikes[:steps_active] = active[0]
     return SpikeTrain(steps_active, steps_silent, spikes)
 
 
@@ -80,9 +79,11 @@ def encode_active_batch(
 ) -> np.ndarray:
     """Encode a batch of images, active window only.
 
-    Vectorized helper for evaluation: silent steps carry no spikes and
-    nothing downstream integrates them for readout, so only the active
-    window is materialized.
+    The one Bernoulli draw behind every presentation (training, prediction,
+    evaluation and ``encode``): silent steps carry no spikes and nothing
+    downstream integrates them, so only the active window is materialized.
+    One draw for a batch of B images consumes the generator exactly as B
+    single-image draws would.
 
     Args:
         images: uint8 array of shape (N, 784).

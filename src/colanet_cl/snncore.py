@@ -1,231 +1,58 @@
-"""Neuron dynamics and plasticity primitives for the columnar network.
+"""Plasticity kernel for the columnar network.
 
-The neuron is a discrete-time leaky integrate-and-fire unit: each step the
-membrane potential decays by a multiplicative leak factor, accumulates the
-summed weight of spiking presynaptic pixels, and fires (resetting to zero)
-when it reaches an adaptive threshold. The threshold has a fixed part plus a
-term proportional to the neuron's positive synaptic mass, so strongly
-committed neurons demand proportionally stronger evidence before firing —
-the knob that trades learning plasticity against memory stability.
-
-Three plasticity primitives operate once per presentation on eligibility
-traces (per-pixel presynaptic spike counts):
+Two rules operate once per presentation on one neuron's weight row, driven
+by its eligibility trace (per-pixel presynaptic spike counts over the
+active window):
 
 * ``potentiate`` — reward: strengthen synapses in proportion to presynaptic
-  activity, clamped above.
+  activity, clamped above; then, when renormalization is active, spread the
+  added mass back across the synapses (synaptic resource conservation: ns=0
+  conserves the total real-synapse mass exactly, larger ns weakens the
+  correction, and the infinity sentinel disables it, which is the default).
 * ``depress`` — anti-Hebbian punishment: weaken the same way, clamped below.
-* ``renormalize`` — optional synaptic resource conservation: the mass added
-  by a potentiation is subtracted back uniformly across the synapses, with
-  ``ns`` virtual synapses absorbing their share (ns=0 conserves the total
-  real-synapse mass exactly; larger ns weakens the correction; the
-  infinity sentinel disables it, which is the default).
+
+Both work in place on one row and read their rates, window length, clamp
+bounds and ``ns`` from the network config they are given.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 N_INPUTS = 784
 
 
-@dataclass
-class NeuronState:
-    """Mutable state and fixed parameters of one learning neuron.
-
-    Attributes:
-        u: Membrane potential, reset to 0 at presentation start and after
-            each emitted spike.
-        u_const: Fixed component of the firing threshold (> 0).
-        alpha: Adaptive-threshold coefficient (>= 0).
-        leak: Per-step decay fraction in [0, 1); 0 is a pure integrator.
-        fired_this_presentation: Whether the neuron has fired since the last
-            presentation reset.
-    """
-
-    u: float = 0.0
-    u_const: float = 1.0
-    alpha: float = 0.0
-    leak: float = 0.0
-    fired_this_presentation: bool = False
-
-    def reset(self) -> None:
-        """Reset per-presentation state (start of a new presentation)."""
-        self.u = 0.0
-        self.fired_this_presentation = False
-
-
-@dataclass
-class ReceptiveField:
-    """The 784 plastic input weights of one neuron plus its eligibility.
-
-    Attributes:
-        weights: float64 array of shape (784,), each within
-            [w_min, w_max].
-        w_min: Lower clamp bound.
-        w_max: Upper clamp bound.
-        eligibility: Nonnegative per-pixel presynaptic spike counts for the
-            current presentation; cleared between presentations.
-    """
-
-    weights: np.ndarray
-    w_min: float = -1.0
-    w_max: float = 1.0
-    eligibility: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_INPUTS, dtype=np.float64)
-    )
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (N_INPUTS,):
-            raise ValueError(f"weights must have shape ({N_INPUTS},)")
-
-    def clear_eligibility(self) -> None:
-        """Zero the eligibility trace (end of a presentation)."""
-        self.eligibility[:] = 0.0
-
-    def positive_sum(self) -> float:
-        """Sum of strictly positive weights."""
-        w = self.weights
-        return float(w[w > 0.0].sum())
-
-
-@dataclass(frozen=True)
-class PlasticityConfig:
-    """Parameters of the plasticity primitives.
-
-    Attributes:
-        eta_plus: Potentiation rate (> 0).
-        eta_minus: Depression rate (> 0).
-        ns: Virtual synapse count for renormalization: an integer >= 0, or
-            ``math.inf`` / ``None`` as the disabled sentinel.
-        renormalize: Whether potentiation is followed by renormalization.
-            False behaves identically to the infinity sentinel.
-        steps_active: Active window length the eligibility counts were
-            accumulated over; used to normalize the per-presentation update.
-    """
-
-    eta_plus: float
-    eta_minus: float
-    ns: float | int | None = None
-    renormalize: bool = False
-    steps_active: int = 10
-
-    def __post_init__(self):
-        if self.eta_plus <= 0 or self.eta_minus <= 0:
-            raise ValueError("plasticity rates must be positive")
-        if self.ns is not None and self.ns is not math.inf and self.ns < 0:
-            raise ValueError("ns must be >= 0 (or the infinity sentinel)")
-
-    @property
-    def renormalization_active(self) -> bool:
-        """True when renormalization actually applies (finite ns)."""
-        return bool(
-            self.renormalize and self.ns is not None and self.ns != math.inf
-        )
-
-
-def adaptive_threshold(rf: ReceptiveField, n: NeuronState) -> float:
-    """Compute the firing threshold: ``u_const + alpha * (positive mass)``.
-
-    Args:
-        rf: The neuron's receptive field.
-        n: The neuron's state (supplies ``u_const`` and ``alpha``).
-
-    Returns:
-        The threshold value; equal to ``u_const`` when ``alpha`` is 0 or no
-        weight is positive.
-    """
-    if n.alpha == 0.0:
-        return n.u_const
-    return n.u_const + n.alpha * rf.positive_sum()
-
-
-def integrate_step(n: NeuronState, rf: ReceptiveField, presyn: np.ndarray) -> bool:
-    """Advance the neuron by one time step.
-
-    The potential decays by the leak fraction, integrates the summed weight
-    of spiking pixels, and fires when it reaches the adaptive threshold;
-    firing resets the potential to zero. The eligibility trace counts every
-    presynaptic spike regardless of firing.
-
-    Args:
-        n: Neuron state to mutate.
-        rf: Receptive field supplying weights and accumulating eligibility.
-        presyn: Boolean row of 784 presynaptic spikes for this step.
-
-    Returns:
-        True when the neuron fired this step.
-    """
-    presyn = np.asarray(presyn, dtype=bool)
-    n.u = (1.0 - n.leak) * n.u + float(rf.weights[presyn].sum())
-    rf.eligibility[presyn] += 1.0
-    if n.u >= adaptive_threshold(rf, n):
-        n.u = 0.0
-        n.fired_this_presentation = True
-        return True
-    return False
-
-
-def potentiate(rf: ReceptiveField, cfg: PlasticityConfig) -> float:
-    """Reward the neuron: strengthen synapses by eligibility.
+def potentiate(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
+    """Reward one neuron: strengthen its synapses by eligibility.
 
     Raw update ``dw_i = eta_plus * eligibility_i / steps_active``, clamped
-    above at ``w_max``. If renormalization is active, the mass that was
-    actually added is spread back out (see ``renormalize``).
+    above at ``w_max``. With renormalization active, the mass actually added
+    is subtracted back as ``added / (784 + ns)`` from every real synapse,
+    clamped at ``w_min``; the ``ns`` virtual synapses absorb the remaining
+    share and store no state.
 
     Args:
-        rf: Receptive field to mutate.
-        cfg: Plasticity parameters.
-
-    Returns:
-        Total mass added across synapses after clamping (before any
-        renormalization correction).
+        w: float64 weight row of shape (784,), mutated in place.
+        eligibility: Per-pixel presynaptic spike counts, shape (784,).
+        cfg: A ``ColaNetConfig`` (supplies eta_plus, steps_active, w_min,
+            w_max, ns and ``renormalization_active``).
     """
-    before = rf.weights.sum()
-    raw = cfg.eta_plus * rf.eligibility / cfg.steps_active
-    np.minimum(rf.weights + raw, rf.w_max, out=rf.weights)
-    added_mass = float(rf.weights.sum() - before)
+    before = w.sum()
+    np.minimum(w + cfg.eta_plus * eligibility / cfg.steps_active, cfg.w_max, out=w)
     if cfg.renormalization_active:
-        renormalize(rf, added_mass, cfg)
-    return added_mass
+        added = w.sum() - before
+        np.maximum(w - added / (N_INPUTS + cfg.ns), cfg.w_min, out=w)
 
 
-def depress(rf: ReceptiveField, cfg: PlasticityConfig) -> float:
-    """Punish the neuron: weaken synapses by eligibility.
+def depress(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
+    """Punish one neuron: weaken its synapses by eligibility.
 
     Raw update ``dw_i = -eta_minus * eligibility_i / steps_active``, clamped
     below at ``w_min``.
 
     Args:
-        rf: Receptive field to mutate.
-        cfg: Plasticity parameters.
-
-    Returns:
-        Total mass removed across synapses after clamping (a value <= 0).
+        w: float64 weight row of shape (784,), mutated in place.
+        eligibility: Per-pixel presynaptic spike counts, shape (784,).
+        cfg: A ``ColaNetConfig`` (supplies eta_minus, steps_active, w_min).
     """
-    before = rf.weights.sum()
-    raw = cfg.eta_minus * rf.eligibility / cfg.steps_active
-    np.maximum(rf.weights - raw, rf.w_min, out=rf.weights)
-    return float(rf.weights.sum() - before)
-
-
-def renormalize(rf: ReceptiveField, added_mass: float, cfg: PlasticityConfig) -> None:
-    """Spread a potentiation's added mass back across the synapses.
-
-    Subtracts ``added_mass / (784 + ns)`` from every real synapse, clamped
-    at ``w_min``; the ``ns`` virtual synapses absorb the remaining share and
-    store no state. With ns=0 the total real-synapse sum is conserved up to
-    clamping; as ns grows the correction vanishes.
-
-    Args:
-        rf: Receptive field to mutate.
-        added_mass: The mass the preceding potentiation added.
-        cfg: Plasticity parameters (supplies ``ns``).
-    """
-    if not cfg.renormalization_active:
-        return
-    correction = added_mass / (N_INPUTS + cfg.ns)
-    np.maximum(rf.weights - correction, rf.w_min, out=rf.weights)
+    np.maximum(w - cfg.eta_minus * eligibility / cfg.steps_active, cfg.w_min, out=w)

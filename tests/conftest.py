@@ -152,3 +152,10 @@ def tiny_task(seed: int = 0, n_train: int = 40, n_test: int = 20, classes: int =
         )
 
     return TaskSpec(task_id=1, source="synthetic", train=split(n_train), test=split(n_test))
+
+
+def truncation_cuts(size: int, header_len: int, payload_samples: int = 16) -> list[int]:
+    """Lengths to cut a ``size``-byte state file to: every length inside the
+    header, plus evenly spaced lengths through the payload (all < size)."""
+    payload = np.linspace(header_len + 1, size - 1, payload_samples).astype(int)
+    return sorted(set(range(header_len + 1)) | set(payload.tolist()))

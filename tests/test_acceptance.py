@@ -35,7 +35,7 @@ import time
 import numpy as np
 import pytest
 
-from colanet_cl import snncore
+from colanet_cl.snncore import depress, potentiate
 from colanet_cl.baseline import (
     MlpAdapter,
     mlp_init,
@@ -65,6 +65,7 @@ from colanet_cl.dataset import (
 from colanet_cl.encoder import encode
 from colanet_cl.seeding import generator_from
 
+import neuron_reference as ref
 from conftest import FIXTURES_DIR, record_acceptance, requires_mnist
 
 pytestmark = pytest.mark.acceptance
@@ -318,36 +319,35 @@ def check_encoder_binomial_calibration():
 def check_threshold_arithmetic():
     weights = np.zeros(784)
     weights[:3] = (2.0, 3.0, -1.0)
-    rf = snncore.ReceptiveField(weights=weights)
-    got = snncore.adaptive_threshold(
-        rf, snncore.NeuronState(u_const=1.0, alpha=0.005)
-    )
+    rf = ref.ReceptiveField(weights=weights)
+    got = ref.adaptive_threshold(rf, ref.NeuronState(u_const=1.0, alpha=0.005))
     assert got == pytest.approx(1.025, abs=1e-12), "threshold reference value"
     assert (
-        snncore.adaptive_threshold(rf, snncore.NeuronState(u_const=1.0, alpha=0.0))
-        == 1.0
+        ref.adaptive_threshold(rf, ref.NeuronState(u_const=1.0, alpha=0.0)) == 1.0
     ), "alpha=0 threshold"
-    all_neg = snncore.ReceptiveField(weights=np.full(784, -0.4))
-    assert snncore.adaptive_threshold(
-        all_neg, snncore.NeuronState(u_const=1.0, alpha=0.7)
+    all_neg = ref.ReceptiveField(weights=np.full(784, -0.4))
+    assert ref.adaptive_threshold(
+        all_neg, ref.NeuronState(u_const=1.0, alpha=0.7)
     ) == pytest.approx(1.0), "all-negative threshold"
 
 
+def plasticity_config(eta_plus, eta_minus, ns, renormalize) -> ColaNetConfig:
+    """The config the training kernel reads; no renormalization means ns=None."""
+    return ColaNetConfig(
+        eta_plus=eta_plus, eta_minus=eta_minus, ns=ns if renormalize else None
+    )
+
+
 def check_renormalization_conservation():
+    """Runs the kernel that ``train_sample`` applies to each weight row."""
     rng = np.random.default_rng(3)
     weights = rng.uniform(-0.2, 0.2, 784)
     elig = rng.integers(0, 5, 784).astype(float)
 
     def potentiated(ns, renormalize):
-        rf = snncore.ReceptiveField(weights=weights.copy())
-        rf.eligibility[:] = elig
-        snncore.potentiate(
-            rf,
-            snncore.PlasticityConfig(
-                eta_plus=0.05, eta_minus=0.1, ns=ns, renormalize=renormalize
-            ),
-        )
-        return rf.weights
+        w = weights.copy()
+        potentiate(w, elig, plasticity_config(0.05, 0.1, ns, renormalize))
+        return w
 
     conserved = potentiated(0, True)
     assert conserved.sum() == pytest.approx(
@@ -361,21 +361,21 @@ def check_renormalization_conservation():
 def check_weight_bounds_under_random_plasticity():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        rf = snncore.ReceptiveField(weights=rng.uniform(-1, 1, 784))
+        w = rng.uniform(-1, 1, 784)
         for _ in range(15):
-            rf.eligibility[:] = rng.integers(0, 11, 784).astype(float)
-            cfg = snncore.PlasticityConfig(
+            elig = rng.integers(0, 11, 784).astype(float)
+            cfg = plasticity_config(
                 eta_plus=float(rng.uniform(0.01, 2.0)),
                 eta_minus=float(rng.uniform(0.01, 2.0)),
                 ns=int(rng.integers(0, 50)) if rng.random() < 0.5 else None,
                 renormalize=bool(rng.random() < 0.5),
             )
             if rng.random() < 0.5:
-                snncore.potentiate(rf, cfg)
+                potentiate(w, elig, cfg)
             else:
-                snncore.depress(rf, cfg)
-            assert rf.weights.max() <= 1.0 + 1e-12, "w_max bound"
-            assert rf.weights.min() >= -1.0 - 1e-12, "w_min bound"
+                depress(w, elig, cfg)
+            assert w.max() <= 1.0 + 1e-12, "w_max bound"
+            assert w.min() >= -1.0 - 1e-12, "w_min bound"
 
 
 def check_evaluation_count():

@@ -25,7 +25,7 @@ from colanet_cl.baseline import (
 from colanet_cl.clbench import run_sequence
 from colanet_cl.dataset import LabeledDataset, TaskSpec
 
-from conftest import tiny_task
+from conftest import tiny_task, truncation_cuts
 
 
 def template_task(seed: int = 0, n_per_class: int = 30) -> TaskSpec:
@@ -198,6 +198,12 @@ def test_load_rejects_truncation(tmp_path):
     short.write_bytes(data[:-100])
     with pytest.raises(StateFormatError, match="truncated"):
         mlp_load(str(short))
+    # Every cut inside the 20-byte header (magic, version, layer sizes) and
+    # a sample through the arrays fails with the typed error only.
+    for cut in truncation_cuts(len(data), header_len=20):
+        short.write_bytes(data[:cut])
+        with pytest.raises(StateFormatError):
+            mlp_load(str(short))
 
 
 def test_load_rejects_trailing_bytes(tmp_path):

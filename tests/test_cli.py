@@ -211,6 +211,21 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_bad_network_setting_is_usage_error(tmp_path, capsys):
+    """Network settings ColaNetConfig rejects exit 1 before any run starts,
+    including the sweep grid's points."""
+    for command, text in (
+        ("run", "ns = -784\n"),
+        ("run", "eta_plus = 0\n"),
+        ("run", "microcolumns = 0\n"),
+        ("sweep", "ns_grid = 0, -1\n"),
+    ):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"model = colanet\ndata_dir = /tmp\n{text}")
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_without_grids_is_usage_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("model = colanet\ndata_dir = /tmp\n")

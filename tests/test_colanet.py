@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colanet_cl import snncore
 from colanet_cl.colanet import (
+    _CONFIG_FIELDS as CONFIG_FIELDS,
+    _CONFIG_PACK as CONFIG_PACK,
     ColaNetAdapter,
     ColaNetConfig,
     Network,
@@ -28,6 +30,9 @@ from colanet_cl.colanet import (
 from colanet_cl.dataset import LabeledDataset, TaskSpec
 from colanet_cl.encoder import encode_active_batch
 from colanet_cl.seeding import generator_from
+
+import neuron_reference as ref
+from conftest import truncation_cuts
 
 NO_FIRE = np.iinfo(np.int64).max
 
@@ -63,17 +68,25 @@ def stripes_task(
 # ------------------------------------------------------------ configuration
 
 
+INVALID_CONFIGS = [
+    dict(class_count=0),
+    dict(microcolumns=0),
+    dict(leak=1.0),
+    dict(u_const=0.0),
+    dict(alpha=-0.1),
+    dict(ns=-784),  # would divide by zero in renormalization
+    dict(ns=-1),
+    dict(w_min=1.0, w_max=-1.0),
+    dict(steps_active=0),
+    dict(eta_plus=0.0),
+    dict(eta_minus=-1.0),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ColaNetConfig(class_count=0)
-    with pytest.raises(ValueError):
-        ColaNetConfig(microcolumns=0)
-    with pytest.raises(ValueError):
-        ColaNetConfig(leak=1.0)
-    with pytest.raises(ValueError):
-        ColaNetConfig(u_const=0.0)
-    with pytest.raises(ValueError):
-        ColaNetConfig(alpha=-0.1)
+    for overrides in INVALID_CONFIGS:
+        with pytest.raises(ValueError):
+            ColaNetConfig(**overrides)
 
 
 def test_config_renormalization_flag():
@@ -122,9 +135,9 @@ def test_thresholds_match_neuron_kernel():
     for flat in range(net.config.neuron_count):
         net._refresh_neuron(flat)
     expected = [
-        snncore.adaptive_threshold(
-            snncore.ReceptiveField(weights=net.weights[flat].copy()),
-            snncore.NeuronState(u_const=1.5, alpha=0.4),
+        ref.adaptive_threshold(
+            ref.ReceptiveField(weights=net.weights[flat].copy()),
+            ref.NeuronState(u_const=1.5, alpha=0.4),
         )
         for flat in range(net.config.neuron_count)
     ]
@@ -136,31 +149,35 @@ def test_thresholds_match_neuron_kernel():
     st.integers(min_value=0, max_value=2**32),
     st.floats(min_value=0.0, max_value=0.5),
     st.sampled_from([0.0, 0.1]),
+    st.sampled_from([1, 4]),
 )
-def test_race_matches_per_neuron_simulation(seed, alpha, leak):
-    """The vectorized race picks the neuron the sequential per-neuron
-    dynamics would: earliest first spike, flat order breaking ties."""
+def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
+    """The batched race picks, per presentation, the neuron the sequential
+    per-neuron dynamics would: earliest first spike, flat order breaking
+    ties, and -1 when nothing fires."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, leak=leak)
     net = Network(cfg, weights=rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784)))
-    spikes = rng.random((cfg.steps_active, 784)) < 0.15
+    # Per-presentation input density; 0 makes a silent presentation, so a
+    # batch can mix silent and firing rows.
+    density = rng.choice([0.0, 0.02, 0.15], size=(batch, 1, 1))
+    spikes = rng.random((batch, cfg.steps_active, 784)) < density
 
-    firsts = []
-    for flat in range(cfg.neuron_count):
-        rf = snncore.ReceptiveField(weights=net.weights[flat].copy())
-        n = snncore.NeuronState(u_const=cfg.u_const, alpha=cfg.alpha, leak=cfg.leak)
-        first = NO_FIRE
-        for t in range(cfg.steps_active):
-            if snncore.integrate_step(n, rf, spikes[t]):
-                first = t
-                break
-        firsts.append(first)
-
-    winner, _, _ = net._race(spikes)
-    if min(firsts) == NO_FIRE:
-        assert winner is None
-    else:
-        assert winner == int(np.argmin(firsts))
+    winners = net.race(spikes)
+    assert winners.shape == (batch,)
+    for b in range(batch):
+        firsts = []
+        for flat in range(cfg.neuron_count):
+            rf = ref.ReceptiveField(weights=net.weights[flat].copy())
+            n = ref.NeuronState(u_const=cfg.u_const, alpha=cfg.alpha, leak=cfg.leak)
+            first = NO_FIRE
+            for t in range(cfg.steps_active):
+                if ref.integrate_step(n, rf, spikes[b, t]):
+                    first = t
+                    break
+            firsts.append(first)
+        expected = -1 if min(firsts) == NO_FIRE else int(np.argmin(firsts))
+        assert winners[b] == expected
 
 
 def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
@@ -235,7 +252,6 @@ def test_silent_presentation_potentiates_designated_only():
     outcome = train_sample(net, probe_img(), label=1)
     assert outcome.raw_winner is None
     assert outcome.effective_winner == (1, 0)
-    assert outcome.winner_spikes == 0
     assert (net.weights[2, :10] > before[2, :10]).all()
     changed = [i for i in range(4) if not np.array_equal(net.weights[i], before[i])]
     assert changed == [2]
@@ -445,8 +461,6 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_bad_version(tmp_path):
-    import struct
-
     net = Network(ColaNetConfig(class_count=2, microcolumns=1))
     path = str(tmp_path / "net.bin")
     save_state(net, path)
@@ -469,10 +483,50 @@ def test_load_rejects_truncation_and_trailing(tmp_path):
     short.write_bytes(data[:-30])
     with pytest.raises(StateFormatError, match="truncated"):
         load_state(str(short))
+    # Every cut inside the header (magic, version, config block) and a
+    # sample through the weights and generator state fails with the typed
+    # error only.
+    header_len = 8 + struct.calcsize(CONFIG_PACK)
+    for cut in truncation_cuts(len(data), header_len):
+        short.write_bytes(data[:cut])
+        with pytest.raises(StateFormatError):
+            load_state(str(short))
     long = tmp_path / "long.bin"
     long.write_bytes(data + b"z")
     with pytest.raises(StateFormatError, match="trailing"):
         load_state(str(long))
+
+
+def corrupt_config(tmp_path, **fields) -> str:
+    """A valid 2x1 state file whose config block carries other field values."""
+    net = Network(ColaNetConfig(class_count=2, microcolumns=1))
+    path = str(tmp_path / "net.bin")
+    save_state(net, path)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    values = dict(
+        zip(CONFIG_FIELDS, struct.unpack_from(CONFIG_PACK, data, 8))
+    )
+    values.update(fields)
+    struct.pack_into(CONFIG_PACK, data, 8, *values.values())
+    bad = tmp_path / "corrupt.bin"
+    bad.write_bytes(bytes(data))
+    return str(bad)
+
+
+def test_load_rejects_invalid_config_block(tmp_path):
+    with pytest.raises(StateFormatError, match="config"):
+        load_state(corrupt_config(tmp_path, class_count=0))
+    with pytest.raises(StateFormatError, match="config"):
+        load_state(corrupt_config(tmp_path, ns=-784.0))
+
+
+def test_load_checks_declared_size_before_reading(tmp_path):
+    """A corrupt grid size declares ~10 TB of weights; the loader compares
+    that with the file size instead of trying to read it."""
+    path = corrupt_config(tmp_path, class_count=2**20, microcolumns=2**20)
+    with pytest.raises(StateFormatError, match="truncated"):
+        load_state(path)
 
 
 # ------------------------------------------------------------------ heatmaps

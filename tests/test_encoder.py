@@ -106,3 +106,21 @@ def test_encode_active_batch_rate():
     p = 128 / 255.0
     sigma = np.sqrt(n * p * (1 - p))
     assert abs(int(spikes.sum()) - n * p) < 3 * sigma
+
+
+def test_encode_draws_through_the_batch_encoder():
+    """``encode``'s active rows are the batch encoder's draw for a batch of
+    one, and a batch of B consumes the stream as B single draws do."""
+    images = np.random.default_rng(8).integers(0, 256, (3, 784), dtype=np.uint8)
+    batch = encode_active_batch(images, 10, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for i in range(3):
+        train = encode(images[i], rng=rng)
+        assert np.array_equal(train.active, batch[i])
+
+
+def test_zero_length_draw_leaves_the_stream_untouched():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    encode(np.full(784, 255, dtype=np.uint8), steps_active=0, rng=rng)
+    assert rng.bit_generator.state == before

@@ -1,22 +1,21 @@
-"""Tests for single-neuron dynamics and plasticity primitives."""
+"""Tests for the per-neuron reference dynamics and the plasticity kernel."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colanet_cl.snncore import (
-    N_INPUTS,
+from colanet_cl.colanet import ColaNetConfig
+from colanet_cl.snncore import N_INPUTS, depress, potentiate
+from neuron_reference import (
     NeuronState,
-    PlasticityConfig,
     ReceptiveField,
     adaptive_threshold,
-    depress,
     integrate_step,
-    potentiate,
-    renormalize,
 )
 
 
@@ -25,6 +24,15 @@ def make_rf(**fill) -> ReceptiveField:
     for idx, value in fill.items():
         weights[int(idx)] = value
     return ReceptiveField(weights=weights)
+
+
+def make_row(**fill) -> np.ndarray:
+    return make_rf(**fill).weights
+
+
+def rates(eta_plus=0.1, eta_minus=0.1, **overrides) -> ColaNetConfig:
+    """A network config used only for the plasticity settings it carries."""
+    return ColaNetConfig(eta_plus=eta_plus, eta_minus=eta_minus, **overrides)
 
 
 def spikes_at(*indices) -> np.ndarray:
@@ -63,21 +71,9 @@ def test_clear_eligibility():
 
 def test_plasticity_config_validation():
     with pytest.raises(ValueError):
-        PlasticityConfig(eta_plus=0.0, eta_minus=0.1)
+        rates(eta_plus=0.0)
     with pytest.raises(ValueError):
-        PlasticityConfig(eta_plus=0.1, eta_minus=-1.0)
-
-
-def test_renormalization_active_requires_flag_and_finite_ns():
-    assert PlasticityConfig(
-        eta_plus=0.1, eta_minus=0.1, ns=0, renormalize=True
-    ).renormalization_active
-    assert not PlasticityConfig(
-        eta_plus=0.1, eta_minus=0.1, ns=None, renormalize=True
-    ).renormalization_active
-    assert not PlasticityConfig(
-        eta_plus=0.1, eta_minus=0.1, ns=0, renormalize=False
-    ).renormalization_active
+        rates(eta_minus=-1.0)
 
 
 # ---------------------------------------------------------------- threshold
@@ -176,42 +172,43 @@ def test_integrate_negative_weights_lower_potential():
 
 
 def test_potentiate_scales_eligibility():
-    rf = make_rf()
-    rf.eligibility[5] = 7.0
-    cfg = PlasticityConfig(eta_plus=0.1, eta_minus=0.1, steps_active=10)
-    added = potentiate(rf, cfg)
-    assert rf.weights[5] == pytest.approx(0.07)
-    assert added == pytest.approx(0.07)
+    w = make_row()
+    elig = np.zeros(N_INPUTS)
+    elig[5] = 7.0
+    potentiate(w, elig, rates(eta_plus=0.1, steps_active=10))
+    assert w[5] == pytest.approx(0.07)
+    assert w.sum() == pytest.approx(0.07)
 
 
 def test_potentiate_clamps_at_w_max():
-    rf = make_rf(**{"3": 0.95})
-    rf.eligibility[3] = 10.0
-    cfg = PlasticityConfig(eta_plus=0.5, eta_minus=0.1, steps_active=10)
-    added = potentiate(rf, cfg)
-    assert rf.weights[3] == 1.0
-    assert added == pytest.approx(0.05)
+    w = make_row(**{"3": 0.95})
+    elig = np.zeros(N_INPUTS)
+    elig[3] = 10.0
+    before = w.sum()
+    potentiate(w, elig, rates(eta_plus=0.5, steps_active=10))
+    assert w[3] == 1.0
+    assert w.sum() - before == pytest.approx(0.05)
 
 
 def test_depress_scales_eligibility_and_clamps():
-    rf = make_rf(**{"2": -0.95, "4": 0.5})
-    rf.eligibility[2] = 10.0
-    rf.eligibility[4] = 1.0
-    cfg = PlasticityConfig(eta_plus=0.1, eta_minus=0.5, steps_active=10)
-    removed = depress(rf, cfg)
-    assert rf.weights[2] == -1.0
-    assert rf.weights[4] == pytest.approx(0.45)
-    assert removed == pytest.approx(-0.1)
+    w = make_row(**{"2": -0.95, "4": 0.5})
+    elig = np.zeros(N_INPUTS)
+    elig[2] = 10.0
+    elig[4] = 1.0
+    before = w.sum()
+    depress(w, elig, rates(eta_minus=0.5, steps_active=10))
+    assert w[2] == -1.0
+    assert w[4] == pytest.approx(0.45)
+    assert w.sum() - before == pytest.approx(-0.1)
 
 
 def test_renormalize_conserves_total_mass_at_ns_zero():
     rng = np.random.default_rng(0)
-    rf = ReceptiveField(weights=rng.uniform(-0.2, 0.2, N_INPUTS))
-    rf.eligibility[:] = rng.integers(0, 5, N_INPUTS).astype(float)
-    cfg = PlasticityConfig(eta_plus=0.05, eta_minus=0.1, ns=0, renormalize=True)
-    before = rf.weights.sum()
-    potentiate(rf, cfg)
-    assert rf.weights.sum() == pytest.approx(before, rel=1e-9, abs=1e-9)
+    w = rng.uniform(-0.2, 0.2, N_INPUTS)
+    elig = rng.integers(0, 5, N_INPUTS).astype(float)
+    before = w.sum()
+    potentiate(w, elig, rates(eta_plus=0.05, ns=0))
+    assert w.sum() == pytest.approx(before, rel=1e-9, abs=1e-9)
 
 
 def test_renormalize_large_ns_approaches_plain_potentiation():
@@ -219,17 +216,13 @@ def test_renormalize_large_ns_approaches_plain_potentiation():
     weights = rng.uniform(-0.2, 0.2, N_INPUTS)
     elig = rng.integers(0, 5, N_INPUTS).astype(float)
 
-    def run(ns, renorm):
-        rf = ReceptiveField(weights=weights.copy())
-        rf.eligibility[:] = elig
-        cfg = PlasticityConfig(
-            eta_plus=0.05, eta_minus=0.1, ns=ns, renormalize=renorm
-        )
-        potentiate(rf, cfg)
-        return rf.weights
+    def run(ns):
+        w = weights.copy()
+        potentiate(w, elig, rates(eta_plus=0.05, ns=ns))
+        return w
 
-    plain = run(None, False)
-    huge_ns = run(10**12, True)
+    plain = run(None)
+    huge_ns = run(10**12)
     assert np.allclose(huge_ns, plain, atol=1e-9)
 
 
@@ -242,34 +235,36 @@ def test_renormalize_correction_shrinks_with_ns(seed):
     elig = rng.integers(0, 4, N_INPUTS).astype(float)
     sums = []
     for ns in (0, 100, 10000):
-        rf = ReceptiveField(weights=weights.copy())
-        rf.eligibility[:] = elig
-        potentiate(
-            rf,
-            PlasticityConfig(eta_plus=0.05, eta_minus=0.1, ns=ns, renormalize=True),
-        )
-        sums.append(rf.weights.sum())
+        w = weights.copy()
+        potentiate(w, elig, rates(eta_plus=0.05, ns=ns))
+        sums.append(w.sum())
     assert sums[0] <= sums[1] + 1e-12
     assert sums[1] <= sums[2] + 1e-12
 
 
 def test_renormalize_noop_when_inactive():
-    rf = make_rf(**{"0": 0.5})
-    before = rf.weights.copy()
-    renormalize(rf, 1.0, PlasticityConfig(eta_plus=0.1, eta_minus=0.1))
-    assert np.array_equal(rf.weights, before)
+    """Both disabled sentinels give exactly the clamped raw update."""
+    weights = make_row(**{"0": 0.5, "1": 0.99})
+    elig = np.zeros(N_INPUTS)
+    elig[:3] = (2.0, 5.0, 1.0)
+    expected = np.minimum(weights + 0.1 * elig / 10, 1.0)
+    for ns in (None, math.inf):
+        w = weights.copy()
+        potentiate(w, elig, rates(ns=ns))
+        assert np.array_equal(w, expected)
 
 
 def test_renormalize_clamps_at_w_min():
-    rf = ReceptiveField(weights=np.full(N_INPUTS, -0.9999))
-    rf.weights[0] = 0.0
-    renormalize(
-        rf,
-        784.0,  # correction of 1.0 per synapse
-        PlasticityConfig(eta_plus=0.1, eta_minus=0.1, ns=0, renormalize=True),
-    )
-    assert rf.weights.min() == -1.0
-    assert rf.weights[0] == -1.0
+    w = np.full(N_INPUTS, -0.9999)
+    w[0] = 0.0
+    elig = np.zeros(N_INPUTS)
+    elig[0] = 10.0
+    # Pixel 0 gains the full +1.0 up to w_max; the ns=0 correction of
+    # 1/784 per synapse pushes every other weight past w_min.
+    potentiate(w, elig, rates(eta_plus=1.0, ns=0))
+    assert w.min() == -1.0
+    assert (w[1:] == -1.0).all()
+    assert w[0] == pytest.approx(1.0 - 1.0 / N_INPUTS)
 
 
 @settings(max_examples=25, deadline=None)
@@ -277,18 +272,17 @@ def test_renormalize_clamps_at_w_min():
 def test_weights_stay_bounded_under_random_plasticity(seed):
     """No sequence of rewards/punishments can push a weight past the rails."""
     rng = np.random.default_rng(seed)
-    rf = ReceptiveField(weights=rng.uniform(-1.0, 1.0, N_INPUTS))
+    w = rng.uniform(-1.0, 1.0, N_INPUTS)
     for _ in range(30):
-        rf.eligibility[:] = rng.integers(0, 11, N_INPUTS).astype(float)
-        cfg = PlasticityConfig(
-            eta_plus=float(rng.uniform(0.01, 2.0)),
-            eta_minus=float(rng.uniform(0.01, 2.0)),
-            ns=int(rng.integers(0, 100)) if rng.random() < 0.5 else None,
-            renormalize=bool(rng.random() < 0.5),
-        )
+        elig = rng.integers(0, 11, N_INPUTS).astype(float)
+        eta_plus = float(rng.uniform(0.01, 2.0))
+        eta_minus = float(rng.uniform(0.01, 2.0))
+        ns = int(rng.integers(0, 100)) if rng.random() < 0.5 else None
+        renormalize = bool(rng.random() < 0.5)
+        cfg = rates(eta_plus, eta_minus, ns=ns if renormalize else None)
         if rng.random() < 0.5:
-            potentiate(rf, cfg)
+            potentiate(w, elig, cfg)
         else:
-            depress(rf, cfg)
-        assert rf.weights.max() <= 1.0 + 1e-12
-        assert rf.weights.min() >= -1.0 - 1e-12
+            depress(w, elig, cfg)
+        assert w.max() <= 1.0 + 1e-12
+        assert w.min() >= -1.0 - 1e-12
