@@ -352,8 +352,8 @@ def run_sequence(
             ``evaluate_task(task) -> float``, ``save(path)`` and
             ``load(path)``.
         tasks: The task stream (at least one task).
-        state_dir: Directory for per-iteration checkpoints; a temporary
-            directory is created when omitted.
+        state_dir: Directory for per-iteration checkpoints; when omitted, a
+            temporary directory is used and removed before returning.
 
     Returns:
         DegradationProfile of shape n x n.
@@ -364,7 +364,8 @@ def run_sequence(
     if not tasks:
         raise ValueError("run_sequence requires at least one task")
     if state_dir is None:
-        state_dir = tempfile.mkdtemp(prefix="clbench-state-")
+        with tempfile.TemporaryDirectory(prefix="clbench-state-") as tmp:
+            return run_sequence(adapter, tasks, tmp)
     os.makedirs(state_dir, exist_ok=True)
     n = len(tasks)
     a = np.full((n, n), np.nan)
@@ -463,6 +464,11 @@ def read_profile_csv(path: str) -> DegradationProfile:
                     raise ProfileFormatError(
                         f"{path}: row {i + 1}, col {j}: not a number: {cell!r}"
                     ) from None
+                if not 0.0 <= value <= 100.0:
+                    raise ProfileFormatError(
+                        f"{path}: row {i + 1}, col {j}: "
+                        f"accuracy {cell!r} is not a percentage in [0, 100]"
+                    )
                 a[i - 1, j - 1] = value / 100.0
             elif cell != "":
                 raise ProfileFormatError(

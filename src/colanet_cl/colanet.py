@@ -17,6 +17,18 @@ smallest positive weight sum), which recruits fresh capacity early on and
 for novel tasks. Prediction reads out the race winner's column (class 0
 when nothing fires).
 
+The race integrates each weight rounded to the grid 2^-k through a
+pixel-major view kept beside the stored weights, and gathers only the pixels
+that spiked. k = 52 - ceil(log2(steps_active * 784 * max|w|)), where max|w|
+is the largest of |w_min|, |w_max| and init_high; k is 39 at the defaults,
+and configs that would give k < 30 are rejected. No potential exceeds
+steps_active * 784 * max|w| <= 2^(52-k) in magnitude, so every partial sum
+is a multiple of 2^-k with at most 53 significant bits, exact in float64:
+winners do not depend on summation order, BLAS threads, batch size or which
+pixels were gathered. The stored weights, plasticity and thresholds stay
+unrounded; each race weight differs from its stored weight by at most
+2^-(k+1).
+
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
 reproduces identical predictions and identical continued training.
@@ -38,8 +50,10 @@ from .statefile import StateFormatError, StateReader, write_header  # noqa: F401
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
 
-#: Sentinel step value meaning "did not fire within the active window".
-_NO_FIRE = np.iinfo(np.int64).max
+#: Float fields that must be finite (``ns`` may be the infinity sentinel).
+_FINITE_FIELDS = (
+    "alpha", "u_const", "eta_plus", "eta_minus", "leak", "w_min", "w_max", "init_high"
+)
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,9 @@ class ColaNetConfig:
     init_high: float = 0.001
 
     def __post_init__(self):
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.class_count < 1 or self.microcolumns < 1:
             raise ValueError("class_count and microcolumns must be >= 1")
         if not 0.0 <= self.leak < 1.0:
@@ -101,12 +118,16 @@ class ColaNetConfig:
             raise ValueError("u_const must be > 0 and alpha >= 0")
         if self.eta_plus <= 0 or self.eta_minus <= 0:
             raise ValueError("plasticity rates must be positive")
-        if self.ns is not None and self.ns < 0:
+        if self.ns is not None and not self.ns >= 0:
             raise ValueError("ns must be >= 0 (or the infinity sentinel)")
         if self.w_min > self.w_max:
             raise ValueError("w_min must be <= w_max")
-        if self.steps_active < 1:
-            raise ValueError("steps_active must be >= 1")
+        if self.init_high < 0:
+            raise ValueError("init_high must be >= 0")
+        if self.steps_active < 1 or self.steps_silent < 0:
+            raise ValueError("steps_active must be >= 1 and steps_silent >= 0")
+        if self.race_grid_bits < 30:
+            raise ValueError("steps_active * 784 * max|w| must be <= 2**22")
 
     @property
     def renormalization_active(self) -> bool:
@@ -116,6 +137,19 @@ class ColaNetConfig:
     @property
     def neuron_count(self) -> int:
         return self.class_count * self.microcolumns
+
+    @property
+    def race_grid_bits(self) -> int:
+        """k of the race's weight grid 2^-k, from the largest potential.
+
+        max|w| covers the clamp bounds and the initial weights; k is the
+        largest integer with steps_active * 784 * max|w| * 2^k <= 2^52.
+        """
+        peak = self.steps_active * N_INPUTS * max(
+            abs(self.w_min), abs(self.w_max), self.init_high
+        )
+        mantissa, exponent = math.frexp(peak)
+        return 52 - (exponent - 1 if mantissa == 0.5 else exponent)
 
 
 @dataclass
@@ -160,6 +194,14 @@ class Network:
         if self.weights.shape != (config.neuron_count, N_INPUTS):
             raise ValueError("weights shape does not match config grid")
         self.rng = rng if rng is not None else generator_from(config.seed, "colanet-train")
+        # The race's view: pixel-major, each weight rounded to the grid.
+        # Allocated before the positive-mass temporary: in the other order
+        # glibc trimmed ~9 MB off the heap at the end of each run, and the
+        # next run in the same process page-faulted it back during set-up.
+        self._drive_w = _to_grid(
+            self.weights.T, config.race_grid_bits,
+            out=np.empty((N_INPUTS, config.neuron_count)),
+        )
         self._pos_sum = np.maximum(self.weights, 0.0).sum(axis=1)
 
     # -- bookkeeping -------------------------------------------------------
@@ -180,6 +222,7 @@ class Network:
 
     def _refresh_neuron(self, flat: int) -> None:
         self._pos_sum[flat] = np.maximum(self.weights[flat], 0.0).sum()
+        self._drive_w[:, flat] = _to_grid(self.weights[flat], self.config.race_grid_bits)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -192,6 +235,15 @@ class Network:
         index. Only first crossings matter, so neither inhibition nor the
         winner's own reset is simulated.
 
+        Drives use the weights rounded to the grid 2^-k
+        (``config.race_grid_bits``) and only the pixels that spiked
+        somewhere in the batch. Without leak the potentials are one product
+        of cumulative spike counts and those weight rows. |potential| never
+        exceeds steps_active * 784 * max|w| <= 2^(52-k), so every sum of
+        grid weights is exact: the winners are the same for any batching,
+        pixel order or BLAS. With leak the decay products are rounded as
+        usual, but the drives are still exact.
+
         Args:
             spikes: (B, T, 784) boolean active-window rasters.
 
@@ -199,24 +251,33 @@ class Network:
             (B,) int64 flat index of each presentation's winner, or -1 when
             no neuron fired within the active window.
         """
+        crossed = self._potentials(spikes) >= self.thresholds()
+        fired = crossed.any(axis=2)
+        # The earliest step at which any neuron crossed, then the lowest
+        # flat index among the neurons crossing at that step.
+        step = fired.argmax(axis=1)
+        rows = np.arange(len(spikes))
+        return np.where(fired[rows, step], crossed[rows, step].argmax(axis=1), -1)
+
+    def _potentials(self, spikes: np.ndarray) -> np.ndarray:
+        """(B, T, C*M) membrane potentials of a batch, from the race view."""
         batch, steps, _ = spikes.shape
-        flat = spikes.reshape(-1, N_INPUTS).astype(np.float64)
-        drive = (flat @ self.weights.T).reshape(batch, steps, -1)
+        lit = np.flatnonzero(spikes.any(axis=(0, 1)))
+        inputs = spikes[:, :, lit]
         leak = self.config.leak
         if leak == 0.0:
-            potential = np.cumsum(drive, axis=1)
+            counts = np.cumsum(inputs, axis=1, dtype=np.float64)
         else:
-            potential = np.empty_like(drive)
-            u = np.zeros_like(drive[:, 0, :])
+            counts = inputs.astype(np.float64)
+        potential = (
+            counts.reshape(batch * steps, lit.size) @ self._drive_w[lit]
+        ).reshape(batch, steps, -1)
+        if leak != 0.0:
+            u = np.zeros_like(potential[:, 0, :])
             for t in range(steps):
-                u = (1.0 - leak) * u + drive[:, t, :]
+                u = (1.0 - leak) * u + potential[:, t, :]
                 potential[:, t, :] = u
-        crossed = potential >= self.thresholds()
-        first = crossed.argmax(axis=1).astype(np.int64)
-        first[~crossed.any(axis=1)] = _NO_FIRE
-        winners = first.argmin(axis=1)
-        fired = first[np.arange(batch), winners] != _NO_FIRE
-        return np.where(fired, winners, -1)
+        return potential
 
     def designated_microcolumn(self, column: int) -> int:
         """The column's least-committed microcolumn (smallest positive mass).
@@ -274,6 +335,13 @@ class Network:
         """Apply a plasticity rule to one neuron's row, then re-cache its mass."""
         rule(self.weights[flat], eligibility, self.config)
         self._refresh_neuron(flat)
+
+
+def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Round weights to the nearest multiple of 2^-bits (ties to even)."""
+    out = np.ldexp(w, bits, out=out)
+    np.rint(out, out=out)
+    return np.ldexp(out, -bits, out=out)
 
 
 def present(

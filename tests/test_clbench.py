@@ -293,6 +293,17 @@ def test_run_sequence_creates_temp_state_dir():
     assert profile.k == 2
 
 
+def test_run_sequence_removes_its_temp_state_dir(tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run_sequence(FakeAdapter(), fake_tasks(2))
+    assert not list(tmp_path.glob("clbench-state-*"))
+    with pytest.raises(SequenceError):
+        run_sequence(FakeAdapter(fail_on=("eval", 2)), fake_tasks(3))
+    assert not list(tmp_path.glob("clbench-state-*"))
+
+
 def test_run_sequence_rejects_empty_stream():
     with pytest.raises(ValueError):
         run_sequence(FakeAdapter(), [])
@@ -391,3 +402,11 @@ def test_render_summary_single_task_marks_undefined():
     for name in ("FM", "BWT"):
         row = next(line for line in text.splitlines() if line.startswith(name))
         assert row.count("undefined") == 3
+
+
+def test_read_profile_csv_rejects_accuracy_outside_percent_range(tmp_path):
+    path = tmp_path / "p.csv"
+    for bad in ("150.0", "-0.5", "nan", "inf"):
+        path.write_text(f"task_1,task_2\n90.00,\n80.00,{bad}\n")
+        with pytest.raises(ProfileFormatError, match="row 3, col 2"):
+            read_profile_csv(str(path))

@@ -193,6 +193,15 @@ def test_metrics_malformed_profile_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_metrics_out_of_range_profile_is_data_error(tmp_path, capsys):
+    profile = tmp_path / "p.csv"
+    profile.write_text("task_1,task_2\n90.00,\n150.0,85.00\n")
+    assert main(["metrics", str(profile)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "row 3, col 1" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ usage failures
 
 

@@ -80,6 +80,28 @@ INVALID_CONFIGS = [
     dict(steps_active=0),
     dict(eta_plus=0.0),
     dict(eta_minus=-1.0),
+    # NaN passes every comparison, so each float field is checked for it.
+    dict(alpha=math.nan),
+    dict(ns=math.nan),
+    dict(u_const=math.nan),
+    dict(eta_plus=math.nan),
+    dict(eta_minus=math.nan),
+    dict(leak=math.nan),
+    dict(w_min=math.nan),
+    dict(w_max=math.nan),
+    dict(init_high=math.nan),
+    dict(u_const=math.inf),
+    dict(alpha=math.inf),
+    dict(eta_plus=math.inf),
+    dict(w_max=math.inf),
+    dict(w_min=-math.inf),
+    dict(init_high=math.inf),
+    dict(init_high=-1.0),
+    dict(steps_silent=-3),
+    # The race's weight grid would be coarser than 2^-30.
+    dict(steps_active=5350),  # 5350 * 784 * 1 > 2**22
+    dict(w_min=-600.0),
+    dict(init_high=600.0),
 ]
 
 
@@ -87,6 +109,13 @@ def test_config_validation():
     for overrides in INVALID_CONFIGS:
         with pytest.raises(ValueError):
             ColaNetConfig(**overrides)
+
+
+def test_race_grid_bits_follow_the_largest_potential():
+    assert ColaNetConfig().race_grid_bits == 39  # 10 * 784 * 1 <= 2**13
+    assert ColaNetConfig(w_max=2.0).race_grid_bits == 38
+    assert ColaNetConfig(steps_active=5349).race_grid_bits == 30  # <= 2**22
+    assert ColaNetConfig(ns=math.inf).race_grid_bits == 39
 
 
 def test_config_renormalization_flag():
@@ -178,6 +207,47 @@ def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
             firsts.append(first)
         expected = -1 if min(firsts) == NO_FIRE else int(np.argmin(firsts))
         assert winners[b] == expected
+
+
+def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
+    """Weights rounded to the race's grid, computed apart from the network."""
+    k = cfg.race_grid_bits
+    return np.rint(weights * 2.0**k) / 2.0**k
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([1, 5]),
+)
+def test_race_is_exact_on_its_weight_grid(seed, leak, batch):
+    """Potentials equal a dense float64 product over the rounded weights,
+    bit for bit; permuting pixels or racing rows alone changes no winner."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(alpha=rng.uniform(0.0, 0.5), leak=leak)
+    weights = rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784))
+    net = Network(cfg, weights=weights)
+    density = rng.choice([0.0, 0.02, 0.15], size=(batch, 1, 1))
+    spikes = rng.random((batch, cfg.steps_active, 784)) < density
+
+    grid = snapped(weights, cfg)
+    assert np.abs(grid - weights).max() <= 2.0 ** -(cfg.race_grid_bits + 1)
+    drive = spikes.astype(np.float64) @ grid.T
+    expected = np.empty_like(drive)
+    u = np.zeros_like(drive[:, 0, :])
+    for t in range(cfg.steps_active):
+        u = (1.0 - leak) * u + drive[:, t, :]
+        expected[:, t, :] = u
+    assert np.array_equal(net._potentials(spikes), expected)
+
+    winners = net.race(spikes)
+    perm = rng.permutation(784)
+    shuffled = Network(cfg, weights=weights[:, perm])
+    assert np.array_equal(shuffled._potentials(spikes[:, :, perm]), expected)
+    assert np.array_equal(shuffled.race(spikes[:, :, perm]), winners)
+    for b in range(batch):
+        assert np.array_equal(net.race(spikes[b : b + 1]), winners[b : b + 1])
 
 
 def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
@@ -292,13 +362,19 @@ def test_renormalization_conserves_row_mass():
     assert net.weights[1].sum() == pytest.approx(before, rel=1e-9)
 
 
-def test_cached_positive_sums_stay_consistent():
+def test_cached_positive_sums_stay_consistent(tmp_path):
     net = fixed_net()
     img = probe_img()
     for label in (0, 1, 0, 1):
         train_sample(net, img, label)
     expected = np.maximum(net.weights, 0.0).sum(axis=1)
     assert net.positive_sums() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # The race view follows every update, and is rebuilt on load.
+    assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
+    path = str(tmp_path / "net.bin")
+    save_state(net, path)
+    loaded = load_state(path)
+    assert np.array_equal(loaded._drive_w, snapped(net.weights, net.config).T)
 
 
 # ------------------------------------------------------------------ inference
@@ -379,6 +455,25 @@ def test_evaluate_task_matches_reference_reimplementation():
             predicted = int(first.argmin()) // cfg.microcolumns
         correct += predicted == labels[i]
     assert got == correct / len(images)
+
+
+def test_evaluate_task_does_not_depend_on_batch_size():
+    rng = np.random.default_rng(8)
+    cfg = ColaNetConfig(class_count=4, microcolumns=3, alpha=0.05, seed=2)
+    net = Network(cfg, weights=rng.uniform(-0.05, 0.08, (cfg.neuron_count, 784)))
+    images = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
+    images[rng.random(images.shape) < 0.8] = 0  # sparse, like glyphs
+    labels = rng.integers(0, 4, size=300).astype(np.int64)
+    test = LabeledDataset(images, labels, 4)
+    task = TaskSpec(task_id=3, source="synthetic", train=test, test=test)
+    results = set()
+    for batch_size in (1, 7, 256):
+        diagnostics = {}
+        accuracy = evaluate_task(net, task, batch_size=batch_size, diagnostics=diagnostics)
+        results.add((accuracy, diagnostics["silent"]))
+    assert len(results) == 1
+    (accuracy, silent), = results
+    assert 0.0 < accuracy < 1.0 and silent < len(labels)
 
 
 def test_evaluate_task_counts_silent_presentations():
@@ -519,6 +614,8 @@ def test_load_rejects_invalid_config_block(tmp_path):
         load_state(corrupt_config(tmp_path, class_count=0))
     with pytest.raises(StateFormatError, match="config"):
         load_state(corrupt_config(tmp_path, ns=-784.0))
+    with pytest.raises(StateFormatError, match="config"):
+        load_state(corrupt_config(tmp_path, alpha=math.nan))
 
 
 def test_load_checks_declared_size_before_reading(tmp_path):
