@@ -323,12 +323,14 @@ def write_manifest(cfg: ExperimentConfig, out_dir: str, command: str) -> str:
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run the experiment once per seed; write profiles, metrics, states."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tasks_by_seed = {seed: build_tasks(cfg, seed) for seed in cfg.seeds}
     write_manifest(cfg, cfg.out_dir, "run")
     for seed in cfg.seeds:
+        tasks = build_tasks(cfg, seed)
         adapter = build_adapter(cfg, seed)
         state_dir = os.path.join(cfg.out_dir, f"states_seed{seed}")
-        profile = run_sequence(adapter, tasks_by_seed[seed], state_dir=state_dir)
+        profile = run_sequence(adapter, tasks, state_dir=state_dir)
+        # Free this seed's stream before the next one is built.
+        del tasks, adapter
         write_profile_csv(
             profile, os.path.join(cfg.out_dir, f"profile_seed{seed}.csv")
         )
@@ -458,7 +460,8 @@ def read_baseline_csv(path: str) -> np.ndarray:
     """Read a baseline-accuracy CSV (task, accuracy-in-percent) as fractions.
 
     Raises:
-        ProfileFormatError: Malformed header or cells, with row context.
+        ProfileFormatError: Malformed header or cells, or an accuracy that is
+            NaN or outside [0, 100], with row context.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = [line.strip() for line in f if line.strip()]
@@ -481,6 +484,11 @@ def read_baseline_csv(path: str) -> np.ndarray:
         if task_id != row - 1:
             raise ProfileFormatError(
                 f"{path}: row {row}: tasks must be consecutive from 1"
+            )
+        if not 0.0 <= acc <= 100.0:
+            raise ProfileFormatError(
+                f"{path}: row {row}: "
+                f"accuracy {cells[1]!r} is not a percentage in [0, 100]"
             )
         values.append(acc / 100.0)
     return np.asarray(values, dtype=np.float64)

@@ -194,12 +194,13 @@ class Network:
         if self.weights.shape != (config.neuron_count, N_INPUTS):
             raise ValueError("weights shape does not match config grid")
         self.rng = rng if rng is not None else generator_from(config.seed, "colanet-train")
+        self._grid_bits = config.race_grid_bits
         # The race's view: pixel-major, each weight rounded to the grid.
         # Allocated before the positive-mass temporary: in the other order
         # glibc trimmed ~9 MB off the heap at the end of each run, and the
         # next run in the same process page-faulted it back during set-up.
         self._drive_w = _to_grid(
-            self.weights.T, config.race_grid_bits,
+            self.weights.T, self._grid_bits,
             out=np.empty((N_INPUTS, config.neuron_count)),
         )
         self._pos_sum = np.maximum(self.weights, 0.0).sum(axis=1)
@@ -222,7 +223,7 @@ class Network:
 
     def _refresh_neuron(self, flat: int) -> None:
         self._pos_sum[flat] = np.maximum(self.weights[flat], 0.0).sum()
-        self._drive_w[:, flat] = _to_grid(self.weights[flat], self.config.race_grid_bits)
+        self._drive_w[:, flat] = _to_grid(self.weights[flat], self._grid_bits)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -465,7 +466,7 @@ def evaluate_task(
     net: Network,
     task,
     seed: int | None = None,
-    batch_size: int = 256,
+    batch_size: int = 64,
     diagnostics: dict | None = None,
 ) -> float:
     """Accuracy on a task's test split (batched, no mutation).

@@ -91,21 +91,36 @@ class PixelPermutation:
 class LabeledDataset:
     """Images with class labels.
 
+    A split holds its images as given, or holds an unpermuted base (which
+    other splits may share) together with a pixel permutation; the permuted
+    copy is then made each time ``images`` is read and lives only as long
+    as the caller keeps it.
+
     Attributes:
-        images: uint8 array of shape (N, 784), row-major 28x28 intensities.
+        pixels: uint8 array of shape (N, 784), row-major 28x28 intensities:
+            the images themselves, or the base when ``permutation`` is set.
         labels: int64 array of shape (N,), each in [0, class_count).
         class_count: Size of the label space.
+        permutation: The PixelPermutation ``images`` applies, or None.
     """
 
-    images: np.ndarray
+    pixels: np.ndarray
     labels: np.ndarray
     class_count: int
+    permutation: PixelPermutation | None = None
 
     def __post_init__(self):
-        if len(self.images) != len(self.labels):
+        if len(self.pixels) != len(self.labels):
             raise ValueError("images and labels must have equal length")
         if len(self.labels) and int(self.labels.max(initial=0)) >= self.class_count:
             raise ValueError("labels must be < class_count")
+
+    @property
+    def images(self) -> np.ndarray:
+        """uint8 array of shape (N, 784): ``pixels`` with ``permutation`` applied."""
+        if self.permutation is None:
+            return self.pixels
+        return apply_permutation(self.pixels, self.permutation)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -385,7 +400,7 @@ def apply_permutation(img: np.ndarray, p: PixelPermutation) -> np.ndarray:
     Returns:
         Array of the same shape with pixels rearranged.
     """
-    return np.ascontiguousarray(img[..., p.mapping])
+    return np.take(img, p.mapping, axis=-1)
 
 
 def make_permuted_stream(
@@ -396,6 +411,12 @@ def make_permuted_stream(
     Task 1 is plain MNIST (identity permutation). Tasks 2..n apply distinct
     permutations, each derived from ``base_seed`` and the task index and
     applied consistently to the full train and test splits.
+
+    All train splits share one unpermuted image array and one label array;
+    each permutes it only when its ``images`` are read, once per training
+    pass, so the stream holds no per-task training copy. Test splits are
+    permuted here, because every task's test split is evaluated again after
+    each later task.
 
     Args:
         n_tasks: Number of tasks, at least 1.
@@ -426,11 +447,9 @@ def make_permuted_stream(
             TaskSpec(
                 task_id=t,
                 source=f"permuted-mnist(seed={seed})",
-                train=LabeledDataset(
-                    apply_permutation(train_images, perm), train_labels.copy(), 10
-                ),
+                train=LabeledDataset(train_images, train_labels, 10, perm),
                 test=LabeledDataset(
-                    apply_permutation(test_images, perm), test_labels.copy(), 10
+                    apply_permutation(test_images, perm), test_labels, 10
                 ),
             )
         )

@@ -90,6 +90,30 @@ def write_idx(path: str, array: np.ndarray) -> None:
         fh.write(array.tobytes())
 
 
+@pytest.fixture(scope="session")
+def synthetic_mnist_dir(tmp_path_factory) -> str:
+    """A small directory of the four MNIST IDX files, always available.
+
+    Each class is a fixed random sparse template (~20% lit pixels) with a
+    tenth of its pixels dropped per image, so the tasks are learnable; 300
+    training and 100 test images.
+    """
+    data_dir = tmp_path_factory.mktemp("synthetic-mnist")
+    rng = np.random.default_rng(20)
+    templates = (rng.random((10, 28, 28)) < 0.2) * rng.integers(128, 256, (10, 28, 28))
+
+    def split(n: int) -> tuple[np.ndarray, np.ndarray]:
+        labels = rng.integers(0, 10, size=n)
+        images = templates[labels] * (rng.random((n, 28, 28)) < 0.9)
+        return images.astype(np.uint8), labels.astype(np.uint8)
+
+    for prefix, n in (("train", 300), ("test", 100)):
+        images, labels = split(n)
+        write_idx(str(data_dir / MNIST_FILES[f"{prefix}_images"]), images)
+        write_idx(str(data_dir / MNIST_FILES[f"{prefix}_labels"]), labels)
+    return str(data_dir)
+
+
 def letter_glyph(balanced_id: int) -> np.ndarray:
     """Deterministic fake 28x28 glyph for one EMNIST Balanced class.
 
@@ -146,7 +170,7 @@ def tiny_task(seed: int = 0, n_train: int = 40, n_test: int = 20, classes: int =
 
     def split(n: int) -> LabeledDataset:
         return LabeledDataset(
-            images=rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
+            pixels=rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
             labels=rng.integers(0, classes, size=n).astype(np.int64),
             class_count=classes,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -202,6 +203,20 @@ def test_metrics_out_of_range_profile_is_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "rows", ["1,nan\n2,80.00\n", "1,88.00\n2,150\n"], ids=["nan", "150"]
+)
+def test_metrics_bad_baseline_accuracy_is_data_error(tmp_path, capsys, rows):
+    profile = tmp_path / "p.csv"
+    profile.write_text("task_1,task_2\n90.00,\n80.00,85.00\n")
+    base = tmp_path / "b.csv"
+    base.write_text("task,accuracy\n" + rows)
+    assert main(["metrics", str(profile), str(base)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "not a percentage" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ usage failures
 
 
@@ -286,6 +301,42 @@ def run_config(tmp_path, mnist_dir, **overrides) -> str:
     path = tmp_path / "exp.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return str(path)
+
+
+@pytest.mark.parametrize("model", ["colanet", "mlp"])
+def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, capsys,
+                                              model):
+    """Each seed's stream is built inside the seed loop: a two-seed run
+    writes, per seed, the same profile as running that seed alone."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model=model, n_tasks=3,
+                     microcolumns=3, train_count=150, seeds="1, 2")
+    together = tmp_path / "together"
+    assert main(["run", "--config", cfg, "--out", str(together)]) == EXIT_OK
+    for seed in (1, 2):
+        alone = tmp_path / f"alone{seed}"
+        assert main(["run", "--config", cfg, "--out", str(alone),
+                     "--seed", str(seed)]) == EXIT_OK
+        name = f"profile_seed{seed}.csv"
+        assert (together / name).read_bytes() == (alone / name).read_bytes()
+        assert read_profile_csv(str(together / name)).k == 3
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
+                                                  capsys, damage):
+    data_dir = tmp_path / "data"
+    shutil.copytree(synthetic_mnist_dir, data_dir)
+    target = data_dir / MNIST_FILES["test_images"]
+    if damage == "missing":
+        target.unlink()
+    else:
+        target.write_bytes(target.read_bytes()[:-100])
+    cfg = run_config(tmp_path, str(data_dir), seeds="1, 2")
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not list(out_dir.glob("profile_seed*.csv"))
+    assert not list(out_dir.glob("states_seed*"))
 
 
 @requires_mnist

@@ -467,7 +467,7 @@ def test_evaluate_task_does_not_depend_on_batch_size():
     test = LabeledDataset(images, labels, 4)
     task = TaskSpec(task_id=3, source="synthetic", train=test, test=test)
     results = set()
-    for batch_size in (1, 7, 256):
+    for batch_size in (1, 7, 64, 256):
         diagnostics = {}
         accuracy = evaluate_task(net, task, batch_size=batch_size, diagnostics=diagnostics)
         results.add((accuracy, diagnostics["silent"]))

@@ -19,6 +19,7 @@ from colanet_cl.dataset import (
     apply_permutation,
     gen_permutation,
     load_idx,
+    load_mnist,
     make_emnist_letters,
     make_mnist_truncated,
     make_permuted_stream,
@@ -150,7 +151,8 @@ def test_apply_permutation_batch_matches_single():
     perm = gen_permutation(11)
     batch = np.random.default_rng(0).integers(0, 256, size=(5, 784), dtype=np.uint8)
     out = apply_permutation(batch, perm)
-    assert out.shape == (5, 784)
+    assert out.shape == (5, 784) and out.flags.c_contiguous
+    assert np.array_equal(out, batch[:, perm.mapping])
     for i in range(5):
         assert np.array_equal(out[i], apply_permutation(batch[i], perm))
 
@@ -199,10 +201,59 @@ def test_make_permuted_stream_structure(mnist_dir):
     assert tasks[1].source == f"permuted-mnist(seed={expected_seed})"
 
 
-@requires_mnist
-def test_make_permuted_stream_rejects_zero_tasks(mnist_dir):
+def test_permuted_stream_splits_equal_eager_permuted_copies(synthetic_mnist_dir):
+    train_images, train_labels, test_images, test_labels = load_mnist(
+        synthetic_mnist_dir
+    )
+    tasks = make_permuted_stream(4, base_seed=3, data_dir=synthetic_mnist_dir,
+                                 train_count=250)
+    # Task 1 is the identity; a derived seed of 0 is replaced by 1.
+    seeds = [0] + [derive_seed(3, "permutation", t) or 1 for t in range(2, 5)]
+    for task, seed in zip(tasks, seeds, strict=True):
+        mapping = gen_permutation(seed).mapping
+        assert task.source == f"permuted-mnist(seed={seed})"
+        assert task.train.images.tobytes() == train_images[:250][..., mapping].tobytes()
+        assert task.test.images.tobytes() == test_images[..., mapping].tobytes()
+        assert np.array_equal(task.train.labels, train_labels[:250])
+        assert np.array_equal(task.test.labels, test_labels)
+
+
+def test_permuted_stream_shares_one_train_base(synthetic_mnist_dir):
+    tasks = make_permuted_stream(3, base_seed=3, data_dir=synthetic_mnist_dir)
+    base = tasks[0].train.pixels
+    assert base.shape == (300, 784)
+    for task in tasks:
+        assert task.train.pixels is base
+        assert task.train.labels is tasks[0].train.labels
+        assert task.train.permutation is not None
+        # Each read makes a fresh permuted copy; none is kept by the split.
+        first = task.train.images
+        assert first is not task.train.images
+        assert not np.shares_memory(first, base)
+    held = {id(split.pixels) for task in tasks for split in (task.train, task.test)}
+    assert len(held) == 1 + len(tasks)  # the train base and one array per test split
+
+
+def test_permuted_stream_test_splits_are_materialized(synthetic_mnist_dir):
+    tasks = make_permuted_stream(3, base_seed=3, data_dir=synthetic_mnist_dir)
+    for task in tasks:
+        assert task.test.permutation is None
+        assert task.test.images is task.test.pixels
+        assert task.test.images.flags.c_contiguous
+
+
+def test_permuted_stream_task_one_is_identity(synthetic_mnist_dir):
+    train_images, _, test_images, _ = load_mnist(synthetic_mnist_dir)
+    (task,) = make_permuted_stream(1, base_seed=9, data_dir=synthetic_mnist_dir)
+    assert task.source == "permuted-mnist(seed=0)"
+    assert np.array_equal(task.train.permutation.mapping, np.arange(784))
+    assert np.array_equal(task.train.images, train_images)
+    assert np.array_equal(task.test.images, test_images)
+
+
+def test_make_permuted_stream_rejects_zero_tasks(synthetic_mnist_dir):
     with pytest.raises(ValueError):
-        make_permuted_stream(0, base_seed=1, data_dir=mnist_dir)
+        make_permuted_stream(0, base_seed=1, data_dir=synthetic_mnist_dir)
 
 
 # ------------------------------------------------------------ EMNIST task
@@ -273,7 +324,7 @@ def test_emnist_letters_missing_files(tmp_path):
 def test_labeled_dataset_rejects_length_mismatch():
     with pytest.raises(ValueError):
         LabeledDataset(
-            images=np.zeros((3, 784), dtype=np.uint8),
+            pixels=np.zeros((3, 784), dtype=np.uint8),
             labels=np.zeros(2, dtype=np.int64),
             class_count=10,
         )
@@ -282,7 +333,7 @@ def test_labeled_dataset_rejects_length_mismatch():
 def test_labeled_dataset_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
         LabeledDataset(
-            images=np.zeros((2, 784), dtype=np.uint8),
+            pixels=np.zeros((2, 784), dtype=np.uint8),
             labels=np.array([0, 10], dtype=np.int64),
             class_count=10,
         )
