@@ -25,6 +25,11 @@ N_OUT = 10
 
 ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-6
+#: Elements per AdaDelta chunk (256 KiB of float64). One chunk's six operands
+#: stay in L2 across the update's passes; on a 2-vCPU Xeon, chunks of 16384
+#: and 32768 trained fastest, smaller ones pay NumPy's per-call overhead and
+#: larger ones spill out of L2.
+_CHUNK = 32768
 
 MLP_MAGIC = b"MLPB"
 MLP_FORMAT_VERSION = 1
@@ -151,37 +156,73 @@ def adadelta_step(p: MlpParams, grads: dict) -> None:
     ``-sqrt(update_avg + eps) / sqrt(grad_avg + eps) * grad``, and the
     squared-update average is updated with the step just taken.
 
+    The update runs over each parameter's flat view in cache-sized chunks of
+    ``_CHUNK`` elements through two scratch buffers, so it allocates nothing
+    of parameter size. Every element goes through the operations of the
+    whole-array formula in the same order, except that the weight subtracts
+    ``q = sqrt(..) / sqrt(..) * grad`` where the formula adds ``-q``; IEEE
+    negation is exact, so the bytes are the same.
+
     Args:
-        p: Parameters (mutated).
+        p: Parameters (mutated); arrays and accumulators are C-contiguous.
         grads: Gradients keyed by parameter name.
     """
+    tmp_buf = np.empty(_CHUNK)
+    q_buf = np.empty(_CHUNK)
     for name in _PARAM_ORDER:
-        g = grads[name]
-        eg = p.grad_sq[name]
-        ex = p.update_sq[name]
-        eg *= ADADELTA_RHO
-        eg += (1.0 - ADADELTA_RHO) * g * g
-        step = -np.sqrt(ex + ADADELTA_EPS) / np.sqrt(eg + ADADELTA_EPS) * g
-        ex *= ADADELTA_RHO
-        ex += (1.0 - ADADELTA_RHO) * step * step
-        getattr(p, name)[...] += step
+        w = _flat_view(getattr(p, name))
+        eg = _flat_view(p.grad_sq[name])
+        ex = _flat_view(p.update_sq[name])
+        g = grads[name].reshape(-1)
+        for start in range(0, w.size, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            g_c, eg_c, ex_c = g[chunk], eg[chunk], ex[chunk]
+            tmp, q = tmp_buf[: len(g_c)], q_buf[: len(g_c)]
+            eg_c *= ADADELTA_RHO
+            np.multiply(g_c, 1.0 - ADADELTA_RHO, out=tmp)
+            tmp *= g_c
+            eg_c += tmp
+            np.add(ex_c, ADADELTA_EPS, out=q)
+            np.sqrt(q, out=q)
+            np.add(eg_c, ADADELTA_EPS, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            q /= tmp
+            q *= g_c
+            ex_c *= ADADELTA_RHO
+            np.multiply(q, 1.0 - ADADELTA_RHO, out=tmp)
+            tmp *= q
+            ex_c += tmp
+            w[chunk] -= q
+
+
+def _flat_view(a: np.ndarray) -> np.ndarray:
+    """The 1-D view of a C-contiguous array; writes go through to ``a``."""
+    if not a.flags.c_contiguous:
+        raise ValueError("AdaDelta needs C-contiguous parameter arrays")
+    return a.reshape(-1)
 
 
 def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
     """Train one full epoch on a task's training split.
 
     Samples are consumed in dataset order in mini-batches (the final batch
-    may be smaller). Mutates parameters and accumulators.
+    may be smaller), each scaled to [0, 1] as it is used. Mutates parameters
+    and accumulators.
 
     Args:
         p: Parameters to train.
         task: The task providing the training split.
-        batch_size: Mini-batch size.
+        batch_size: Mini-batch size (>= 1).
+
+    Raises:
+        ValueError: ``batch_size`` is below 1.
     """
-    images = task.train.images.astype(np.float64) / 255.0
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    images = task.train.images
     labels = task.train.labels
     for start in range(0, len(images), batch_size):
-        x = images[start : start + batch_size]
+        x = images[start : start + batch_size].astype(np.float64) / 255.0
         y = labels[start : start + batch_size]
         _, grads = mlp_loss_and_grads(p, x, y)
         adadelta_step(p, grads)

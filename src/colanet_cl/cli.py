@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise UsageError("n_tasks must be >= 1")
         if not self.seeds:
             raise UsageError("seeds must list at least one seed")
+        if self.batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +531,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DATA_ERRORS = (
+    DataError,
+    IdxFormatError,
+    ProfileFormatError,
+    StateFormatError,
+    OSError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
@@ -555,17 +566,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        DataError,
-        IdxFormatError,
-        ProfileFormatError,
-        StateFormatError,
-        FileNotFoundError,
-        OSError,
-    ) as exc:
+    except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SequenceError as exc:
+        # A data or I/O failure inside a run is still a data error.
+        if isinstance(exc.__cause__, _DATA_ERRORS):
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

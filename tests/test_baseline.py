@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +25,16 @@ from colanet_cl.baseline import (
     mlp_train_epoch,
 )
 from colanet_cl.clbench import run_sequence
-from colanet_cl.dataset import LabeledDataset, TaskSpec
+from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
 
 from conftest import tiny_task, truncation_cuts
+from mlp_reference import (
+    PARAM_NAMES,
+    reference_adadelta_step,
+    reference_train_epoch,
+)
+
+MiB = 1 << 20
 
 
 def template_task(seed: int = 0, n_per_class: int = 30) -> TaskSpec:
@@ -130,6 +139,88 @@ def test_adadelta_step_matches_reference_formula():
     assert p.update_sq["b2"] == pytest.approx(
         np.full_like(before, 0.05 * expected_step**2)
     )
+
+
+def assert_params_bytes_equal(p: MlpParams, q: MlpParams) -> None:
+    for name in PARAM_NAMES:
+        assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+        assert p.grad_sq[name].tobytes() == q.grad_sq[name].tobytes(), name
+        assert p.update_sq[name].tobytes() == q.update_sq[name].tobytes(), name
+
+
+def random_grads(p: MlpParams, rng: np.random.Generator) -> dict:
+    """Gradients of every scale, with the W1 rows of dark pixels all zero."""
+    grads = {
+        name: rng.standard_normal(getattr(p, name).shape)
+        * 10.0 ** rng.uniform(-6, 0, getattr(p, name).shape)
+        for name in PARAM_NAMES
+    }
+    grads["W1"][rng.random(len(grads["W1"])) < 0.5] = 0.0
+    return grads
+
+
+def test_adadelta_step_matches_reference_bytes():
+    """The chunked in-place update rounds exactly like the plain formula."""
+    rng = np.random.default_rng(11)
+    p = mlp_init(4)
+    q = copy.deepcopy(p)
+    for _ in range(24):
+        grads = random_grads(p, rng)
+        adadelta_step(p, grads)
+        reference_adadelta_step(q, grads)
+    assert_params_bytes_equal(p, q)
+
+
+@pytest.mark.parametrize("batch_size", [32, 7])
+def test_train_epoch_matches_reference_epoch(batch_size):
+    """Per-batch conversion gives the bytes of whole-split conversion; 203
+    images leave a short last batch at both sizes."""
+    task = tiny_task(seed=3, n_train=203)
+    task = dataclasses.replace(
+        task,
+        train=dataclasses.replace(task.train, permutation=gen_permutation(5)),
+    )
+    p = mlp_init(6)
+    q = copy.deepcopy(p)
+    for _ in range(2):
+        mlp_train_epoch(p, task, batch_size)
+        reference_train_epoch(q, task, batch_size)
+    assert_params_bytes_equal(p, q)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_train_epoch_rejects_non_positive_batch_size(batch_size):
+    p = mlp_init(0)
+    before = p.W1.copy()
+    with pytest.raises(ValueError, match="batch_size"):
+        mlp_train_epoch(p, tiny_task(), batch_size)
+    assert np.array_equal(p.W1, before)
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adadelta_step_allocates_nothing_parameter_sized():
+    p = mlp_init(0)
+    grads = random_grads(p, np.random.default_rng(0))
+    # The plain formula peaks at ~9.2 MiB, several copies of W1.
+    assert traced_peak(adadelta_step, p, grads) < 1 * MiB
+
+
+def test_train_epoch_peak_does_not_grow_with_split_size():
+    peaks = []
+    for n_train in (500, 2000):
+        task = tiny_task(seed=1, n_train=n_train)
+        peaks.append(traced_peak(mlp_train_epoch, mlp_init(0), task))
+    # Converting the whole split would add 9.4 MiB between 500 and 2000
+    # images (two float64 copies of 1500 more images).
+    assert peaks[1] - peaks[0] < 0.5 * MiB
 
 
 def test_epoch_learns_separable_task():

@@ -11,8 +11,10 @@ import sys
 import numpy as np
 import pytest
 
+from colanet_cl import cli
 from colanet_cl.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
@@ -92,6 +94,9 @@ def test_experiment_config_validation():
         ExperimentConfig(n_tasks=0)
     with pytest.raises(UsageError, match="seeds"):
         ExperimentConfig(seeds=())
+    for batch_size in (0, -1):
+        with pytest.raises(UsageError, match="batch_size"):
+            ExperimentConfig(batch_size=batch_size)
 
 
 def test_load_experiment_config_overrides(tmp_path):
@@ -337,6 +342,42 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
     assert "data error" in capsys.readouterr().err
     assert not list(out_dir.glob("profile_seed*.csv"))
     assert not list(out_dir.glob("states_seed*"))
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_run_non_positive_batch_size_is_usage_error(tmp_path, synthetic_mnist_dir,
+                                                    capsys, batch_size):
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model="mlp",
+                     batch_size=batch_size)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
+    assert "batch_size" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_checkpoint_write_failure_is_data_error(tmp_path, synthetic_mnist_dir,
+                                                    capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "states_seed5" / "state_001.bin").mkdir(parents=True)
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: task 1 (save)" in err
+    assert not list(out_dir.glob("profile_seed*.csv"))
+
+
+def test_run_adapter_bug_is_internal_error(tmp_path, synthetic_mnist_dir, capsys,
+                                           monkeypatch):
+    class BrokenAdapter:
+        def train_task(self, task):
+            raise RuntimeError("adapter bug")
+
+    monkeypatch.setattr(cli, "build_adapter", lambda cfg, seed: BrokenAdapter())
+    out_dir = tmp_path / "out"
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_INTERNAL
+    assert "internal error: task 1 (train): adapter bug" in capsys.readouterr().err
+    assert not list(out_dir.glob("profile_seed*.csv"))
 
 
 @requires_mnist

@@ -69,7 +69,7 @@ def test_spike_train_validates_shape():
         SpikeTrain(10, 10, np.zeros((19, 784), dtype=bool))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(min_value=1, max_value=254),
     st.integers(min_value=0, max_value=2**32),
@@ -78,7 +78,9 @@ def test_encode_rate_matches_intensity(intensity, seed):
     """Spike counts stay within 3 sigma of the binomial expectation.
 
     All 784 pixels share one intensity, so the active window holds
-    n = 784 * steps_active Bernoulli draws at p = intensity / 255.
+    n = 784 * steps_active Bernoulli draws at p = intensity / 255. A correct
+    encoder misses a 3-sigma bound on ~0.27% of draws, so the examples are
+    a fixed set (derandomized, no example database) that all pass.
     """
     img = np.full(784, intensity, dtype=np.uint8)
     train = encode(img, rng=np.random.default_rng(seed))
