@@ -239,7 +239,8 @@ def mlp_evaluate(p: MlpParams, task: TaskSpec, batch_size: int = 1024) -> float:
     Returns:
         Fraction of correctly classified test images.
     """
-    images = task.test.images.astype(np.float64) / 255.0
+    images = task.test.images.astype(np.float64)
+    images /= 255.0
     labels = task.test.labels
     correct = 0
     for start in range(0, len(images), batch_size):

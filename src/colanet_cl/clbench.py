@@ -46,9 +46,6 @@ import numpy as np
 
 from .dataset import TaskSpec
 
-METRIC_NAMES = ("AA", "AIA", "FM", "BWT")
-
-
 class ProfileFormatError(Exception):
     """Raised when a profile CSV fails to parse; message carries row/col."""
 
@@ -458,24 +455,66 @@ def read_profile_csv(path: str) -> DegradationProfile:
                         f"{path}: row {i + 1}, col {j}: "
                         "missing lower-triangle value"
                     )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ProfileFormatError(
-                        f"{path}: row {i + 1}, col {j}: not a number: {cell!r}"
-                    ) from None
-                if not 0.0 <= value <= 100.0:
-                    raise ProfileFormatError(
-                        f"{path}: row {i + 1}, col {j}: "
-                        f"accuracy {cell!r} is not a percentage in [0, 100]"
-                    )
-                a[i - 1, j - 1] = value / 100.0
+                a[i - 1, j - 1] = _parse_accuracy(
+                    cell, f"{path}: row {i + 1}, col {j}"
+                )
             elif cell != "":
                 raise ProfileFormatError(
                     f"{path}: row {i + 1}, col {j}: "
                     "upper-triangle cell must be empty"
                 )
     return DegradationProfile(a)
+
+
+def read_baseline_csv(path: str) -> np.ndarray:
+    """Parse a baseline-accuracy CSV (task, accuracy in percent) as fractions.
+
+    This is the fresh-model series ``colanet-cl baseline-acc`` writes and
+    ``compute_report`` takes for forward transfer.
+
+    Raises:
+        ProfileFormatError: Malformed header or cells, tasks not consecutive
+            from 1, or a bad accuracy cell, with row context.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [line.strip() for line in f if line.strip()]
+    header = [c.strip() for c in lines[0].split(",")] if lines else []
+    if header != ["task", "accuracy"]:
+        raise ProfileFormatError(f"{path}: row 1: header must be task,accuracy")
+    values = []
+    for row, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != 2:
+            raise ProfileFormatError(f"{path}: row {row}: expected 2 cells")
+        try:
+            task_id = int(cells[0])
+        except ValueError:
+            raise ProfileFormatError(
+                f"{path}: row {row}: task not numeric: {cells[0]!r}"
+            ) from None
+        if task_id != row - 1:
+            raise ProfileFormatError(
+                f"{path}: row {row}: tasks must be consecutive from 1"
+            )
+        values.append(_parse_accuracy(cells[1], f"{path}: row {row}"))
+    return np.asarray(values, dtype=np.float64)
+
+
+def _parse_accuracy(cell: str, where: str) -> float:
+    """One accuracy cell in percent as a fraction; ``where`` prefixes errors.
+
+    Raises:
+        ProfileFormatError: Not a number, NaN, or outside [0, 100].
+    """
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ProfileFormatError(f"{where}: not a number: {cell!r}") from None
+    if not 0.0 <= value <= 100.0:
+        raise ProfileFormatError(
+            f"{where}: accuracy {cell!r} is not a percentage in [0, 100]"
+        )
+    return value / 100.0
 
 
 def write_metrics_csv(report: MetricsReport, path: str) -> None:

@@ -10,8 +10,9 @@ Subcommands
     Recompute metrics from an existing profile CSV (optionally with a
     fresh-model baseline-accuracy CSV enabling forward transfer).
 ``sweep``
-    Run the experiment once per point of an ``alpha`` and/or ``ns`` grid and
-    tabulate (alpha, ns, AA, FM) per point.
+    Run the first seed once per point of an ``alpha`` and/or ``ns`` grid,
+    each point writing the files of a ``run`` under ``point_NNN/``, and
+    tabulate (alpha, ns, AA, FM) per point in ``sweep.csv``.
 ``heatmap``
     Render the receptive fields of a saved network state as a PPM image.
 ``baseline-acc``
@@ -40,13 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clbench, dataset
+from . import dataset
 from .baseline import MlpAdapter
 from .clbench import (
-    DegradationProfile,
+    MetricsReport,
     ProfileFormatError,
     SequenceError,
     compute_report,
+    read_baseline_csv,
     read_profile_csv,
     render_summary,
     run_sequence,
@@ -217,9 +219,8 @@ def load_experiment_config(
         raise UsageError(str(exc)) from exc
     if cfg.model == "colanet":
         try:
-            for alpha in cfg.alpha_grid or (cfg.alpha,):
-                for ns in cfg.ns_grid or (cfg.ns,):
-                    colanet_config(dataclasses.replace(cfg, alpha=alpha, ns=ns), 0)
+            for point in grid_points(cfg):
+                colanet_config(point, 0)
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from None
     return cfg
@@ -228,6 +229,19 @@ def load_experiment_config(
 # ---------------------------------------------------------------------------
 # Task streams, adapters, manifests
 # ---------------------------------------------------------------------------
+
+
+def grid_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """One config per sweep point, in sweep order.
+
+    The points are the cross product of ``alpha_grid`` and ``ns_grid``, alpha
+    outermost; an empty grid stands for the single configured value.
+    """
+    return [
+        dataclasses.replace(cfg, alpha=alpha, ns=ns, alpha_grid=(), ns_grid=())
+        for alpha in cfg.alpha_grid or (cfg.alpha,)
+        for ns in cfg.ns_grid or (cfg.ns,)
+    ]
 
 
 def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
@@ -299,8 +313,8 @@ def input_hashes(cfg: ExperimentConfig) -> dict[str, str]:
     return hashes
 
 
-def write_manifest(cfg: ExperimentConfig, out_dir: str, command: str) -> str:
-    """Write manifest.json: config echo, seeds, input content hashes."""
+def write_manifest(cfg: ExperimentConfig, command: str) -> str:
+    """Write ``cfg.out_dir``/manifest.json: config echo, seeds, input hashes."""
     manifest = {
         "command": command,
         "config": {
@@ -310,7 +324,8 @@ def write_manifest(cfg: ExperimentConfig, out_dir: str, command: str) -> str:
         "seeds": list(cfg.seeds),
         "input_hashes": input_hashes(cfg),
     }
-    path = os.path.join(out_dir, "manifest.json")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -322,33 +337,34 @@ def write_manifest(cfg: ExperimentConfig, out_dir: str, command: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def run_unit(cfg: ExperimentConfig, seed: int, out_dir: str) -> MetricsReport:
+    """Run the task sequence once for one seed; write its files to ``out_dir``.
+
+    Writes ``profile_seed<S>.csv``, ``metrics_seed<S>.csv``,
+    ``summary_seed<S>.txt`` and the per-task checkpoints in
+    ``states_seed<S>/``. The seed's task stream lives only in this call, so
+    a caller running several units holds one stream at a time.
+    """
+    tasks = build_tasks(cfg, seed)
+    adapter = build_adapter(cfg, seed)
+    state_dir = os.path.join(out_dir, f"states_seed{seed}")
+    profile = run_sequence(adapter, tasks, state_dir=state_dir)
+    write_profile_csv(profile, os.path.join(out_dir, f"profile_seed{seed}.csv"))
+    report = compute_report(profile)
+    write_metrics_csv(report, os.path.join(out_dir, f"metrics_seed{seed}.csv"))
+    summary_path = os.path.join(out_dir, f"summary_seed{seed}.txt")
+    with open(summary_path, "w", encoding="utf-8") as f:
+        f.write(render_summary(report) + "\n")
+    return report
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
-    """Run the experiment once per seed; write profiles, metrics, states."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg, cfg.out_dir, "run")
+    """Run the experiment once per seed; print each seed's summary."""
+    write_manifest(cfg, "run")
     for seed in cfg.seeds:
-        tasks = build_tasks(cfg, seed)
-        adapter = build_adapter(cfg, seed)
-        state_dir = os.path.join(cfg.out_dir, f"states_seed{seed}")
-        profile = run_sequence(adapter, tasks, state_dir=state_dir)
-        # Free this seed's stream before the next one is built.
-        del tasks, adapter
-        write_profile_csv(
-            profile, os.path.join(cfg.out_dir, f"profile_seed{seed}.csv")
-        )
-        report = compute_report(profile)
-        write_metrics_csv(
-            report, os.path.join(cfg.out_dir, f"metrics_seed{seed}.csv")
-        )
-        summary = render_summary(report)
-        with open(
-            os.path.join(cfg.out_dir, f"summary_seed{seed}.txt"),
-            "w",
-            encoding="utf-8",
-        ) as f:
-            f.write(summary + "\n")
+        report = run_unit(cfg, seed, cfg.out_dir)
         print(f"seed {seed}:")
-        print(summary)
+        print(render_summary(report))
     return EXIT_OK
 
 
@@ -367,46 +383,28 @@ def cmd_metrics(
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    """Run the experiment per grid point; tabulate final AA and FM.
+    """Run the first seed per grid point; tabulate final AA and FM.
 
-    The grid is the cross product of ``alpha_grid`` and ``ns_grid`` (each
-    defaulting to the single configured value when absent); at least one of
-    the two grids must be non-empty. Uses the first configured seed. Each
-    point's artifacts land in ``point_NNN/`` under the output directory.
+    The points are ``grid_points(cfg)``; at least one of ``alpha_grid`` and
+    ``ns_grid`` must be non-empty. Point NNN is one ``run_unit`` whose files
+    land in ``point_NNN/`` under the output directory.
     """
     if not cfg.alpha_grid and not cfg.ns_grid:
         raise UsageError("sweep requires alpha_grid and/or ns_grid")
     if cfg.model != "colanet":
         raise UsageError("sweep grids apply to the colanet model only")
-    alphas = cfg.alpha_grid or (cfg.alpha,)
-    ns_values = cfg.ns_grid if cfg.ns_grid else (cfg.ns,)
     seed = cfg.seeds[0]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg, cfg.out_dir, "sweep")
-    tasks = build_tasks(cfg, seed)
+    write_manifest(cfg, "sweep")
     rows = []
-    for index, (alpha, ns) in enumerate(
-        [(a, n) for a in alphas for n in ns_values]
-    ):
-        point = dataclasses.replace(
-            cfg, alpha=alpha, ns=ns, alpha_grid=(), ns_grid=()
-        )
+    for index, point in enumerate(grid_points(cfg)):
         point_dir = os.path.join(cfg.out_dir, f"point_{index:03d}")
-        os.makedirs(point_dir, exist_ok=True)
-        adapter = build_adapter(point, seed)
-        profile = run_sequence(
-            adapter, tasks, state_dir=os.path.join(point_dir, "states")
-        )
-        write_profile_csv(profile, os.path.join(point_dir, "profile.csv"))
-        report = compute_report(profile)
-        write_metrics_csv(report, os.path.join(point_dir, "metrics.csv"))
-        k = profile.k
+        report = run_unit(point, seed, point_dir)
         rows.append(
             (
-                alpha,
-                ns,
-                report.aa[k - 1] * 100.0,
-                report.fm[k - 1] * 100.0 if k > 1 else float("nan"),
+                point.alpha,
+                point.ns,
+                report.aa[-1] * 100.0,
+                report.fm[-1] * 100.0 if report.n > 1 else float("nan"),
             )
         )
     sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
@@ -441,9 +439,8 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
     two tasks share initialization or noise streams.
     """
     seed = cfg.seeds[0]
+    write_manifest(cfg, "baseline-acc")
     tasks = build_tasks(cfg, seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_manifest(cfg, cfg.out_dir, "baseline-acc")
     accuracies = []
     for task in tasks:
         adapter = build_adapter(cfg, derive_seed(seed, "fwt-baseline", task.task_id))
@@ -456,44 +453,6 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
             f.write(f"{task.task_id},{acc * 100.0:.2f}\n")
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def read_baseline_csv(path: str) -> np.ndarray:
-    """Read a baseline-accuracy CSV (task, accuracy-in-percent) as fractions.
-
-    Raises:
-        ProfileFormatError: Malformed header or cells, or an accuracy that is
-            NaN or outside [0, 100], with row context.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
-    if not lines or [c.strip() for c in lines[0].split(",")] != [
-        "task",
-        "accuracy",
-    ]:
-        raise ProfileFormatError(f"{path}: row 1: header must be task,accuracy")
-    values = []
-    for row, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2:
-            raise ProfileFormatError(f"{path}: row {row}: expected 2 cells")
-        try:
-            task_id, acc = int(cells[0]), float(cells[1])
-        except ValueError:
-            raise ProfileFormatError(
-                f"{path}: row {row}: not numeric: {line!r}"
-            ) from None
-        if task_id != row - 1:
-            raise ProfileFormatError(
-                f"{path}: row {row}: tasks must be consecutive from 1"
-            )
-        if not 0.0 <= acc <= 100.0:
-            raise ProfileFormatError(
-                f"{path}: row {row}: "
-                f"accuracy {cells[1]!r} is not a percentage in [0, 100]"
-            )
-        values.append(acc / 100.0)
-    return np.asarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

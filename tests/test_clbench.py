@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from colanet_cl.clbench import (
     forgetting_measure,
     forward_transfer,
     per_task_forgetting,
+    read_baseline_csv,
     read_profile_csv,
     render_summary,
     run_sequence,
@@ -410,3 +413,39 @@ def test_read_profile_csv_rejects_accuracy_outside_percent_range(tmp_path):
         path.write_text(f"task_1,task_2\n90.00,\n80.00,{bad}\n")
         with pytest.raises(ProfileFormatError, match="row 3, col 2"):
             read_profile_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("ninety", "not a number"),
+        ("nan", "not a percentage"),
+        ("inf", "not a percentage"),
+        ("-0.5", "not a percentage"),
+        ("100.01", "not a percentage"),
+    ],
+)
+def test_profile_and_baseline_readers_share_accuracy_rule(tmp_path, bad, message):
+    """Both CSV readers reject the same accuracy cells, naming the row."""
+    profile = tmp_path / "p.csv"
+    profile.write_text(f"task_1,task_2\n90.00,\n80.00,{bad}\n")
+    with pytest.raises(ProfileFormatError, match=f"row 3, col 2: .*{message}"):
+        read_profile_csv(str(profile))
+    baseline = tmp_path / "b.csv"
+    baseline.write_text(f"task,accuracy\n1,90.00\n2,{bad}\n")
+    with pytest.raises(ProfileFormatError, match=f"row 3: .*{message}"):
+        read_baseline_csv(str(baseline))
+
+
+def test_quickstart_demo_runs():
+    """The data-free demo the README points to still runs end to end."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    result = subprocess.run(
+        [sys.executable, os.path.join("demos", "quickstart_metrics.py")],
+        capture_output=True,
+        text=True,
+        cwd=root,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "after task 4:" in result.stdout
+    assert "metric" in result.stdout

@@ -23,13 +23,12 @@ from colanet_cl.cli import (
     load_experiment_config,
     main,
     parse_config_text,
-    read_baseline_csv,
 )
-from colanet_cl.clbench import ProfileFormatError, read_profile_csv
+from colanet_cl.clbench import ProfileFormatError, read_baseline_csv, read_profile_csv
 from colanet_cl.colanet import ColaNetConfig, Network, save_state
 from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES
 
-from conftest import FIXTURES_DIR, requires_mnist, write_idx
+from conftest import FIXTURES_DIR
 
 MLP_PROFILE = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
 
@@ -326,9 +325,13 @@ def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, cap
         assert read_profile_csv(str(together / name)).k == 3
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
 @pytest.mark.parametrize("damage", ["missing", "truncated"])
 def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
-                                                  capsys, damage):
+                                                  capsys, damage, command):
+    """Each config command writes its manifest before it reads any data, so
+    a damaged data file leaves the manifest (when the file can be hashed)
+    and no result file."""
     data_dir = tmp_path / "data"
     shutil.copytree(synthetic_mnist_dir, data_dir)
     target = data_dir / MNIST_FILES["test_images"]
@@ -336,12 +339,14 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
         target.unlink()
     else:
         target.write_bytes(target.read_bytes()[:-100])
-    cfg = run_config(tmp_path, str(data_dir), seeds="1, 2")
+    cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", alpha_grid="0.01, 0.02")
     out_dir = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
-    assert not list(out_dir.glob("profile_seed*.csv"))
-    assert not list(out_dir.glob("states_seed*"))
+    assert (out_dir / "manifest.json").exists() == (damage == "truncated")
+    assert not list(out_dir.glob("**/profile_seed*.csv"))
+    assert not list(out_dir.glob("**/states_seed*"))
+    assert not list(out_dir.glob("**/baseline_acc.csv"))
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
@@ -380,9 +385,8 @@ def test_run_adapter_bug_is_internal_error(tmp_path, synthetic_mnist_dir, capsys
     assert not list(out_dir.glob("profile_seed*.csv"))
 
 
-@requires_mnist
-def test_run_command_writes_all_artifacts(tmp_path, mnist_dir, capsys):
-    cfg = run_config(tmp_path, mnist_dir)
+def test_run_command_writes_all_artifacts(tmp_path, synthetic_mnist_dir, capsys):
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out_dir]) == EXIT_OK
     for name in (
@@ -411,11 +415,10 @@ def test_run_command_writes_all_artifacts(tmp_path, mnist_dir, capsys):
         assert len(digest) == 40
 
 
-@requires_mnist
-def test_run_command_is_reproducible(tmp_path, mnist_dir, monkeypatch):
+def test_run_command_is_reproducible(tmp_path, synthetic_mnist_dir, monkeypatch):
     """Identical manifests imply identical profiles: rerunning the same
     config from a different working directory changes no output byte."""
-    cfg = run_config(tmp_path, mnist_dir, train_count=60)
+    cfg = run_config(tmp_path, synthetic_mnist_dir, train_count=60)
     outputs = {}
     for name in ("a", "b"):
         cwd = tmp_path / name
@@ -429,28 +432,27 @@ def test_run_command_is_reproducible(tmp_path, mnist_dir, monkeypatch):
     assert outputs["a"] == outputs["b"]
 
 
-@requires_mnist
-def test_run_command_mlp_model(tmp_path, mnist_dir, capsys):
-    cfg = run_config(tmp_path, mnist_dir, model="mlp", n_tasks=1, train_count=256)
+def test_run_command_mlp_model(tmp_path, synthetic_mnist_dir, capsys):
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model="mlp", n_tasks=1,
+                     train_count=256)
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out_dir]) == EXIT_OK
     assert os.path.exists(os.path.join(out_dir, "profile_seed5.csv"))
     assert "undefined" in capsys.readouterr().out  # single-task FM/BWT
 
 
-@requires_mnist
-def test_seed_flag_overrides_config(tmp_path, mnist_dir, capsys):
-    cfg = run_config(tmp_path, mnist_dir, n_tasks=1, train_count=60)
+def test_seed_flag_overrides_config(tmp_path, synthetic_mnist_dir, capsys):
+    cfg = run_config(tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=60)
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out_dir, "--seed", "7"]) == EXIT_OK
     assert os.path.exists(os.path.join(out_dir, "profile_seed7.csv"))
     assert not os.path.exists(os.path.join(out_dir, "profile_seed5.csv"))
 
 
-@requires_mnist
-def test_sweep_command(tmp_path, mnist_dir, capsys):
+def test_sweep_command(tmp_path, synthetic_mnist_dir, capsys):
     cfg = run_config(
-        tmp_path, mnist_dir, n_tasks=1, train_count=60, alpha_grid="0.01, 0.02"
+        tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=60,
+        alpha_grid="0.01, 0.02",
     )
     out_dir = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--out", out_dir]) == EXIT_OK
@@ -462,14 +464,41 @@ def test_sweep_command(tmp_path, mnist_dir, capsys):
     assert lines[1].startswith("0.01,,") and lines[1].endswith(",")
     assert lines[2].startswith("0.02,,")
     for point in ("point_000", "point_001"):
-        assert os.path.exists(os.path.join(out_dir, point, "profile.csv"))
+        assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
     out = capsys.readouterr().out
     assert "alpha" in out and "AA" in out
 
 
-@requires_mnist
-def test_baseline_acc_feeds_forward_transfer(tmp_path, mnist_dir, capsys):
-    cfg = run_config(tmp_path, mnist_dir, model="mlp", n_tasks=2, train_count=256)
+def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
+    """A sweep point writes exactly the files ``run`` writes at its alpha."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, alpha_grid="0.01, 0.02")
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
+    run_cfg = run_config(tmp_path, synthetic_mnist_dir, alpha="0.02")
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", run_cfg, "--out", str(run_dir)]) == EXIT_OK
+
+    def files(root):
+        return {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"
+        }
+
+    point = files(sweep_dir / "point_001")
+    assert sorted(point) == [
+        "metrics_seed5.csv",
+        "profile_seed5.csv",
+        os.path.join("states_seed5", "state_001.bin"),
+        os.path.join("states_seed5", "state_002.bin"),
+        "summary_seed5.txt",
+    ]
+    assert point == files(run_dir)
+
+
+def test_baseline_acc_feeds_forward_transfer(tmp_path, synthetic_mnist_dir, capsys):
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model="mlp", n_tasks=2,
+                     train_count=256)
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out_dir]) == EXIT_OK
     assert main(["baseline-acc", "--config", cfg, "--out", out_dir]) == EXIT_OK
