@@ -4,7 +4,8 @@ The package splits into data handling (``dataset``, ``encoder``), the
 spiking model (``snncore``, ``colanet``), a dense reference model
 (``baseline``), the state-file framing both models share (``statefile``),
 the benchmark machinery (``clbench``), and a command-line front end
-(``cli``).
+(``cli``). The network's race has two callers: ``train_sample`` for one
+labeled image, and ``evaluate_task`` for a task's test split.
 """
 
 from .colanet import (
@@ -14,8 +15,6 @@ from .colanet import (
     evaluate_task,
     export_heatmaps,
     load_state,
-    predict,
-    present,
     save_state,
     train_sample,
     train_task,
@@ -31,7 +30,6 @@ from .dataset import (
     make_mnist_truncated,
     make_permuted_stream,
 )
-from .encoder import SpikeTrain, encode
 
 __all__ = [
     "ColaNetAdapter",
@@ -39,10 +37,8 @@ __all__ = [
     "LabeledDataset",
     "Network",
     "PixelPermutation",
-    "SpikeTrain",
     "TaskSpec",
     "apply_permutation",
-    "encode",
     "evaluate_task",
     "export_heatmaps",
     "gen_permutation",
@@ -51,8 +47,6 @@ __all__ = [
     "make_emnist_letters",
     "make_mnist_truncated",
     "make_permuted_stream",
-    "predict",
-    "present",
     "save_state",
     "train_sample",
     "train_task",

@@ -92,6 +92,19 @@ def mlp_init(seed: int) -> MlpParams:
     )
 
 
+def _forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden ReLU activations, class probabilities) for a (B, 784) batch."""
+    # One hidden array, updated in place: spare split-sized temporaries would
+    # be fresh, page-faulting memory on every evaluation.
+    hidden = x @ p.W1
+    hidden += p.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ p.W2 + p.b2
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    return hidden, exp / exp.sum(axis=1, keepdims=True)
+
+
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Compute class probabilities for normalized inputs.
 
@@ -103,12 +116,7 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
         Probabilities of shape (10,) or (B, 10), each row summing to 1.
     """
     squeeze = x.ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    hidden = np.maximum(x @ p.W1 + p.b1, 0.0)
-    logits = hidden @ p.W2 + p.b2
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    _, probs = _forward(p, np.atleast_2d(np.asarray(x, dtype=np.float64)))
     return probs[0] if squeeze else probs
 
 
@@ -129,12 +137,7 @@ def mlp_loss_and_grads(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     batch = len(x)
-    pre_hidden = x @ p.W1 + p.b1
-    hidden = np.maximum(pre_hidden, 0.0)
-    logits = hidden @ p.W2 + p.b2
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    hidden, probs = _forward(p, x)
     loss = float(-np.log(probs[np.arange(batch), y] + 1e-300).mean())
 
     dlogits = probs.copy()
@@ -143,7 +146,8 @@ def mlp_loss_and_grads(
     dW2 = hidden.T @ dlogits
     db2 = dlogits.sum(axis=0)
     dhidden = dlogits @ p.W2.T
-    dhidden[pre_hidden <= 0.0] = 0.0
+    # ReLU's gradient mask; hidden <= 0 exactly where its input was <= 0.
+    dhidden[hidden <= 0.0] = 0.0
     dW1 = x.T @ dhidden
     db1 = dhidden.sum(axis=0)
     return loss, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}

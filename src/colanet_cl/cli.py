@@ -35,6 +35,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -113,6 +114,9 @@ class ExperimentConfig:
     ns_grid: tuple[float | None, ...] = ()
 
     def __post_init__(self):
+        # ns = inf and ns = off both disable renormalization; keep one spelling.
+        self.ns = None if self.ns == math.inf else self.ns
+        self.ns_grid = tuple(None if ns == math.inf else ns for ns in self.ns_grid)
         if self.model not in MODELS:
             raise UsageError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.scenario not in SCENARIOS:
@@ -125,6 +129,8 @@ class ExperimentConfig:
             raise UsageError("seeds must list at least one seed")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.train_count is not None and self.train_count < 1:
+            raise UsageError(f"train_count must be >= 1, got {self.train_count}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def load_experiment_config(
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     values = parse_config_text(text, path)
     if data_dir is not None:

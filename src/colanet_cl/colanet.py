@@ -14,7 +14,7 @@ Training routes plasticity by reward: a winner in the labeled column is
 potentiated; a winner in a wrong column is depressed and the teacher then
 rewards the labeled column's least-committed microcolumn (the one with the
 smallest positive weight sum), which recruits fresh capacity early on and
-for novel tasks. Prediction reads out the race winner's column (class 0
+for novel tasks. Evaluation reads out the race winner's column (class 0
 when nothing fires).
 
 The race integrates each weight rounded to the grid 2^-k through a
@@ -31,7 +31,7 @@ unrounded; each race weight differs from its stored weight by at most
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
-reproduces identical predictions and identical continued training.
+reproduces identical evaluation and identical continued training.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .statefile import StateFormatError, StateReader, write_header  # noqa: F401
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
 
-#: Float fields that must be finite (``ns`` may be the infinity sentinel).
+#: Float fields that must be finite (``ns`` may be None).
 _FINITE_FIELDS = (
     "alpha", "u_const", "eta_plus", "eta_minus", "leak", "w_min", "w_max", "init_high"
 )
@@ -66,7 +66,8 @@ class ColaNetConfig:
             reference configurations, any positive value is allowed.
         alpha: Adaptive-threshold coefficient (>= 0).
         ns: Virtual synapse count enabling potentiation renormalization:
-            an integer >= 0, or ``math.inf`` / ``None`` to disable (default).
+            a number >= 0, or ``None`` to disable it (default). ``math.inf``
+            means the same and is stored as ``None``.
         u_const: Fixed threshold component (> 0).
         eta_plus: Potentiation rate. The default 0.07 makes a single
             rewarded presentation write a usable template (one-shot
@@ -76,7 +77,8 @@ class ColaNetConfig:
         eta_minus: Depression rate; the calibrated ~4:1 ratio to eta_plus
             carves away systematic confusions in a few corrections.
         steps_active: Active window length of a presentation.
-        steps_silent: Silent tail length.
+        steps_silent: Silent tail length. Nothing integrates silent steps,
+            so it changes no result; it stays a field of the state format.
         seed: Root seed; initialization, training noise and evaluation
             noise streams all derive from it.
         leak: Per-step membrane decay fraction in [0, 1); 0 integrates
@@ -107,6 +109,8 @@ class ColaNetConfig:
     init_high: float = 0.001
 
     def __post_init__(self):
+        if self.ns == math.inf:
+            object.__setattr__(self, "ns", None)
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -119,7 +123,7 @@ class ColaNetConfig:
         if self.eta_plus <= 0 or self.eta_minus <= 0:
             raise ValueError("plasticity rates must be positive")
         if self.ns is not None and not self.ns >= 0:
-            raise ValueError("ns must be >= 0 (or the infinity sentinel)")
+            raise ValueError("ns must be >= 0 (or None to disable)")
         if self.w_min > self.w_max:
             raise ValueError("w_min must be <= w_max")
         if self.init_high < 0:
@@ -131,30 +135,33 @@ class ColaNetConfig:
 
     @property
     def renormalization_active(self) -> bool:
-        """True when potentiation renormalization applies (finite ns)."""
-        return self.ns is not None and self.ns != math.inf
+        """True when potentiation renormalization applies (ns set)."""
+        return self.ns is not None
 
     @property
     def neuron_count(self) -> int:
         return self.class_count * self.microcolumns
 
     @property
+    def weight_bound(self) -> float:
+        """max|w|: no initial or trained weight exceeds it in magnitude."""
+        return max(abs(self.w_min), abs(self.w_max), self.init_high)
+
+    @property
     def race_grid_bits(self) -> int:
         """k of the race's weight grid 2^-k, from the largest potential.
 
-        max|w| covers the clamp bounds and the initial weights; k is the
-        largest integer with steps_active * 784 * max|w| * 2^k <= 2^52.
+        k is the largest integer with
+        steps_active * 784 * weight_bound * 2^k <= 2^52.
         """
-        peak = self.steps_active * N_INPUTS * max(
-            abs(self.w_min), abs(self.w_max), self.init_high
-        )
+        peak = self.steps_active * N_INPUTS * self.weight_bound
         mantissa, exponent = math.frexp(peak)
         return 52 - (exponent - 1 if mantissa == 0.5 else exponent)
 
 
 @dataclass
 class PresentationOutcome:
-    """Full record of one presentation in training mode.
+    """Record of one training presentation.
 
     Attributes:
         raw_winner: The (column, microcolumn) that actually won the race,
@@ -210,16 +217,9 @@ class Network:
     def _flat(self, column: int, micro: int) -> int:
         return column * self.config.microcolumns + micro
 
-    def _unflat(self, flat: int) -> tuple[int, int]:
-        return divmod(flat, self.config.microcolumns)
-
     def thresholds(self) -> np.ndarray:
         """Per-neuron adaptive thresholds u_const + alpha * positive mass."""
         return self.config.u_const + self.config.alpha * self._pos_sum
-
-    def positive_sums(self) -> np.ndarray:
-        """Per-neuron positive weight mass (flat order), a copy."""
-        return self._pos_sum.copy()
 
     def _refresh_neuron(self, flat: int) -> None:
         self._pos_sum[flat] = np.maximum(self.weights[flat], 0.0).sum()
@@ -296,36 +296,27 @@ class Network:
         return int(sums.argmin())
 
     def present_full(
-        self,
-        img: np.ndarray,
-        train_mode: bool,
-        label: int | None = None,
-        rng: np.random.Generator | None = None,
+        self, img: np.ndarray, label: int
     ) -> tuple[PresentationOutcome, np.ndarray]:
-        """Run one presentation and return the full outcome.
+        """Race one training image and pick the microcolumn to reward.
+
+        The spikes are drawn from the network's training stream.
 
         Args:
             img: uint8 image of shape (784,).
-            train_mode: Whether teacher forcing applies (requires label).
-            label: The true class, present iff train_mode.
-            rng: Noise source for the encoder; defaults to the network's
-                training stream.
+            label: The true class.
 
         Returns:
             (outcome, eligibility) where eligibility is the per-pixel input
             spike count over the active window.
         """
-        if train_mode != (label is not None):
-            raise ValueError("label must be supplied exactly when train_mode")
-        if rng is None:
-            rng = self.rng
         spikes = encode_active_batch(
-            np.asarray(img)[None], self.config.steps_active, rng
+            np.asarray(img)[None], self.config.steps_active, self.rng
         )
-        winner_flat = int(self.race(spikes)[0])
-        raw = self._unflat(winner_flat) if winner_flat >= 0 else None
+        winner = int(self.race(spikes)[0])
+        raw = divmod(winner, self.config.microcolumns) if winner >= 0 else None
         effective = raw
-        if train_mode and (raw is None or raw[0] != label):
+        if raw is None or raw[0] != label:
             effective = (label, self.designated_microcolumn(label))
         eligibility = spikes[0].sum(axis=0, dtype=np.float64)
         return PresentationOutcome(raw, effective), eligibility
@@ -343,35 +334,6 @@ def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndar
     out = np.ldexp(w, bits, out=out)
     np.rint(out, out=out)
     return np.ldexp(out, -bits, out=out)
-
-
-def present(
-    net: Network,
-    train_mode: bool,
-    img: np.ndarray,
-    label: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[int, int] | None:
-    """Present one image and return the winning microcolumn.
-
-    In training mode the returned winner is the one that receives reward
-    routing, which teacher forcing guarantees to sit in the labeled column:
-    the raw race winner when it is already correct, otherwise the labeled
-    column's least-committed microcolumn. In inference mode the raw race
-    winner is returned, or None when nothing fires.
-
-    Args:
-        net: The network.
-        train_mode: Whether teacher forcing applies.
-        img: uint8 image of shape (784,).
-        label: True class, required in training mode.
-        rng: Optional encoder noise source (defaults to the training stream).
-
-    Returns:
-        (column, microcolumn) or None.
-    """
-    outcome, _ = net.present_full(img, train_mode, label, rng)
-    return outcome.effective_winner if train_mode else outcome.raw_winner
 
 
 def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutcome:
@@ -392,7 +354,7 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
     """
     if not 0 <= label < net.config.class_count:
         raise ValueError(f"label {label} outside class range")
-    outcome, eligibility = net.present_full(img, train_mode=True, label=label)
+    outcome, eligibility = net.present_full(img, label)
     raw = outcome.raw_winner
     if raw is not None and raw[0] == label:
         net._learn(potentiate, net._flat(*raw), eligibility)
@@ -401,52 +363,6 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
             net._learn(depress, net._flat(*raw), eligibility)
         net._learn(potentiate, net._flat(*outcome.effective_winner), eligibility)
     return outcome
-
-
-def _classify(
-    net: Network, images: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode and race a batch in inference mode; read out the classes.
-
-    Returns:
-        (predicted, silent): the race winner's column per image, and a mask
-        of the presentations where nothing fired, which read out class 0.
-    """
-    winners = net.race(encode_active_batch(images, net.config.steps_active, rng))
-    silent = winners < 0
-    return np.where(silent, 0, winners // net.config.microcolumns), silent
-
-
-def predict(
-    net: Network,
-    img: np.ndarray,
-    rng: np.random.Generator | None = None,
-    diagnostics: dict | None = None,
-) -> int:
-    """Classify one image without plasticity.
-
-    The image is raced in inference mode as a batch of one and the race
-    winner's column is the prediction (the readout ``evaluate_task`` uses).
-    A presentation in which nothing fires predicts class 0 and increments
-    ``diagnostics["silent"]`` when a diagnostics dict is supplied.
-
-    Args:
-        net: The network (not mutated).
-        img: uint8 image of shape (784,).
-        rng: Encoder noise source; REQUIRED to be caller-supplied for
-            reproducible evaluation (a fresh unseeded stream is used if
-            omitted, leaving the network's training stream untouched).
-        diagnostics: Optional dict collecting counters.
-
-    Returns:
-        Predicted class index.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    predicted, silent = _classify(net, np.asarray(img)[None], rng)
-    if silent[0] and diagnostics is not None:
-        diagnostics["silent"] = diagnostics.get("silent", 0) + 1
-    return int(predicted[0])
 
 
 def train_task(net: Network, task) -> None:
@@ -471,7 +387,9 @@ def evaluate_task(
 ) -> float:
     """Accuracy on a task's test split (batched, no mutation).
 
-    Encoding noise comes from a generator derived from
+    Each image is raced without plasticity and the race winner's column is
+    its prediction; a presentation in which nothing fires predicts class 0
+    and counts as silent. Encoding noise comes from a generator derived from
     ``(seed or config.seed, "eval", task_id)``, so evaluating the same
     network on the same task twice yields identical accuracy.
 
@@ -494,9 +412,13 @@ def evaluate_task(
     correct = 0
     silent = 0
     for start in range(0, len(images), batch_size):
-        predicted, quiet = _classify(net, images[start : start + batch_size], rng)
+        batch = slice(start, start + batch_size)
+        spikes = encode_active_batch(images[batch], net.config.steps_active, rng)
+        winners = net.race(spikes)
+        quiet = winners < 0
+        predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())
-        correct += int((predicted == labels[start : start + batch_size]).sum())
+        correct += int((predicted == labels[batch]).sum())
     if diagnostics is not None:
         diagnostics["silent"] = diagnostics.get("silent", 0) + silent
     return correct / len(labels)
@@ -517,7 +439,7 @@ def save_state(net: Network, path: str) -> None:
     Layout: magic ``CLNT``, uint32 format version, packed config block
     (``ns`` None stored as infinity, ``seed`` as uint64), little-endian
     float64 weight array (C*M x 784, row-major), then the training
-    generator's state. Reloading reproduces bit-identical predictions and
+    generator's state. Reloading reproduces identical race winners and
     bit-identical continued training.
     """
     values = {name: getattr(net.config, name) for name in _CONFIG_FIELDS}
@@ -538,23 +460,27 @@ def load_state(path: str) -> Network:
 
     Raises:
         StateFormatError: Bad magic, unsupported version, an invalid config
-            block, or a truncated or oversized payload.
+            block, weights beyond the config's ``weight_bound`` (which the
+            race's exactness rests on), an invalid generator state, or a
+            truncated or oversized payload.
     """
     with open(path, "rb") as f:
         reader = StateReader(f, path, STATE_MAGIC, STATE_FORMAT_VERSION)
         values = dict(
             zip(_CONFIG_FIELDS, reader.unpack(_CONFIG_PACK, "config block"))
         )
-        if math.isinf(values["ns"]):
-            values["ns"] = None
         try:
             config = ColaNetConfig(**values)
         except ValueError as exc:
             raise reader.error(f"invalid config block: {exc}") from None
         weights = reader.array((config.neuron_count, N_INPUTS), "weight payload")
+        if np.abs(weights).max() > config.weight_bound:
+            raise reader.error("weight payload exceeds the config's weight bound")
         rng_bytes = reader.take(16 + 16 + 8, "rng state")
         reader.finish()
-    has_uint32, uinteger = struct.unpack("<II", rng_bytes[32:40])
+        has_uint32, uinteger = struct.unpack("<II", rng_bytes[32:40])
+        if has_uint32 > 1 or not rng_bytes[16] & 1:
+            raise reader.error("invalid rng state")
     bit_gen = np.random.PCG64()
     bit_gen.state = {
         "bit_generator": "PCG64",

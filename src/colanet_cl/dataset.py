@@ -158,7 +158,8 @@ def _open_maybe_gzip(path: str):
         magic = probe.read(2)
     if magic == b"\x1f\x8b":
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    # Unbuffered, so that reading the rest of the file allocates it once.
+    return open(path, "rb", buffering=0)
 
 
 def load_idx(path: str) -> np.ndarray:
@@ -200,7 +201,9 @@ def load_idx(path: str) -> np.ndarray:
         expected = 1
         for d in dims:
             expected *= d
-        payload = f.read(expected + 1)
+        # Read what the file holds, not what the header declares: a corrupt
+        # dimension can declare terabytes.
+        payload = f.read()
         if len(payload) < expected:
             raise IdxFormatError(
                 f"{path}: truncated payload, expected {expected} bytes, "

@@ -8,7 +8,7 @@ active window):
   activity, clamped above; then, when renormalization is active, spread the
   added mass back across the synapses (synaptic resource conservation: ns=0
   conserves the total real-synapse mass exactly, larger ns weakens the
-  correction, and the infinity sentinel disables it, which is the default).
+  correction, and ns=None disables it, which is the default).
 * ``depress`` — anti-Hebbian punishment: weaken the same way, clamped below.
 
 Both work in place on one row and read their rates, window length, clamp

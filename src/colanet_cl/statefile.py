@@ -4,8 +4,8 @@ A state file starts with a 4-byte magic and a little-endian uint32 format
 version, followed by fixed-layout fields and float64 arrays. Reading checks
 every declared length against the bytes left in the file before taking it,
 so a truncated file or a corrupt size field fails with ``StateFormatError``
-instead of an oversized read, and bytes left over after the payload are
-rejected.
+instead of an oversized read; bytes left over after the payload, and NaN or
+infinite array values, are rejected too.
 """
 
 from __future__ import annotations
@@ -60,9 +60,15 @@ class StateReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """A little-endian float64 array of ``shape``, copied out of the file."""
+        """A little-endian float64 array of ``shape``, copied out of the file.
+
+        Raises when any element is NaN or infinite: no model stores one.
+        """
         data = self.take(math.prod(shape) * 8, what)
-        return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(data, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise self.error(f"non-finite value in {what}")
+        return values.reshape(shape).copy()
 
     def finish(self) -> None:
         if self.left:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -183,3 +184,35 @@ def truncation_cuts(size: int, header_len: int, payload_samples: int = 16) -> li
     header, plus evenly spaced lengths through the payload (all < size)."""
     payload = np.linspace(header_len + 1, size - 1, payload_samples).astype(int)
     return sorted(set(range(header_len + 1)) | set(payload.tolist()))
+
+
+def bit_flips(size: int, header_len: int, tail_len: int = 0):
+    """Hypothesis strategy: 1-3 bit positions in a ``size``-byte file.
+
+    Positions come as often from the header (the first ``header_len`` bytes)
+    and the tail (the last ``tail_len``) as from the whole file, so the few
+    structural bytes get flipped as well as the bulk payload.
+    """
+    from hypothesis import strategies as st
+
+    regions = [st.integers(0, header_len * 8 - 1), st.integers(0, size * 8 - 1)]
+    if tail_len:
+        regions.append(st.integers((size - tail_len) * 8, size * 8 - 1))
+    return st.lists(st.one_of(regions), min_size=1, max_size=3)
+
+
+def saved_bytes(save, obj) -> bytes:
+    """The bytes ``save(obj, path)`` writes, read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved")
+        save(obj, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def flip(data: bytes, bits: list[int]) -> bytes:
+    """``data`` with each listed bit inverted."""
+    out = bytearray(data)
+    for bit in bits:
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)

@@ -53,7 +53,6 @@ from colanet_cl.colanet import (
     Network,
     export_heatmaps,
     load_state,
-    predict,
     save_state,
     train_sample,
 )
@@ -62,7 +61,7 @@ from colanet_cl.dataset import (
     gen_permutation,
     make_permuted_stream,
 )
-from colanet_cl.encoder import encode
+from colanet_cl.encoder import encode_active_batch
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
@@ -305,15 +304,14 @@ def check_permutation_properties():
 
 def check_encoder_binomial_calibration():
     for intensity, seed in ((32, 0), (128, 1), (200, 2)):
-        img = np.full(784, intensity, dtype=np.uint8)
-        train = encode(img, rng=np.random.default_rng(seed))
+        img = np.full((1, 784), intensity, dtype=np.uint8)
+        spikes = encode_active_batch(img, 10, np.random.default_rng(seed))
         n = 784 * 10
         p = intensity / 255.0
         sigma = np.sqrt(n * p * (1 - p))
-        assert abs(int(train.active.sum()) - n * p) < 3 * sigma, (
+        assert abs(int(spikes.sum()) - n * p) < 3 * sigma, (
             f"encoder rate at intensity {intensity}"
         )
-        assert not train.spikes[10:].any(), "silent tail"
 
 
 def check_threshold_arithmetic():
@@ -425,10 +423,13 @@ def check_serialization_probe_equality(tmp_path):
     loaded = load_state(path)
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(5).integers(0, 256, (1000, 784), dtype=np.uint8)
-    for i, img in enumerate(probes):
-        a = predict(net, img, rng=generator_from(6, "probe", i))
-        b = predict(loaded, img, rng=generator_from(6, "probe", i))
-        assert a == b, f"probe {i} prediction diverged after reload"
+    spikes = np.concatenate([
+        encode_active_batch(img[None], 10, generator_from(6, "probe", i))
+        for i, img in enumerate(probes)
+    ])
+    assert np.array_equal(
+        net.race(spikes), loaded.race(spikes)
+    ), "probe race winners diverged after reload"
 
 
 def check_mlp_finite_difference_gradients():

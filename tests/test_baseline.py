@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from colanet_cl.baseline import (
     ADADELTA_EPS,
@@ -27,7 +29,7 @@ from colanet_cl.baseline import (
 from colanet_cl.clbench import run_sequence
 from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
 
-from conftest import tiny_task, truncation_cuts
+from conftest import bit_flips, flip, saved_bytes, tiny_task, truncation_cuts
 from mlp_reference import (
     PARAM_NAMES,
     reference_adadelta_step,
@@ -271,8 +273,6 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_bad_version(tmp_path):
-    import struct
-
     path = tmp_path / "ver.bin"
     path.write_bytes(b"MLPB" + struct.pack("<I", 99) + b"\x00" * 12)
     with pytest.raises(StateFormatError, match="version"):
@@ -305,6 +305,38 @@ def test_load_rejects_trailing_bytes(tmp_path):
         fh.write(b"x")
     with pytest.raises(StateFormatError, match="trailing"):
         mlp_load(str(path))
+
+
+def test_load_rejects_non_finite_weight(tmp_path):
+    path = str(tmp_path / "mlp.bin")
+    mlp_save(mlp_init(0), path)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    struct.pack_into("<d", data, 20 + 8 * 1000, np.nan)
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(StateFormatError, match="non-finite value in W1"):
+        mlp_load(str(bad))
+
+
+def _trained_mlp() -> MlpParams:
+    p = mlp_init(4)
+    mlp_train_epoch(p, tiny_task(n_train=8))
+    return p
+
+
+MLP_BYTES = saved_bytes(mlp_save, _trained_mlp())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bit_flips(len(MLP_BYTES), header_len=20))
+def test_mlp_load_bit_flips_load_cleanly_or_fail_typed(tmp_path_factory, bits):
+    path = tmp_path_factory.getbasetemp() / "flipped_mlp.bin"
+    path.write_bytes(flip(MLP_BYTES, bits))
+    try:
+        mlp_load(str(path))
+    except StateFormatError:
+        pass
 
 
 def test_adapter_runs_a_sequence_deterministically(tmp_path):

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from colanet_cl import cli
 from colanet_cl.cli import (
@@ -28,7 +29,7 @@ from colanet_cl.clbench import ProfileFormatError, read_baseline_csv, read_profi
 from colanet_cl.colanet import ColaNetConfig, Network, save_state
 from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, bit_flips, flip
 
 MLP_PROFILE = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
 
@@ -84,6 +85,34 @@ def test_parse_config_rejects_bad_value_with_line():
         parse_config_text("model = mlp\n\nn_tasks = many\n")
 
 
+CONFIG_BYTES = b"""# experiment
+model = colanet
+scenario = permuted
+n_tasks = 3
+alpha = 0.5
+ns = 0
+microcolumns = 45
+train_count = 200
+seeds = 1, 2
+alpha_grid = 0.1, 0.2
+ns_grid = none, 0, 100
+data_dir = data
+"""
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bit_flips(len(CONFIG_BYTES), header_len=len(CONFIG_BYTES)))
+@example(bits=[7])  # "#" becomes 0xA3, not UTF-8
+def test_config_bit_flips_load_cleanly_or_fail_typed(tmp_path_factory, bits):
+    """A damaged config file parses or exits 1; it never raises otherwise."""
+    path = tmp_path_factory.getbasetemp() / "flipped.cfg"
+    path.write_bytes(flip(CONFIG_BYTES, bits))
+    try:
+        load_experiment_config(str(path))
+    except UsageError:
+        pass
+
+
 def test_experiment_config_validation():
     with pytest.raises(UsageError, match="model"):
         ExperimentConfig(model="transformer")
@@ -96,6 +125,8 @@ def test_experiment_config_validation():
     for batch_size in (0, -1):
         with pytest.raises(UsageError, match="batch_size"):
             ExperimentConfig(batch_size=batch_size)
+    with pytest.raises(UsageError, match="train_count"):
+        ExperimentConfig(train_count=0)
 
 
 def test_load_experiment_config_overrides(tmp_path):
@@ -240,12 +271,13 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 
 def test_bad_network_setting_is_usage_error(tmp_path, capsys):
-    """Network settings ColaNetConfig rejects exit 1 before any run starts,
-    including the sweep grid's points."""
+    """Settings that the experiment config or ColaNetConfig rejects exit 1
+    before any run starts, including the sweep grid's points."""
     for command, text in (
         ("run", "ns = -784\n"),
         ("run", "eta_plus = 0\n"),
         ("run", "microcolumns = 0\n"),
+        ("run", "train_count = -5\n"),
         ("sweep", "ns_grid = 0, -1\n"),
     ):
         path = tmp_path / "exp.cfg"
@@ -467,6 +499,25 @@ def test_sweep_command(tmp_path, synthetic_mnist_dir, capsys):
         assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
     out = capsys.readouterr().out
     assert "alpha" in out and "AA" in out
+
+
+def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
+    """``ns = inf`` is stored as ``ns = off``: the manifest stays RFC 8259
+    JSON, the profile is the same, and an ``inf`` sweep point is ``off``."""
+
+    def strict(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    profiles = []
+    for ns in ("inf", "off"):
+        out_dir = tmp_path / f"ns_{ns}"
+        cfg = run_config(tmp_path, synthetic_mnist_dir, ns=ns, train_count=60)
+        assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+        manifest = (out_dir / "manifest.json").read_text()
+        assert json.loads(manifest, parse_constant=strict)["config"]["ns"] is None
+        profiles.append((out_dir / "profile_seed5.csv").read_bytes())
+    assert profiles[0] == profiles[1]
+    assert ExperimentConfig(ns_grid=(float("inf"), 0.0)).ns_grid == (None, 0.0)
 
 
 def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colanet_cl.colanet import (
@@ -21,8 +22,6 @@ from colanet_cl.colanet import (
     evaluate_task,
     export_heatmaps,
     load_state,
-    predict,
-    present,
     save_state,
     train_sample,
     train_task,
@@ -32,7 +31,7 @@ from colanet_cl.encoder import encode_active_batch
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
-from conftest import truncation_cuts
+from conftest import bit_flips, flip, saved_bytes, truncation_cuts
 
 NO_FIRE = np.iinfo(np.int64).max
 
@@ -123,6 +122,7 @@ def test_config_renormalization_flag():
     assert ColaNetConfig(ns=100).renormalization_active
     assert not ColaNetConfig(ns=None).renormalization_active
     assert not ColaNetConfig(ns=math.inf).renormalization_active
+    assert ColaNetConfig(ns=math.inf) == ColaNetConfig(ns=None)
 
 
 def test_reference_defaults():
@@ -255,9 +255,9 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
     # Both neurons cross on the first step; the second even has more drive.
     weights = np.stack([np.full(784, 0.01), np.full(784, 0.02)])
     net = Network(cfg, weights=weights)
-    img = np.full(784, 255, dtype=np.uint8)
-    winner = present(net, train_mode=False, img=img, rng=np.random.default_rng(0))
-    assert winner == (0, 0)
+    img = np.full((1, 784), 255, dtype=np.uint8)
+    spikes = encode_active_batch(img, cfg.steps_active, np.random.default_rng(0))
+    assert net.race(spikes).tolist() == [0]
 
 
 # ------------------------------------------------------------- teacher forcing
@@ -368,7 +368,7 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
     for label in (0, 1, 0, 1):
         train_sample(net, img, label)
     expected = np.maximum(net.weights, 0.0).sum(axis=1)
-    assert net.positive_sums() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert net._pos_sum == pytest.approx(expected, rel=1e-12, abs=1e-12)
     # The race view follows every update, and is rebuilt on load.
     assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
     path = str(tmp_path / "net.bin")
@@ -378,15 +378,6 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
 
 
 # ------------------------------------------------------------------ inference
-
-
-def test_predict_silent_network_defaults_to_class_zero():
-    cfg = ColaNetConfig(class_count=3, microcolumns=1, u_const=1e9)
-    net = Network(cfg, weights=np.zeros((3, 784)))
-    diagnostics = {}
-    got = predict(net, probe_img(), rng=np.random.default_rng(0), diagnostics=diagnostics)
-    assert got == 0
-    assert diagnostics["silent"] == 1
 
 
 def test_learning_on_disjoint_supports_is_perfect():
@@ -403,7 +394,8 @@ def test_single_image_imprint_predicts_its_class():
     label = int(task.train.labels[3])
     train_sample(net, img, label)
     train_sample(net, img, label)
-    assert predict(net, img, rng=np.random.default_rng(1)) == label
+    only = LabeledDataset(img[None].copy(), np.array([label]), task.test.class_count)
+    assert evaluate_task(net, dataclasses.replace(task, test=only), seed=1) == 1.0
 
 
 def test_evaluate_task_deterministic_and_pure():
@@ -487,14 +479,6 @@ def test_evaluate_task_counts_silent_presentations():
     assert acc == pytest.approx(float((task.test.labels == 0).mean()))
 
 
-def test_present_argument_validation():
-    net = fixed_net()
-    with pytest.raises(ValueError):
-        present(net, train_mode=True, img=probe_img())
-    with pytest.raises(ValueError):
-        present(net, train_mode=False, img=probe_img(), label=1)
-
-
 # -------------------------------------------------------------- serialization
 
 
@@ -514,10 +498,11 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.config == net.config
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)
-    for i, img in enumerate(probes):
-        assert predict(net, img, rng=generator_from(1, "probe", i)) == predict(
-            loaded, img, rng=generator_from(1, "probe", i)
-        )
+    spikes = np.concatenate([
+        encode_active_batch(img[None], 10, generator_from(1, "probe", i))
+        for i, img in enumerate(probes)
+    ])
+    assert np.array_equal(net.race(spikes), loaded.race(spikes))
 
 
 def test_save_load_preserves_training_stream(tmp_path):
@@ -537,15 +522,20 @@ def test_save_load_preserves_training_stream(tmp_path):
 
 
 def test_save_load_preserves_ns_sentinel(tmp_path):
-    for ns in (None, 0, 37):
+    for ns in (None, math.inf, 0, 37):
         cfg = ColaNetConfig(class_count=2, microcolumns=1, ns=ns)
         path = str(tmp_path / f"ns_{ns}.bin")
         save_state(Network(cfg), path)
         loaded = load_state(path)
-        if ns is None:
+        if ns in (None, math.inf):
             assert loaded.config.ns is None
         else:
             assert loaded.config.ns == ns
+    # "Off" is written as infinity, as it always was.
+    off = (tmp_path / "ns_None.bin").read_bytes()
+    assert off == (tmp_path / "ns_inf.bin").read_bytes()
+    stored = dict(zip(CONFIG_FIELDS, struct.unpack_from(CONFIG_PACK, off, 8)))
+    assert stored["ns"] == math.inf
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -624,6 +614,46 @@ def test_load_checks_declared_size_before_reading(tmp_path):
     path = corrupt_config(tmp_path, class_count=2**20, microcolumns=2**20)
     with pytest.raises(StateFormatError, match="truncated"):
         load_state(path)
+
+
+def test_load_rejects_non_finite_weight(tmp_path):
+    """A NaN weight fails at the boundary instead of reaching the race view."""
+    path = str(tmp_path / "net.bin")
+    save_state(Network(ColaNetConfig(class_count=2, microcolumns=1)), path)
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    struct.pack_into("<d", data, 8 + struct.calcsize(CONFIG_PACK) + 8 * 100, math.nan)
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(StateFormatError, match="non-finite"):
+        load_state(str(bad))
+
+
+def _trained_2x1() -> Network:
+    net = Network(ColaNetConfig(class_count=2, microcolumns=1, ns=0, seed=3))
+    for label in (0, 1, 1):
+        train_sample(net, np.full(784, 200, dtype=np.uint8), label)
+    return net
+
+
+STATE_BYTES = saved_bytes(save_state, _trained_2x1())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bit_flips(len(STATE_BYTES), 8 + struct.calcsize(CONFIG_PACK), tail_len=40))
+@example(bits=[(len(STATE_BYTES) - 41) * 8 + 6])  # last weight's exponent
+@example(bits=[(len(STATE_BYTES) - 24) * 8])  # generator increment made even
+@example(bits=[(len(STATE_BYTES) - 4) * 8 - 1])  # has_uint32 = 2**31
+def test_load_state_bit_flips_load_cleanly_or_fail_typed(tmp_path_factory, bits):
+    """A damaged state file loads without warnings or fails typed."""
+    path = tmp_path_factory.getbasetemp() / "flipped_net.bin"
+    path.write_bytes(flip(STATE_BYTES, bits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_state(str(path))
+        except StateFormatError:
+            pass
 
 
 # ------------------------------------------------------------------ heatmaps

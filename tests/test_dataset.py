@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colanet_cl.dataset import (
@@ -26,7 +26,7 @@ from colanet_cl.dataset import (
 )
 from colanet_cl.seeding import derive_seed
 
-from conftest import requires_mnist, write_idx
+from conftest import bit_flips, flip, requires_mnist, saved_bytes, write_idx
 
 
 # ---------------------------------------------------------------- IDX files
@@ -95,6 +95,24 @@ def test_load_idx_trailing_bytes(tmp_path):
     path.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00" * 3)
     with pytest.raises(IdxFormatError, match="exceeds"):
         load_idx(str(path))
+
+
+IDX_BYTES = saved_bytes(
+    lambda images, path: write_idx(path, images),
+    np.random.default_rng(6).integers(0, 256, (4, 28, 28), dtype=np.uint8),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bit_flips(len(IDX_BYTES), header_len=16))
+@example(bits=[4 * 8 + 7])  # the image count's top bit: 2**31 more images
+def test_load_idx_bit_flips_load_cleanly_or_fail_typed(tmp_path_factory, bits):
+    path = tmp_path_factory.getbasetemp() / "flipped_images"
+    path.write_bytes(flip(IDX_BYTES, bits))
+    try:
+        load_idx(str(path))
+    except IdxFormatError:
+        pass
 
 
 # ---------------------------------------------------------- permutations

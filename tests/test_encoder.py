@@ -7,66 +7,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colanet_cl.encoder import (
-    DEFAULT_STEPS_ACTIVE,
-    DEFAULT_STEPS_SILENT,
-    SpikeTrain,
-    encode,
-    encode_active_batch,
-)
+from colanet_cl.encoder import encode_active_batch
 
 
-def test_default_window_lengths():
-    assert DEFAULT_STEPS_ACTIVE == 10
-    assert DEFAULT_STEPS_SILENT == 10
+def encode_one(img: np.ndarray, rng: np.random.Generator, steps_active: int = 10):
+    """The (steps_active, 784) raster of one image."""
+    return encode_active_batch(img[None], steps_active, rng)[0]
 
 
 def test_encode_shape_and_silent_tail():
+    """Only the active window is drawn; the silent tail is never materialized."""
     img = np.full(784, 128, dtype=np.uint8)
-    train = encode(img, rng=np.random.default_rng(0))
-    assert train.spikes.shape == (20, 784)
-    assert train.spikes.dtype == bool
-    assert not train.spikes[10:].any()
-    assert train.active.shape == (10, 784)
+    spikes = encode_active_batch(img[None], 10, np.random.default_rng(0))
+    assert spikes.shape == (1, 10, 784)
+    assert spikes.dtype == bool
 
 
 def test_black_pixels_never_spike():
     img = np.zeros(784, dtype=np.uint8)
-    train = encode(img, rng=np.random.default_rng(1))
-    assert not train.spikes.any()
+    assert not encode_one(img, np.random.default_rng(1)).any()
 
 
 def test_saturated_pixels_always_spike():
     img = np.full(784, 255, dtype=np.uint8)
-    train = encode(img, rng=np.random.default_rng(2))
-    assert train.active.all()
+    assert encode_one(img, np.random.default_rng(2)).all()
 
 
 def test_encode_reproducible_for_same_seed():
     img = np.arange(784, dtype=np.uint64).astype(np.uint8)
-    a = encode(img, rng=np.random.default_rng(3)).spikes
-    b = encode(img, rng=np.random.default_rng(3)).spikes
+    a = encode_one(img, np.random.default_rng(3))
+    b = encode_one(img, np.random.default_rng(3))
     assert np.array_equal(a, b)
 
 
 def test_encode_rejects_negative_steps():
     img = np.zeros(784, dtype=np.uint8)
     with pytest.raises(ValueError):
-        encode(img, steps_active=-1)
-    with pytest.raises(ValueError):
-        encode(img, steps_silent=-1)
+        encode_one(img, np.random.default_rng(0), steps_active=-1)
 
 
 def test_encode_zero_length_windows():
     img = np.full(784, 255, dtype=np.uint8)
-    train = encode(img, steps_active=0, steps_silent=3, rng=np.random.default_rng(0))
-    assert train.spikes.shape == (3, 784)
-    assert not train.spikes.any()
-
-
-def test_spike_train_validates_shape():
-    with pytest.raises(ValueError):
-        SpikeTrain(10, 10, np.zeros((19, 784), dtype=bool))
+    spikes = encode_one(img, np.random.default_rng(0), steps_active=0)
+    assert spikes.shape == (0, 784)
+    assert not spikes.any()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -83,10 +67,10 @@ def test_encode_rate_matches_intensity(intensity, seed):
     a fixed set (derandomized, no example database) that all pass.
     """
     img = np.full(784, intensity, dtype=np.uint8)
-    train = encode(img, rng=np.random.default_rng(seed))
+    spikes = encode_one(img, np.random.default_rng(seed))
     n = 784 * 10
     p = intensity / 255.0
-    observed = int(train.active.sum())
+    observed = int(spikes.sum())
     sigma = np.sqrt(n * p * (1 - p))
     assert abs(observed - n * p) < 3 * sigma
 
@@ -111,18 +95,18 @@ def test_encode_active_batch_rate():
 
 
 def test_encode_draws_through_the_batch_encoder():
-    """``encode``'s active rows are the batch encoder's draw for a batch of
-    one, and a batch of B consumes the stream as B single draws do."""
+    """A batch of B images consumes the stream as B single-image draws do,
+    so training (one image per draw) and evaluation (batches) share one
+    encoder."""
     images = np.random.default_rng(8).integers(0, 256, (3, 784), dtype=np.uint8)
     batch = encode_active_batch(images, 10, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for i in range(3):
-        train = encode(images[i], rng=rng)
-        assert np.array_equal(train.active, batch[i])
+        assert np.array_equal(encode_one(images[i], rng), batch[i])
 
 
 def test_zero_length_draw_leaves_the_stream_untouched():
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
-    encode(np.full(784, 255, dtype=np.uint8), steps_active=0, rng=rng)
+    encode_one(np.full(784, 255, dtype=np.uint8), rng, steps_active=0)
     assert rng.bit_generator.state == before

@@ -1,11 +1,13 @@
-"""Trajectory guard: the sequence of raw race winners during training is pinned.
+"""Trajectory guards: training winners and a whole run's output bytes are pinned.
 
 A change that claims to keep training bit-identical (a faster race, a
-different GEMM layout, a new encoder path) must reproduce this digest. A
+different GEMM layout, a new encoder path) must reproduce these digests. A
 change that moves the trajectory on purpose declares it and updates the
-digest in the same change. Winners are pinned rather than weight bytes,
-because NumPy's SIMD reductions may sum a weight row differently on another
-CPU, while the winners on the race's weight grid do not depend on it.
+digests in the same change. The winner digest pins winners rather than
+weight bytes, because NumPy's SIMD reductions may sum a weight row
+differently on another CPU, while the winners on the race's weight grid do
+not depend on it. The run digest does pin weight bytes, so its run leaves
+renormalization off: plasticity is then elementwise, with no row sum.
 """
 
 from __future__ import annotations
@@ -14,12 +16,24 @@ import hashlib
 
 import numpy as np
 
+from colanet_cl.cli import EXIT_OK, main
 from colanet_cl.colanet import ColaNetConfig, Network, train_sample
 
 #: SHA-256 of the raw winners (flat index, -1 when silent) as little-endian
 #: int64, from ``stable_setting_winners()``, taken before the race moved to
 #: its weight grid (the move left every winner unchanged).
 WINNERS_SHA256 = "9542e5ef35774ac530322218bc5c66ccdea3f3fd9cbcb107fbb1da9a85b6317b"
+
+#: SHA-256 over ``RUN_FILES`` of ``colanet-cl run`` on the synthetic IDX
+#: corpus (each file as its name, a NUL, its length as little-endian uint64
+#: and its bytes), taken before the single-image inference path was deleted.
+RUN_SHA256 = "2d51cf3b7319ac85beece3b2b2dc6d9fc1bdb5c95d0f2140134dcad8119a56be"
+RUN_FILES = (
+    "profile_seed1.csv",
+    "metrics_seed1.csv",
+    "summary_seed1.txt",
+    "states_seed1/state_003.bin",
+)
 
 
 def sparse_glyph_stream(count: int = 300, seed: int = 2024):
@@ -78,3 +92,20 @@ def test_training_winner_trajectory_is_pinned():
     assert (winners < 0).any()
     digest = hashlib.sha256(winners.tobytes()).hexdigest()
     assert digest == WINNERS_SHA256
+
+
+def test_run_output_bytes_are_pinned(tmp_path, synthetic_mnist_dir, capsys):
+    """A 3-task colanet run writes the same profile, metrics, summary and
+    last checkpoint bytes."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "model = colanet\nn_tasks = 3\nmicrocolumns = 3\ntrain_count = 150\n"
+        f"seeds = 1\ndata_dir = {synthetic_mnist_dir}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256()
+    for name in RUN_FILES:
+        data = (out / name).read_bytes()
+        digest.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    assert digest.hexdigest() == RUN_SHA256
