@@ -13,15 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from colanet_cl.clbench import (
-    DegradationProfile,
-    average_accuracy,
-    average_incremental_accuracy,
-    backward_transfer,
-    compute_report,
-    forgetting_measure,
-    render_summary,
-)
+from colanet_cl.clbench import DegradationProfile, compute_report, render_summary
 
 NAN = float("nan")
 
@@ -45,12 +37,14 @@ def main() -> None:
         print("   ", "  ".join("  -  " if np.isnan(v) else f"{v:.3f}" for v in row))
     print()
 
-    for k in range(1, profile.k + 1):
+    # Every metric series, indexed by k - 1.
+    report = compute_report(profile)
+    for k in range(1, report.n + 1):
         print(
-            f"after task {k}:  AA={average_accuracy(profile, k) * 100:6.2f}%"
-            f"  AIA={average_incremental_accuracy(profile, k) * 100:6.2f}%"
-            f"  FM={forgetting_measure(profile, k) * 100:6.2f}pt"
-            f"  BWT={backward_transfer(profile, k) * 100:+6.2f}pt"
+            f"after task {k}:  AA={report.aa[k - 1] * 100:6.2f}%"
+            f"  AIA={report.aia[k - 1] * 100:6.2f}%"
+            f"  FM={report.fm[k - 1] * 100:6.2f}pt"
+            f"  BWT={report.bwt[k - 1] * 100:+6.2f}pt"
         )
     print()
 
@@ -58,7 +52,7 @@ def main() -> None:
     # Note the AIA row follows the reference-summary convention of padding
     # each row-mean with zeros for not-yet-seen tasks, so it reads much
     # lower than the per-k values above; see the clbench module docstring.
-    print(render_summary(compute_report(profile)))
+    print(render_summary(report))
 
 
 if __name__ == "__main__":

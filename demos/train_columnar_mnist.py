@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import sys
 
-from colanet_cl.clbench import forgetting_measure, run_sequence
+from colanet_cl.clbench import compute_report, run_sequence
 from colanet_cl.colanet import ColaNetAdapter, ColaNetConfig, export_heatmaps
 from colanet_cl.dataset import make_permuted_stream
 
@@ -48,7 +48,7 @@ def main() -> None:
     print(f"task 1 right after training:  {a[0, 0]:.2f}%")
     print(f"task 1 after learning task 2: {a[1, 0]:.2f}%")
     print(f"task 2 after training:        {a[1, 1]:.2f}%")
-    print(f"forgetting measure FM_2:      {forgetting_measure(profile, 2) * 100:.2f}pt")
+    print(f"forgetting measure FM_2:      {compute_report(profile).fm[1] * 100:.2f}pt")
 
     out = "receptive_fields.ppm"
     export_heatmaps(adapter.net, out)

@@ -28,10 +28,11 @@ reference degradation profiles:
 * ``std`` is the population standard deviation.
 * The ``max`` row reports the series extreme: the maximum for AA/AIA/FM/FWT
   and the minimum (strongest backward influence) for BWT.
-* The summary's AIA row aggregates the *padded* variant (see
-  ``average_incremental_accuracy_padded``), which counts tasks not yet
-  trained as zero accuracy; the plain running-mean-of-AA variant is also
-  computed and reported in the metrics CSV.
+* The summary's AIA row aggregates the *padded* variant
+  (``MetricsReport.aia_padded``): the running mean of row-k sums divided
+  by the task count n, so tasks not yet trained count as zero accuracy;
+  the plain running-mean-of-AA variant is also computed and reported in
+  the metrics CSV.
 * Rendered values are truncated (not rounded) to two decimals.
 """
 
@@ -46,8 +47,15 @@ import numpy as np
 
 from .dataset import TaskSpec
 
+# The metrics that compare row k with earlier rows (FWT: with the baseline)
+# are undefined at k=1: reports store 0.0 there, the metrics CSV leaves the
+# cell empty, and a one-task summary prints "undefined".
+UNDEFINED_AT_K1 = ("FM", "BWT", "FWT")
+
+
 class ProfileFormatError(Exception):
-    """Raised when a profile CSV fails to parse; message carries row/col."""
+    """Raised when a profile or baseline CSV fails to parse (the message
+    carries row/col), or when a baseline is shorter than its profile."""
 
 
 class SequenceError(Exception):
@@ -103,9 +111,9 @@ class DegradationProfile:
 class MetricsReport:
     """All metric series computed from one degradation profile.
 
-    Series are indexed by k = 1..n (position 0 is k=1). The undefined k=1
-    entries of fm/bwt/fwt are stored as 0.0. ``fwt`` and ``baseline_acc``
-    are None unless a baseline accuracy series was supplied.
+    Series are indexed by k = 1..n (position 0 is k=1). The k=1 entries of
+    the ``UNDEFINED_AT_K1`` series are stored as 0.0. ``fwt`` and
+    ``baseline_acc`` are None unless a baseline accuracy series was supplied.
     """
 
     n: int
@@ -118,158 +126,53 @@ class MetricsReport:
     baseline_acc: np.ndarray | None = None
 
 
-def average_accuracy(p: DegradationProfile, k: int) -> float:
-    """Average accuracy after training through task k (mean of row k).
-
-    Args:
-        p: Degradation profile.
-        k: 1-based training-iteration index.
-
-    Returns:
-        Mean of ``a[k][1..k]`` as a fraction.
-    """
-    _check_k(p, k)
-    return float(p.a[k - 1, :k].mean())
-
-
-def average_incremental_accuracy(p: DegradationProfile, k: int) -> float:
-    """Running mean of AA_1..AA_k.
-
-    Args:
-        p: Degradation profile.
-        k: 1-based training-iteration index.
-
-    Returns:
-        ``mean(AA_1, ..., AA_k)`` as a fraction; equals AA_1 at k=1.
-    """
-    _check_k(p, k)
-    return float(np.mean([average_accuracy(p, i) for i in range(1, k + 1)]))
-
-
-def average_accuracy_padded(p: DegradationProfile, k: int) -> float:
-    """Row-k accuracy averaged over the full task roster.
-
-    Like ``average_accuracy`` but divides by the total task count n rather
-    than by k, so tasks not yet trained count as zero accuracy. This is the
-    row statistic underlying the reference AIA summaries.
-    """
-    _check_k(p, k)
-    return float(p.a[k - 1, :k].sum() / p.k)
-
-
-def average_incremental_accuracy_padded(p: DegradationProfile, k: int) -> float:
-    """Running mean of the padded average accuracy over iterations 1..k."""
-    _check_k(p, k)
-    return float(np.mean([average_accuracy_padded(p, i) for i in range(1, k + 1)]))
-
-
-def per_task_forgetting(p: DegradationProfile, k: int) -> np.ndarray:
-    """Per-task forgetting values f_jk for j = 1..k-1.
-
-    ``f_jk = max_{i < k} a[i][j] - a[k][j]``: the gap between the best past
-    accuracy on task j and the current one. Not clamped at zero, so a task
-    whose accuracy improved contributes a negative value.
-
-    Args:
-        p: Degradation profile.
-        k: 1-based training-iteration index (k >= 2 for a non-empty result).
-
-    Returns:
-        float64 array of length k-1 (empty at k=1).
-    """
-    _check_k(p, k)
-    if k == 1:
-        return np.empty(0, dtype=np.float64)
-    past = p.a[: k - 1, : k - 1]
-    cols = np.arange(k - 1)
-    best_past = np.array([np.nanmax(past[j:, j]) for j in cols])
-    return best_past - p.a[k - 1, : k - 1]
-
-
-def forgetting_measure(p: DegradationProfile, k: int) -> float:
-    """Forgetting measure FM_k: mean per-task forgetting over tasks < k.
-
-    Args:
-        p: Degradation profile.
-        k: 1-based training-iteration index.
-
-    Returns:
-        Mean of the f_jk values; 0.0 at k=1 where the metric is undefined.
-    """
-    values = per_task_forgetting(p, k)
-    if values.size == 0:
-        return 0.0
-    return float(values.mean())
-
-
-def backward_transfer(p: DegradationProfile, k: int) -> float:
-    """Backward transfer BWT_k: mean of (a[k][j] - a[j][j]) over j < k.
-
-    Negative values indicate forgetting; 0.0 at k=1 where the metric is
-    undefined.
-    """
-    _check_k(p, k)
-    if k == 1:
-        return 0.0
-    j = np.arange(k - 1)
-    return float((p.a[k - 1, : k - 1] - p.a[j, j]).mean())
-
-
-def forward_transfer(
-    p: DegradationProfile, baseline_acc: np.ndarray, k: int
-) -> float:
-    """Forward transfer FWT_k against fresh-model baseline accuracies.
-
-    ``FWT_k = mean over j = 2..k of (a[j][j] - baseline_j)`` where
-    ``baseline_j`` is the accuracy of a freshly initialized model of the
-    same architecture trained on task j alone.
-
-    Args:
-        p: Degradation profile.
-        baseline_acc: Fractions of length >= k; entry j-1 is the fresh-model
-            accuracy on task j.
-        k: 1-based training-iteration index.
-
-    Returns:
-        FWT_k as a fraction; 0.0 at k=1 where the metric is undefined.
-    """
-    _check_k(p, k)
-    baseline_acc = np.asarray(baseline_acc, dtype=np.float64)
-    if len(baseline_acc) < k:
-        raise ValueError("baseline accuracy series shorter than k")
-    if k == 1:
-        return 0.0
-    j = np.arange(1, k)
-    return float((p.a[j, j] - baseline_acc[1:k]).mean())
-
-
 def compute_report(
     p: DegradationProfile, baseline_acc: np.ndarray | None = None
 ) -> MetricsReport:
-    """Compute every metric series for a profile.
+    """Compute every metric series of a profile, as the module docstring
+    defines them.
 
     Args:
         p: Degradation profile.
-        baseline_acc: Optional fresh-model accuracy series enabling FWT.
+        baseline_acc: Optional fresh-model accuracy series enabling FWT;
+            entry j-1 is the accuracy on task j.
 
     Returns:
         MetricsReport with series indexed k = 1..n.
+
+    Raises:
+        ProfileFormatError: ``baseline_acc`` covers fewer tasks than ``p``.
     """
-    n = p.k
-    ks = range(1, n + 1)
+    a, n = p.a, p.k
+    diag = a.diagonal()
+    # best[i, j]: best accuracy on task j+1 through row i+1; fmax skips the
+    # NaN upper triangle.
+    best = np.fmax.accumulate(a, axis=0)
+    aa = np.array([a[i, : i + 1].mean() for i in range(n)])
+    padded = np.array([a[i, : i + 1].sum() / n for i in range(n)])
+    # The UNDEFINED_AT_K1 series start at k=2 and keep 0.0 at k=1.
+    fm, bwt = np.zeros(n), np.zeros(n)
+    for i in range(1, n):
+        fm[i] = (best[i - 1, :i] - a[i, :i]).mean()
+        bwt[i] = (a[i, :i] - diag[:i]).mean()
     fwt = None
     if baseline_acc is not None:
         baseline_acc = np.asarray(baseline_acc, dtype=np.float64)
-        fwt = np.array([forward_transfer(p, baseline_acc, k) for k in ks])
+        if len(baseline_acc) < n:
+            raise ProfileFormatError(
+                f"baseline accuracy series has {len(baseline_acc)} tasks, "
+                f"the profile has {n}"
+            )
+        fwt = np.zeros(n)
+        for i in range(1, n):
+            fwt[i] = (diag[1 : i + 1] - baseline_acc[1 : i + 1]).mean()
     return MetricsReport(
         n=n,
-        aa=np.array([average_accuracy(p, k) for k in ks]),
-        aia=np.array([average_incremental_accuracy(p, k) for k in ks]),
-        aia_padded=np.array(
-            [average_incremental_accuracy_padded(p, k) for k in ks]
-        ),
-        fm=np.array([forgetting_measure(p, k) for k in ks]),
-        bwt=np.array([backward_transfer(p, k) for k in ks]),
+        aa=aa,
+        aia=np.array([aa[: i + 1].mean() for i in range(n)]),
+        aia_padded=np.array([padded[: i + 1].mean() for i in range(n)]),
+        fm=fm,
+        bwt=bwt,
         fwt=fwt,
         baseline_acc=baseline_acc,
     )
@@ -322,11 +225,6 @@ def truncate_percent(fraction: float) -> float:
     if abs(scaled - snapped) < 1e-6:
         scaled = snapped
     return math.trunc(scaled) / 100.0
-
-
-def _check_k(p: DegradationProfile, k: int) -> None:
-    if not 1 <= k <= p.k:
-        raise ValueError(f"k must be in [1, {p.k}], got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +364,20 @@ def read_profile_csv(path: str) -> DegradationProfile:
     return DegradationProfile(a)
 
 
+def write_baseline_csv(accuracies: list[float], path: str) -> None:
+    """Write a baseline-accuracy CSV: header task,accuracy, then one row per
+    task from 1, the accuracy in percent with two decimals."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("task,accuracy\n")
+        for task_id, acc in enumerate(accuracies, start=1):
+            f.write(f"{task_id},{acc * 100.0:.2f}\n")
+
+
 def read_baseline_csv(path: str) -> np.ndarray:
     """Parse a baseline-accuracy CSV (task, accuracy in percent) as fractions.
 
-    This is the fresh-model series ``colanet-cl baseline-acc`` writes and
-    ``compute_report`` takes for forward transfer.
+    This is the fresh-model series ``colanet-cl baseline-acc`` writes with
+    ``write_baseline_csv`` and ``compute_report`` takes for forward transfer.
 
     Raises:
         ProfileFormatError: Malformed header or cells, tasks not consecutive
@@ -521,10 +428,8 @@ def write_metrics_csv(report: MetricsReport, path: str) -> None:
     """Write metric series as CSV (percent, two decimals).
 
     Columns: k, AA, AIA, AIA_padded, FM, BWT and FWT when available. The
-    k=1 cells of FM/BWT/FWT are left empty because the metrics are
-    undefined there.
+    k=1 cells of the ``UNDEFINED_AT_K1`` metrics are left empty.
     """
-    cols = ["k", "AA", "AIA", "AIA_padded", "FM", "BWT"]
     series = {
         "AA": report.aa,
         "AIA": report.aia,
@@ -533,17 +438,13 @@ def write_metrics_csv(report: MetricsReport, path: str) -> None:
         "BWT": report.bwt,
     }
     if report.fwt is not None:
-        cols.append("FWT")
         series["FWT"] = report.fwt
-    undefined_at_1 = {"FM", "BWT", "FWT"}
-    lines = [",".join(cols)]
+    lines = [",".join(["k", *series])]
     for k in range(1, report.n + 1):
-        cells = [str(k)]
-        for name in cols[1:]:
-            if k == 1 and name in undefined_at_1:
-                cells.append("")
-            else:
-                cells.append(f"{series[name][k - 1] * 100.0:.2f}")
+        cells = [str(k)] + [
+            "" if k == 1 and name in UNDEFINED_AT_K1 else f"{values[k - 1] * 100.0:.2f}"
+            for name, values in series.items()
+        ]
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
@@ -553,20 +454,15 @@ def render_summary(report: MetricsReport) -> str:
     """Render the avg/max/std summary as aligned plain text.
 
     Values are percentages truncated to two decimals. For a single-task
-    profile the FM/BWT/FWT rows read ``undefined``.
+    profile the ``UNDEFINED_AT_K1`` rows read ``undefined``.
     """
-    summary = summarize(report)
-    names = list(summary.keys())
     lines = [f"{'metric':<8}{'avg':>10}{'max':>10}{'std':>10}"]
-    for name in names:
-        if report.n == 1 and name in ("FM", "BWT", "FWT"):
-            lines.append(
-                f"{name:<8}{'undefined':>10}{'undefined':>10}{'undefined':>10}"
+    for name, row in summarize(report).items():
+        if report.n == 1 and name in UNDEFINED_AT_K1:
+            cells = f"{'undefined':>10}" * 3
+        else:
+            cells = "".join(
+                f"{truncate_percent(row[stat]):>10.2f}" for stat in ("avg", "max", "std")
             )
-            continue
-        row = summary[name]
-        cells = "".join(
-            f"{truncate_percent(row[stat]):>10.2f}" for stat in ("avg", "max", "std")
-        )
         lines.append(f"{name:<8}{cells}")
     return "\n".join(lines) + "\n"

@@ -53,6 +53,7 @@ from .clbench import (
     read_profile_csv,
     render_summary,
     run_sequence,
+    write_baseline_csv,
     write_metrics_csv,
     write_profile_csv,
 )
@@ -453,10 +454,7 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
         adapter.train_task(task)
         accuracies.append(adapter.evaluate_task(task))
     path = os.path.join(cfg.out_dir, "baseline_acc.csv")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("task,accuracy\n")
-        for task, acc in zip(tasks, accuracies):
-            f.write(f"{task.task_id},{acc * 100.0:.2f}\n")
+    write_baseline_csv(accuracies, path)
     print(f"wrote {path}")
     return EXIT_OK
 

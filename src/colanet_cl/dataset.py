@@ -18,6 +18,7 @@ import gzip
 import os
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,43 +179,46 @@ def load_idx(path: str) -> np.ndarray:
 
     Raises:
         FileNotFoundError: The path does not exist.
-        IdxFormatError: Bad magic number, truncated payload, or dimension
-            mismatch.
+        IdxFormatError: Bad magic number, truncated payload, dimension
+            mismatch, or a damaged gzip stream.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"IDX file not found: {path}")
-    with _open_maybe_gzip(path) as f:
-        header = f.read(4)
-        if len(header) < 4:
-            raise IdxFormatError(f"{path}: truncated header")
-        (magic,) = struct.unpack(">I", header)
-        if magic == IDX_LABEL_MAGIC:
-            ndim = 1
-        elif magic == IDX_IMAGE_MAGIC:
-            ndim = 3
-        else:
-            raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}")
-        dim_bytes = f.read(4 * ndim)
-        if len(dim_bytes) < 4 * ndim:
-            raise IdxFormatError(f"{path}: truncated dimension header")
-        dims = struct.unpack(f">{ndim}I", dim_bytes)
-        expected = 1
-        for d in dims:
-            expected *= d
-        # Read what the file holds, not what the header declares: a corrupt
-        # dimension can declare terabytes.
-        payload = f.read()
-        if len(payload) < expected:
-            raise IdxFormatError(
-                f"{path}: truncated payload, expected {expected} bytes, "
-                f"got {len(payload)}"
-            )
-        if len(payload) > expected:
-            raise IdxFormatError(
-                f"{path}: dimension mismatch, payload exceeds "
-                f"{expected} bytes declared by header"
-            )
-        return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    try:
+        with _open_maybe_gzip(path) as f:
+            header = f.read(4)
+            if len(header) < 4:
+                raise IdxFormatError(f"{path}: truncated header")
+            (magic,) = struct.unpack(">I", header)
+            if magic == IDX_LABEL_MAGIC:
+                ndim = 1
+            elif magic == IDX_IMAGE_MAGIC:
+                ndim = 3
+            else:
+                raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}")
+            dim_bytes = f.read(4 * ndim)
+            if len(dim_bytes) < 4 * ndim:
+                raise IdxFormatError(f"{path}: truncated dimension header")
+            dims = struct.unpack(f">{ndim}I", dim_bytes)
+            expected = 1
+            for d in dims:
+                expected *= d
+            # Read what the file holds, not what the header declares: a corrupt
+            # dimension can declare terabytes.
+            payload = f.read()
+            if len(payload) < expected:
+                raise IdxFormatError(
+                    f"{path}: truncated payload, expected {expected} bytes, "
+                    f"got {len(payload)}"
+                )
+            if len(payload) > expected:
+                raise IdxFormatError(
+                    f"{path}: dimension mismatch, payload exceeds "
+                    f"{expected} bytes declared by header"
+                )
+            return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: damaged gzip stream: {exc}") from None
 
 
 def _load_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from colanet_cl.baseline import (
     mlp_loss_and_grads,
 )
 from colanet_cl.clbench import (
-    forgetting_measure,
+    compute_report,
     run_sequence,
     truncate_percent,
 )
@@ -201,7 +201,7 @@ def test_criterion_3_mlp_forgetting_trend(mnist_dir):
     tasks = make_permuted_stream(10, base_seed=1, data_dir=mnist_dir)
     profile = run_sequence(MlpAdapter(seed=1), tasks)
     task1_final = profile.accuracy(after_task=10, on_task=1) * 100.0
-    fm10 = forgetting_measure(profile, 10) * 100.0
+    fm10 = compute_report(profile).fm[9] * 100.0
     ok = task1_final < 60.0 and fm10 >= 15.0
     record_acceptance(
         f"ACCEPTANCE CRITERION 3: {'PASS' if ok else 'FAIL'} - after 10 "
@@ -271,7 +271,7 @@ def test_criterion_5_plasticity_regime(permuted_3task_stream):
     profile = run_sequence(ColaNetAdapter(config), permuted_3task_stream)
     a = profile.a * 100.0
     cells = a[np.tril_indices(3)]
-    fm3 = forgetting_measure(profile, 3) * 100.0
+    fm3 = compute_report(profile).fm[2] * 100.0
     ok = cells.min() >= 85.0 and fm3 <= 5.0
     record_acceptance(
         f"ACCEPTANCE CRITERION 5: {'PASS' if ok else 'FAIL'} - M=45, "

@@ -9,30 +9,26 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colanet_cl.clbench import (
     DegradationProfile,
     ProfileFormatError,
     SequenceError,
-    average_accuracy,
-    average_accuracy_padded,
-    average_incremental_accuracy,
-    average_incremental_accuracy_padded,
-    backward_transfer,
     compute_report,
-    forgetting_measure,
-    forward_transfer,
-    per_task_forgetting,
     read_baseline_csv,
     read_profile_csv,
     render_summary,
     run_sequence,
     summarize,
     truncate_percent,
+    write_baseline_csv,
     write_metrics_csv,
     write_profile_csv,
 )
 
+import metrics_reference as ref
 from conftest import FIXTURES_DIR
 
 NAN = float("nan")
@@ -83,80 +79,71 @@ def test_profile_accessors():
     assert p.accuracy(after_task=1, on_task=1) == pytest.approx(0.90)
 
 
-def test_metrics_reject_out_of_range_k():
-    p = oracle_profile()
-    with pytest.raises(ValueError):
-        average_accuracy(p, 0)
-    with pytest.raises(ValueError):
-        average_accuracy(p, 4)
-
-
 # ---------------------------------------------------------- metric formulas
 
 
 def test_average_accuracy():
-    p = oracle_profile()
-    assert average_accuracy(p, 1) == pytest.approx(0.90)
-    assert average_accuracy(p, 2) == pytest.approx(0.825)
-    assert average_accuracy(p, 3) == pytest.approx(0.75)
+    aa = compute_report(oracle_profile()).aa
+    assert aa[0] == pytest.approx(0.90)
+    assert aa[1] == pytest.approx(0.825)
+    assert aa[2] == pytest.approx(0.75)
 
 
 def test_average_incremental_accuracy():
-    p = oracle_profile()
-    assert average_incremental_accuracy(p, 1) == pytest.approx(0.90)
-    assert average_incremental_accuracy(p, 2) == pytest.approx(0.8625)
-    assert average_incremental_accuracy(p, 3) == pytest.approx(0.825)
+    aia = compute_report(oracle_profile()).aia
+    assert aia[0] == pytest.approx(0.90)
+    assert aia[1] == pytest.approx(0.8625)
+    assert aia[2] == pytest.approx(0.825)
 
 
 def test_padded_average_accuracy_divides_by_roster_size():
-    p = oracle_profile()
-    assert average_accuracy_padded(p, 1) == pytest.approx(0.90 / 3)
-    assert average_accuracy_padded(p, 2) == pytest.approx((0.80 + 0.85) / 3)
-    assert average_accuracy_padded(p, 3) == pytest.approx(0.75)
-    assert average_incremental_accuracy_padded(p, 2) == pytest.approx(
-        (0.30 + 0.55) / 2
-    )
-    assert average_incremental_accuracy_padded(p, 3) == pytest.approx(
-        (0.30 + 0.55 + 0.75) / 3
-    )
+    padded = compute_report(oracle_profile()).aia_padded
+    # Row k's padded accuracy is its sum over the roster size 3; the series
+    # is the running mean of those, so k * padded[k-1] - (k-1) * padded[k-2]
+    # recovers row k's value.
+    assert padded[0] == pytest.approx(0.90 / 3)
+    assert 2 * padded[1] - padded[0] == pytest.approx((0.80 + 0.85) / 3)
+    assert 3 * padded[2] - 2 * padded[1] == pytest.approx(0.75)
+    assert padded[1] == pytest.approx((0.30 + 0.55) / 2)
+    assert padded[2] == pytest.approx((0.30 + 0.55 + 0.75) / 3)
 
 
 def test_per_task_forgetting():
-    p = oracle_profile()
-    assert per_task_forgetting(p, 1).size == 0
-    assert per_task_forgetting(p, 2) == pytest.approx([0.10])
-    assert per_task_forgetting(p, 3) == pytest.approx([0.20, 0.10])
+    # FM_k is the mean of the per-task forgetting values f_jk, j < k.
+    fm = compute_report(oracle_profile()).fm
+    assert fm[0] == 0.0  # no earlier task at k=1
+    assert fm[1] == pytest.approx(0.10)  # f_12 alone
+    assert fm[2] == pytest.approx(np.mean([0.20, 0.10]))  # f_13, f_23
 
 
 def test_per_task_forgetting_can_be_negative():
     # Task 1 improves after task 2 training: forgetting is negative,
     # not clamped to zero.
     p = DegradationProfile(np.array([[0.5, NAN], [0.7, 0.8]]))
-    assert per_task_forgetting(p, 2) == pytest.approx([-0.2])
+    assert compute_report(p).fm[1] == pytest.approx(-0.2)
 
 
 def test_forgetting_measure():
-    p = oracle_profile()
-    assert forgetting_measure(p, 1) == 0.0
-    assert forgetting_measure(p, 2) == pytest.approx(0.10)
-    assert forgetting_measure(p, 3) == pytest.approx(0.15)
+    fm = compute_report(oracle_profile()).fm
+    assert fm[0] == 0.0
+    assert fm[1] == pytest.approx(0.10)
+    assert fm[2] == pytest.approx(0.15)
 
 
 def test_backward_transfer():
-    p = oracle_profile()
-    assert backward_transfer(p, 1) == 0.0
-    assert backward_transfer(p, 2) == pytest.approx(-0.10)
-    assert backward_transfer(p, 3) == pytest.approx(-0.15)
+    bwt = compute_report(oracle_profile()).bwt
+    assert bwt[0] == 0.0
+    assert bwt[1] == pytest.approx(-0.10)
+    assert bwt[2] == pytest.approx(-0.15)
 
 
 def test_forward_transfer():
-    p = oracle_profile()
-    baseline = [0.5, 0.6, 0.7]
-    assert forward_transfer(p, baseline, 1) == 0.0
-    assert forward_transfer(p, baseline, 2) == pytest.approx(0.25)
-    assert forward_transfer(p, baseline, 3) == pytest.approx(0.175)
-    with pytest.raises(ValueError, match="shorter"):
-        forward_transfer(p, [0.5, 0.6], 3)
+    fwt = compute_report(oracle_profile(), baseline_acc=[0.5, 0.6, 0.7]).fwt
+    assert fwt[0] == 0.0
+    assert fwt[1] == pytest.approx(0.25)
+    assert fwt[2] == pytest.approx(0.175)
+    with pytest.raises(ProfileFormatError, match="has 2 tasks, the profile has 3"):
+        compute_report(oracle_profile(), baseline_acc=[0.5, 0.6])
 
 
 def test_compute_report_series():
@@ -174,6 +161,43 @@ def test_compute_report_without_baseline_has_no_fwt():
     report = compute_report(oracle_profile())
     assert report.fwt is None
     assert report.baseline_acc is None
+
+
+SERIES = ("aa", "aia", "aia_padded", "fm", "bwt", "fwt", "baseline_acc")
+# Accuracies as any fraction, or as a profile CSV stores them (two-decimal
+# percentages).
+ACCURACY = st.one_of(
+    st.floats(0.0, 1.0), st.integers(0, 10000).map(lambda c: c / 10000)
+)
+
+
+@st.composite
+def profiles_and_baselines(draw):
+    n = draw(st.integers(1, 12))
+    a = np.full((n, n), NAN)
+    for i in range(n):
+        a[i, : i + 1] = draw(st.lists(ACCURACY, min_size=i + 1, max_size=i + 1))
+    baseline = draw(
+        st.none() | st.lists(ACCURACY, min_size=n, max_size=n + 2)
+    )
+    return DegradationProfile(a), baseline
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(profiles_and_baselines())
+def test_compute_report_matches_reference_bytes(case):
+    """Every series equals the per-k reference definitions byte for byte."""
+    p, baseline = case
+    got = compute_report(p, baseline_acc=baseline)
+    want = ref.reference_report(p, baseline_acc=baseline)
+    assert got.n == want.n == p.k
+    for name in SERIES:
+        got_series, want_series = getattr(got, name), getattr(want, name)
+        if want_series is None:
+            assert got_series is None, name
+        else:
+            assert got_series.dtype == want_series.dtype == np.float64, name
+            assert got_series.tobytes() == want_series.tobytes(), name
 
 
 # ------------------------------------------------------ summary conventions
@@ -335,6 +359,13 @@ def test_profile_csv_roundtrip(tmp_path):
     back = read_profile_csv(path)
     lower = np.tril_indices(3)
     assert back.a[lower] == pytest.approx(oracle_profile().a[lower])
+
+
+def test_baseline_csv_roundtrip(tmp_path):
+    path = tmp_path / "baseline_acc.csv"
+    write_baseline_csv([0.9, 0.955, 1.0], str(path))
+    assert path.read_text() == "task,accuracy\n1,90.00\n2,95.50\n3,100.00\n"
+    assert read_baseline_csv(str(path)) == pytest.approx([0.9, 0.955, 1.0])
 
 
 def test_read_profile_csv_rejects_bad_header(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import shutil
@@ -252,6 +253,27 @@ def test_metrics_bad_baseline_accuracy_is_data_error(tmp_path, capsys, rows):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "rows", ["1,88.00\n2,80.00\n", ""], ids=["2-rows", "header-only"]
+)
+def test_metrics_short_baseline_is_data_error(tmp_path, capsys, rows):
+    """A baseline covering fewer tasks than the profile cannot give FWT."""
+    profile = tmp_path / "p.csv"
+    profile.write_text(
+        "task_1,task_2,task_3\n90.00,,\n80.00,85.00,\n70.00,75.00,80.00\n"
+    )
+    base = tmp_path / "b.csv"
+    base.write_text("task,accuracy\n" + rows)
+    assert main(["metrics", str(profile), str(base)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    tasks = rows.count("\n")
+    assert (
+        f"data error: baseline accuracy series has {tasks} tasks, "
+        "the profile has 3" in err
+    )
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ usage failures
 
 
@@ -358,7 +380,7 @@ def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, cap
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
-@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize("damage", ["missing", "truncated", "truncated-gz"])
 def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
                                                   capsys, damage, command):
     """Each config command writes its manifest before it reads any data, so
@@ -369,13 +391,19 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
     target = data_dir / MNIST_FILES["test_images"]
     if damage == "missing":
         target.unlink()
-    else:
+    elif damage == "truncated":
         target.write_bytes(target.read_bytes()[:-100])
+    else:  # the label file gzipped, then cut 10 bytes short
+        labels = data_dir / MNIST_FILES["test_labels"]
+        gz = data_dir / (labels.name + ".gz")
+        gz.write_bytes(gzip.compress(labels.read_bytes())[:-10])
+        labels.unlink()
     cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", alpha_grid="0.01, 0.02")
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
-    assert "data error" in capsys.readouterr().err
-    assert (out_dir / "manifest.json").exists() == (damage == "truncated")
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+    assert (out_dir / "manifest.json").exists() == (damage != "missing")
     assert not list(out_dir.glob("**/profile_seed*.csv"))
     assert not list(out_dir.glob("**/states_seed*"))
     assert not list(out_dir.glob("**/baseline_acc.csv"))

@@ -57,6 +57,25 @@ def test_load_idx_gzip_variant(tmp_path):
     assert np.array_equal(load_idx(str(gz)), labels)
 
 
+def damage_gzip(data: bytes, damage: str) -> bytes:
+    """A gzip stream cut 10 bytes short, or with one byte inverted: in the
+    deflate block header (zlib.error) or later in the data (CRC mismatch)."""
+    if damage == "truncated":
+        return data[:-10]
+    at = {"deflate": 11, "crc": 100}[damage]
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "deflate", "crc"])
+def test_load_idx_damaged_gzip_is_format_error(tmp_path, damage):
+    plain = tmp_path / "labels"
+    write_idx(str(plain), np.random.default_rng(3).integers(0, 10, 1000))
+    gz = tmp_path / "labels.gz"
+    gz.write_bytes(damage_gzip(gzip.compress(plain.read_bytes(), mtime=0), damage))
+    with pytest.raises(IdxFormatError, match="damaged gzip stream"):
+        load_idx(str(gz))
+
+
 def test_load_idx_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_idx(str(tmp_path / "absent"))
