@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import TaskSpec
 from .seeding import generator_from
-from .statefile import StateFormatError, StateReader, write_header  # noqa: F401 (re-export)
+from .statefile import StateReader, write_header
 
 N_IN = 784
 N_HIDDEN = 512
@@ -30,6 +30,8 @@ ADADELTA_EPS = 1e-6
 #: and 32768 trained fastest, smaller ones pay NumPy's per-call overhead and
 #: larger ones spill out of L2.
 _CHUNK = 32768
+#: Test images per forward pass of ``mlp_evaluate`` (affects speed only).
+_EVAL_BATCH = 1024
 
 MLP_MAGIC = b"MLPB"
 MLP_FORMAT_VERSION = 1
@@ -92,8 +94,11 @@ def mlp_init(seed: int) -> MlpParams:
     )
 
 
-def _forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden ReLU activations, class probabilities) for a (B, 784) batch."""
+def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden ReLU activations, class probabilities) for a (B, 784) batch.
+
+    ``x`` is float64 with values in [0, 1]; each row of probabilities sums to 1.
+    """
     # One hidden array, updated in place: spare split-sized temporaries would
     # be fresh, page-faulting memory on every evaluation.
     hidden = x @ p.W1
@@ -105,21 +110,6 @@ def _forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, exp / exp.sum(axis=1, keepdims=True)
 
 
-def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Compute class probabilities for normalized inputs.
-
-    Args:
-        p: Network parameters.
-        x: Float array of shape (784,) or (B, 784) with values in [0, 1].
-
-    Returns:
-        Probabilities of shape (10,) or (B, 10), each row summing to 1.
-    """
-    squeeze = x.ndim == 1
-    _, probs = _forward(p, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return probs[0] if squeeze else probs
-
-
 def mlp_loss_and_grads(
     p: MlpParams, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict]:
@@ -127,17 +117,15 @@ def mlp_loss_and_grads(
 
     Args:
         p: Network parameters.
-        x: (B, 784) normalized inputs.
+        x: (B, 784) float64 inputs with values in [0, 1].
         y: (B,) integer labels.
 
     Returns:
         (loss, grads) where grads maps parameter name to an array of the
         parameter's shape.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y))
     batch = len(x)
-    hidden, probs = _forward(p, x)
+    hidden, probs = mlp_forward(p, x)
     loss = float(-np.log(probs[np.arange(batch), y] + 1e-300).mean())
 
     dlogits = probs.copy()
@@ -232,13 +220,15 @@ def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
         adadelta_step(p, grads)
 
 
-def mlp_evaluate(p: MlpParams, task: TaskSpec, batch_size: int = 1024) -> float:
+def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     """Classification accuracy on a task's test split.
+
+    The split is scaled to [0, 1] once and classified ``_EVAL_BATCH`` images
+    per forward pass.
 
     Args:
         p: Network parameters.
         task: The task providing the test split.
-        batch_size: Evaluation batch size (affects speed only).
 
     Returns:
         Fraction of correctly classified test images.
@@ -247,9 +237,10 @@ def mlp_evaluate(p: MlpParams, task: TaskSpec, batch_size: int = 1024) -> float:
     images /= 255.0
     labels = task.test.labels
     correct = 0
-    for start in range(0, len(images), batch_size):
-        probs = mlp_forward(p, images[start : start + batch_size])
-        correct += int((probs.argmax(axis=1) == labels[start : start + batch_size]).sum())
+    for start in range(0, len(images), _EVAL_BATCH):
+        batch = slice(start, start + _EVAL_BATCH)
+        _, probs = mlp_forward(p, images[batch])
+        correct += int((probs.argmax(axis=1) == labels[batch]).sum())
     return correct / len(labels) if len(labels) else 0.0
 
 

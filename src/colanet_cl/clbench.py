@@ -102,10 +102,6 @@ class DegradationProfile:
         """Number of tasks recorded."""
         return self.a.shape[0]
 
-    def accuracy(self, after_task: int, on_task: int) -> float:
-        """Return a(k, j) with 1-based indices."""
-        return float(self.a[after_task - 1, on_task - 1])
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -57,13 +57,7 @@ from .clbench import (
     write_metrics_csv,
     write_profile_csv,
 )
-from .colanet import (
-    ColaNetAdapter,
-    ColaNetConfig,
-    StateFormatError,
-    export_heatmaps,
-    load_state,
-)
+from .colanet import ColaNetAdapter, ColaNetConfig, export_heatmaps, load_state
 from .dataset import (
     EMNIST_FILES,
     MNIST_FILES,
@@ -74,6 +68,7 @@ from .dataset import (
     make_permuted_stream,
 )
 from .seeding import derive_seed
+from .statefile import StateFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,6 +77,9 @@ EXIT_INTERNAL = 3
 
 MODELS = ("colanet", "mlp")
 SCENARIOS = ("permuted", "two-task-forward", "two-task-reverse")
+#: The ExperimentConfig fields a colanet run copies into its ColaNetConfig.
+NETWORK_KEYS = ("microcolumns", "alpha", "ns", "eta_plus", "eta_minus", "init_high",
+                "u_const", "leak")
 
 
 class UsageError(Exception):
@@ -100,7 +98,7 @@ class ExperimentConfig:
     n_tasks: int = 3
     alpha: float = ColaNetConfig.alpha
     ns: float | None = None
-    microcolumns: int = 15
+    microcolumns: int = ColaNetConfig.microcolumns
     eta_plus: float = ColaNetConfig.eta_plus
     eta_minus: float = ColaNetConfig.eta_minus
     init_high: float = ColaNetConfig.init_high
@@ -115,9 +113,6 @@ class ExperimentConfig:
     ns_grid: tuple[float | None, ...] = ()
 
     def __post_init__(self):
-        # ns = inf and ns = off both disable renormalization; keep one spelling.
-        self.ns = None if self.ns == math.inf else self.ns
-        self.ns_grid = tuple(None if ns == math.inf else ns for ns in self.ns_grid)
         if self.model not in MODELS:
             raise UsageError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.scenario not in SCENARIOS:
@@ -139,31 +134,40 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(raw: str) -> float:
+    """A float value; NaN and infinities would make the manifest invalid JSON."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
+
+
 def _parse_bool_none(raw: str) -> float | None:
-    if raw.lower() in ("none", "off"):
+    """An ``ns`` value; ``none``, ``off`` and ``inf`` all mean off (None)."""
+    if raw.lower() in ("none", "off") or float(raw) == math.inf:
         return None
-    return float(raw)
+    return _finite_float(raw)
 
 
 _KEY_PARSERS = {
     "model": str,
     "scenario": str,
     "n_tasks": int,
-    "alpha": float,
+    "alpha": _finite_float,
     "ns": _parse_bool_none,
     "microcolumns": int,
-    "eta_plus": float,
-    "eta_minus": float,
-    "init_high": float,
-    "u_const": float,
-    "leak": float,
+    "eta_plus": _finite_float,
+    "eta_minus": _finite_float,
+    "init_high": _finite_float,
+    "u_const": _finite_float,
+    "leak": _finite_float,
     "batch_size": int,
     "train_count": lambda raw: None if raw.lower() == "none" else int(raw),
     "seeds": lambda raw: tuple(int(s.strip()) for s in raw.split(",") if s.strip()),
     "data_dir": str,
     "out_dir": str,
     "alpha_grid": lambda raw: tuple(
-        float(s.strip()) for s in raw.split(",") if s.strip()
+        _finite_float(s.strip()) for s in raw.split(",") if s.strip()
     ),
     "ns_grid": lambda raw: tuple(
         _parse_bool_none(s.strip()) for s in raw.split(",") if s.strip()
@@ -177,8 +181,8 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     ``#`` starts a comment (full-line or trailing); blank lines are ignored.
 
     Raises:
-        UsageError: Unknown key, missing ``=``, or an unparsable value,
-            with the offending line number.
+        UsageError: Unknown key, missing ``=``, or an unparsable value (NaN
+            or an infinity among them), with the offending line number.
     """
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -278,17 +282,7 @@ def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
 
 def colanet_config(cfg: ExperimentConfig, seed: int) -> ColaNetConfig:
     """The network config of one colanet run; raises ValueError if invalid."""
-    return ColaNetConfig(
-        microcolumns=cfg.microcolumns,
-        alpha=cfg.alpha,
-        ns=cfg.ns,
-        eta_plus=cfg.eta_plus,
-        eta_minus=cfg.eta_minus,
-        init_high=cfg.init_high,
-        u_const=cfg.u_const,
-        leak=cfg.leak,
-        seed=seed,
-    )
+    return ColaNetConfig(**{key: getattr(cfg, key) for key in NETWORK_KEYS}, seed=seed)
 
 
 def build_adapter(cfg: ExperimentConfig, seed: int):

@@ -45,7 +45,7 @@ import numpy as np
 from .encoder import encode_active_batch
 from .seeding import generator_from
 from .snncore import N_INPUTS, depress, potentiate
-from .statefile import StateFormatError, StateReader, write_header  # noqa: F401 (re-export)
+from .statefile import StateReader, write_header
 
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
@@ -339,10 +339,11 @@ def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndar
 def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutcome:
     """Train on one labeled image: race, then reward/punish once.
 
-    A correct raw winner is potentiated (with renormalization when enabled).
-    A wrong raw winner is depressed and the teacher-designated microcolumn
-    of the labeled column is potentiated instead. When nothing fires, only
-    the designated microcolumn is potentiated. At most two neurons change.
+    ``present_full`` picks the effective winner: the raw winner when it sits
+    in the labeled column, else the teacher-designated microcolumn of that
+    column. A raw winner that differs from it (a wrong column) is depressed
+    first; then the effective winner is potentiated (with renormalization
+    when enabled). At most two neurons change.
 
     Args:
         net: The network (mutated).
@@ -355,13 +356,10 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
     if not 0 <= label < net.config.class_count:
         raise ValueError(f"label {label} outside class range")
     outcome, eligibility = net.present_full(img, label)
-    raw = outcome.raw_winner
-    if raw is not None and raw[0] == label:
-        net._learn(potentiate, net._flat(*raw), eligibility)
-    else:
-        if raw is not None:
-            net._learn(depress, net._flat(*raw), eligibility)
-        net._learn(potentiate, net._flat(*outcome.effective_winner), eligibility)
+    raw, effective = outcome.raw_winner, outcome.effective_winner
+    if raw is not None and raw != effective:
+        net._learn(depress, net._flat(*raw), eligibility)
+    net._learn(potentiate, net._flat(*effective), eligibility)
     return outcome
 
 

@@ -15,9 +15,9 @@ stream is plain, unpermuted MNIST.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
-import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -31,6 +31,9 @@ IDX_IMAGE_MAGIC = 0x00000803
 #: The ten EMNIST Balanced letter classes used for the letters task, in
 #: relabeling order (first letter becomes class 0, second class 1, ...).
 EMNIST_LETTER_CLASSES = ("A", "B", "D", "E", "G", "H", "N", "Q", "R", "S")
+
+#: (train, test) images the truncated-MNIST task keeps, balancing the letters.
+MNIST_TRUNCATED_COUNTS = (24000, 4000)
 
 #: EMNIST Balanced label layout: classes 0-9 are digits, classes 10-35 are
 #: the uppercase letters A-Z in alphabetical order (the remaining classes
@@ -67,11 +70,9 @@ class PixelPermutation:
     Attributes:
         mapping: int64 array of length 784; output pixel ``i`` takes its
             value from input pixel ``mapping[i]``.
-        seed: The integer seed the mapping was generated from.
     """
 
     mapping: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         mapping = np.asarray(self.mapping, dtype=np.int64)
@@ -80,12 +81,6 @@ class PixelPermutation:
         if not np.array_equal(np.sort(mapping), np.arange(784)):
             raise ValueError("permutation mapping must be a bijection on 0..783")
         object.__setattr__(self, "mapping", mapping)
-
-    def inverse(self) -> "PixelPermutation":
-        """Return the inverse permutation."""
-        inv = np.empty(784, dtype=np.int64)
-        inv[self.mapping] = np.arange(784)
-        return PixelPermutation(inv, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,7 @@ def load_idx(path: str) -> np.ndarray:
             if len(dim_bytes) < 4 * ndim:
                 raise IdxFormatError(f"{path}: truncated dimension header")
             dims = struct.unpack(f">{ndim}I", dim_bytes)
-            expected = 1
-            for d in dims:
-                expected *= d
+            expected = math.prod(dims)
             # Read what the file holds, not what the header declares: a corrupt
             # dimension can declare terabytes.
             payload = f.read()
@@ -222,11 +215,17 @@ def load_idx(path: str) -> np.ndarray:
 
 
 def _load_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Load an images/labels IDX pair and flatten images to 784 rows."""
+    """Load an images/labels IDX pair and flatten the 28x28 images to 784 rows.
+
+    Raises IdxFormatError unless the pair is N 28x28 images and N labels.
+    """
     images = load_idx(images_path)
     labels = load_idx(labels_path)
     if images.ndim != 3:
         raise IdxFormatError(f"{images_path}: expected an image tensor")
+    if images.shape[1:] != (28, 28):
+        rows, cols = images.shape[1:]
+        raise IdxFormatError(f"{images_path}: images are {rows}x{cols}, expected 28x28")
     if labels.ndim != 1:
         raise IdxFormatError(f"{labels_path}: expected a label vector")
     if len(images) != len(labels):
@@ -260,46 +259,47 @@ def load_mnist(data_dir: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     Returns:
         Tuple (train_images, train_labels, test_images, test_labels) with
         images flattened to (N, 784) uint8.
+
+    Raises:
+        IdxFormatError: A file fails ``_load_pair``'s checks, or a label is
+            not a digit 0-9.
     """
-    train_images, train_labels = _load_pair(
-        _resolve(data_dir, MNIST_FILES["train_images"]),
-        _resolve(data_dir, MNIST_FILES["train_labels"]),
-    )
-    test_images, test_labels = _load_pair(
-        _resolve(data_dir, MNIST_FILES["test_images"]),
-        _resolve(data_dir, MNIST_FILES["test_labels"]),
-    )
-    return train_images, train_labels, test_images, test_labels
+    arrays = []
+    for split in ("train", "test"):
+        images_path = _resolve(data_dir, MNIST_FILES[f"{split}_images"])
+        labels_path = _resolve(data_dir, MNIST_FILES[f"{split}_labels"])
+        images, labels = _load_pair(images_path, labels_path)
+        if labels.max(initial=0) > 9:
+            raise IdxFormatError(
+                f"{labels_path}: label {labels.max()} is not a digit 0-9"
+            )
+        arrays += [images, labels]
+    return tuple(arrays)
 
 
-def make_mnist_truncated(
-    data_dir: str, train_count: int = 24000, test_count: int = 4000
-) -> TaskSpec:
+def make_mnist_truncated(data_dir: str) -> TaskSpec:
     """Build the truncated-MNIST task: the first images in file order.
 
     The ten-class digit task balanced against the EMNIST letters task: the
-    first ``train_count`` training images and first ``test_count`` test
-    images, in original file order, unshuffled.
+    first 24000 training and 4000 test images (``MNIST_TRUNCATED_COUNTS``),
+    in original file order, unshuffled.
 
     Args:
         data_dir: Directory with the MNIST IDX files.
-        train_count: Number of training images to keep (default 24000).
-        test_count: Number of test images to keep (default 4000).
 
     Returns:
         TaskSpec with class_count 10.
 
     Raises:
-        DataError: Source has fewer images than requested.
+        DataError: Source has fewer images than the task keeps.
     """
+    train_count, test_count = MNIST_TRUNCATED_COUNTS
     train_images, train_labels, test_images, test_labels = load_mnist(data_dir)
     if train_count > len(train_images) or test_count > len(test_images):
         raise DataError(
             f"insufficient source data: requested {train_count}/{test_count}, "
             f"available {len(train_images)}/{len(test_images)}"
         )
-    if train_count == 0 or test_count == 0:
-        warnings.warn("building a task with an empty split", stacklevel=2)
     return TaskSpec(
         task_id=1,
         source="mnist-truncated",
@@ -310,13 +310,11 @@ def make_mnist_truncated(
     )
 
 
-def make_emnist_letters(
-    data_dir: str, classes: tuple[str, ...] = EMNIST_LETTER_CLASSES
-) -> TaskSpec:
+def make_emnist_letters(data_dir: str) -> TaskSpec:
     """Build the ten-class EMNIST letters task from the Balanced split.
 
-    Keeps only the requested letter classes and relabels them 0..9 in the
-    listed order (so with the default list, 'A' becomes 0 and 'S' becomes 9).
+    Keeps only the ``EMNIST_LETTER_CLASSES`` and relabels them 0..9 in that
+    order ('A' becomes 0 and 'S' becomes 9).
     Sample order within the retained subset follows the source file order.
     EMNIST IDX files store images transposed relative to the MNIST
     orientation; they are transposed back at ingest so strokes render
@@ -325,51 +323,37 @@ def make_emnist_letters(
 
     Args:
         data_dir: Directory with the four emnist-balanced-* IDX files.
-        classes: Uppercase letters to keep, in relabeling order.
 
     Returns:
-        TaskSpec with class_count equal to ``len(classes)``.
+        TaskSpec with class_count 10.
 
     Raises:
-        DataError: A requested class is not an uppercase letter or has no
-            samples in the source.
+        DataError: A letter class has no samples in the source.
     """
-    train_images, train_labels = _load_pair(
-        _resolve(data_dir, EMNIST_FILES["train_images"]),
-        _resolve(data_dir, EMNIST_FILES["train_labels"]),
-    )
-    test_images, test_labels = _load_pair(
-        _resolve(data_dir, EMNIST_FILES["test_images"]),
-        _resolve(data_dir, EMNIST_FILES["test_labels"]),
-    )
-    # Undo the stored transpose: each row is a 28x28 image saved column-major.
-    train_images = (
-        train_images.reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
-    )
-    test_images = test_images.reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
-
-    source_ids = []
-    for letter in classes:
-        if len(letter) != 1 or not "A" <= letter <= "Z":
-            raise DataError(f"not an EMNIST Balanced letter class: {letter!r}")
-        source_ids.append(_BALANCED_UPPER_BASE + ord(letter) - ord("A"))
-
-    def select(images: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-        keep = np.isin(labels, source_ids)
-        kept_labels = labels[keep]
+    pairs = [
+        _load_pair(
+            _resolve(data_dir, EMNIST_FILES[f"{split}_images"]),
+            _resolve(data_dir, EMNIST_FILES[f"{split}_labels"]),
+        )
+        for split in ("train", "test")
+    ]
+    source_ids = [
+        _BALANCED_UPPER_BASE + ord(c) - ord("A") for c in EMNIST_LETTER_CLASSES
+    ]
+    splits = []
+    for images, labels in pairs:
         relabel = np.full(int(labels.max()) + 1, -1, dtype=np.int64)
         for new, old in enumerate(source_ids):
             if not np.any(labels == old):
-                raise DataError(f"class {classes[new]!r} absent from source data")
+                letter = EMNIST_LETTER_CLASSES[new]
+                raise DataError(f"class {letter!r} absent from source data")
             relabel[old] = new
-        return LabeledDataset(images[keep], relabel[kept_labels], len(classes))
-
-    return TaskSpec(
-        task_id=1,
-        source="emnist-letters",
-        train=select(train_images, train_labels),
-        test=select(test_images, test_labels),
-    )
+        keep = np.isin(labels, source_ids)
+        # Undo the stored transpose: each row is a 28x28 image saved column-major.
+        kept = images[keep].reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
+        splits.append(LabeledDataset(kept, relabel[labels[keep]], 10))
+    train, test = splits
+    return TaskSpec(task_id=1, source="emnist-letters", train=train, test=test)
 
 
 def gen_permutation(seed: int) -> PixelPermutation:
@@ -383,7 +367,7 @@ def gen_permutation(seed: int) -> PixelPermutation:
         seed: Permutation seed; 0 means identity.
 
     Returns:
-        PixelPermutation carrying the mapping and the seed.
+        The PixelPermutation.
     """
     mapping = np.arange(784, dtype=np.int64)
     if seed != 0:
@@ -391,7 +375,7 @@ def gen_permutation(seed: int) -> PixelPermutation:
         for i in range(783, 0, -1):
             j = rng.randbelow(i + 1)
             mapping[i], mapping[j] = mapping[j], mapping[i]
-    return PixelPermutation(mapping, seed=seed)
+    return PixelPermutation(mapping)
 
 
 def apply_permutation(img: np.ndarray, p: PixelPermutation) -> np.ndarray:

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+#: splitmix64's increment, the odd integer nearest 2^64 / golden ratio.
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def mix64(x: int) -> int:
@@ -29,7 +31,7 @@ def mix64(x: int) -> int:
     Returns:
         A well-mixed 64-bit integer.
     """
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = (x + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -71,12 +73,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        """Return the next 64-bit output of the stream."""
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        """Return the next 64-bit output: ``mix64`` of the state, then advance it."""
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (z + _GAMMA) & _MASK64
+        return mix64(z)
 
     def randbelow(self, n: int) -> int:
         """Return an unbiased uniform integer in ``[0, n)``.

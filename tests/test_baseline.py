@@ -16,7 +16,6 @@ from colanet_cl.baseline import (
     ADADELTA_RHO,
     MlpAdapter,
     MlpParams,
-    StateFormatError,
     adadelta_step,
     mlp_evaluate,
     mlp_forward,
@@ -28,6 +27,7 @@ from colanet_cl.baseline import (
 )
 from colanet_cl.clbench import run_sequence
 from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
+from colanet_cl.statefile import StateFormatError
 
 from conftest import bit_flips, flip, saved_bytes, tiny_task, truncation_cuts
 from mlp_reference import (
@@ -71,17 +71,11 @@ def test_init_shapes_and_determinism():
 def test_forward_rows_are_probabilities():
     p = mlp_init(0)
     x = np.random.default_rng(0).random((6, 784))
-    probs = mlp_forward(p, x)
+    hidden, probs = mlp_forward(p, x)
+    assert hidden.shape == (6, 512) and np.all(hidden >= 0)
     assert probs.shape == (6, 10)
     assert np.all(probs >= 0)
     assert probs.sum(axis=1) == pytest.approx(np.ones(6))
-
-
-def test_forward_single_input_squeezes():
-    p = mlp_init(0)
-    probs = mlp_forward(p, np.zeros(784))
-    assert probs.shape == (10,)
-    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_gradients_match_finite_differences():
@@ -258,7 +252,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     mlp_save(p, path)
     q = mlp_load(path)
     x = np.random.default_rng(0).random((16, 784))
-    assert np.array_equal(mlp_forward(p, x), mlp_forward(q, x))
+    assert np.array_equal(mlp_forward(p, x)[1], mlp_forward(q, x)[1])
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(p, name), getattr(q, name))
         assert np.array_equal(p.grad_sq[name], q.grad_sq[name])

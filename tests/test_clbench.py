@@ -75,8 +75,8 @@ def test_profile_rejects_populated_upper_triangle():
 def test_profile_accessors():
     p = oracle_profile()
     assert p.k == 3
-    assert p.accuracy(after_task=3, on_task=1) == pytest.approx(0.70)
-    assert p.accuracy(after_task=1, on_task=1) == pytest.approx(0.90)
+    assert p.a[2, 0] == pytest.approx(0.70)
+    assert p.a[0, 0] == pytest.approx(0.90)
 
 
 # ---------------------------------------------------------- metric formulas

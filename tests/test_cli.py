@@ -28,9 +28,9 @@ from colanet_cl.cli import (
 )
 from colanet_cl.clbench import ProfileFormatError, read_baseline_csv, read_profile_csv
 from colanet_cl.colanet import ColaNetConfig, Network, save_state
-from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES
+from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES, load_idx
 
-from conftest import FIXTURES_DIR, bit_flips, flip
+from conftest import FIXTURES_DIR, bit_flips, flip, write_idx
 
 MLP_PROFILE = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
 
@@ -380,12 +380,17 @@ def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, cap
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
-@pytest.mark.parametrize("damage", ["missing", "truncated", "truncated-gz"])
+@pytest.mark.parametrize(
+    "damage",
+    ["missing", "truncated", "truncated-gz", "images-32x32", "images-28x27",
+     "label-12"],
+)
 def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
                                                   capsys, damage, command):
     """Each config command writes its manifest before it reads any data, so
     a damaged data file leaves the manifest (when the file can be hashed)
-    and no result file."""
+    and no result file. Well-formed IDX files holding images that are not
+    28x28, or a label that is not a digit, are damaged data too."""
     data_dir = tmp_path / "data"
     shutil.copytree(synthetic_mnist_dir, data_dir)
     target = data_dir / MNIST_FILES["test_images"]
@@ -393,11 +398,20 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
         target.unlink()
     elif damage == "truncated":
         target.write_bytes(target.read_bytes()[:-100])
-    else:  # the label file gzipped, then cut 10 bytes short
+    elif damage == "truncated-gz":  # the label file gzipped, cut 10 bytes short
         labels = data_dir / MNIST_FILES["test_labels"]
         gz = data_dir / (labels.name + ".gz")
         gz.write_bytes(gzip.compress(labels.read_bytes())[:-10])
         labels.unlink()
+    elif damage == "images-32x32":
+        write_idx(str(target), np.pad(load_idx(str(target)), ((0, 0), (2, 2), (2, 2))))
+    elif damage == "images-28x27":
+        write_idx(str(target), load_idx(str(target))[:, :, :27])
+    else:
+        labels = data_dir / MNIST_FILES["train_labels"]
+        values = load_idx(str(labels)).copy()
+        values[5] = 12
+        write_idx(str(labels), values)
     cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", alpha_grid="0.01, 0.02")
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
@@ -417,6 +431,26 @@ def test_run_non_positive_batch_size_is_usage_error(tmp_path, synthetic_mnist_di
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
     assert "batch_size" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model", ["colanet", "mlp"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", "nan"), ("leak", "inf"), ("eta_plus", "-inf"), ("eta_minus", "nan"),
+     ("init_high", "inf"), ("u_const", "-inf"), ("alpha_grid", "0.5, nan"),
+     ("ns", "nan"), ("ns", "-inf"), ("ns_grid", "0, -inf")],
+)
+def test_run_non_finite_float_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
+                                             model, key, value):
+    """NaN and infinite floats exit 1 before the manifest is written, whatever
+    the model, so manifest.json never holds NaN or Infinity (only ``ns`` and
+    ``ns_grid`` take +inf, which means off)."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model=model, **{key: value})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
     assert not out_dir.exists()
 
 
@@ -545,7 +579,7 @@ def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
         assert json.loads(manifest, parse_constant=strict)["config"]["ns"] is None
         profiles.append((out_dir / "profile_seed5.csv").read_bytes())
     assert profiles[0] == profiles[1]
-    assert ExperimentConfig(ns_grid=(float("inf"), 0.0)).ns_grid == (None, 0.0)
+    assert parse_config_text("ns_grid = inf, 0")["ns_grid"] == (None, 0.0)
 
 
 def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):

@@ -18,7 +18,6 @@ from colanet_cl.colanet import (
     ColaNetAdapter,
     ColaNetConfig,
     Network,
-    StateFormatError,
     evaluate_task,
     export_heatmaps,
     load_state,
@@ -28,6 +27,7 @@ from colanet_cl.colanet import (
 )
 from colanet_cl.dataset import LabeledDataset, TaskSpec
 from colanet_cl.encoder import encode_active_batch
+from colanet_cl.statefile import StateFormatError
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
