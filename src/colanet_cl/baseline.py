@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import TaskSpec
 from .seeding import generator_from
-from .statefile import StateReader, write_header
+from .statefile import StateReader, replacing, write_header
 
 N_IN = 784
 N_HIDDEN = 512
@@ -251,7 +251,7 @@ def mlp_save(p: MlpParams, path: str) -> None:
     then the little-endian float64 arrays W1, b1, W2, b2 followed by the
     grad_sq and update_sq accumulators in the same parameter order.
     """
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         write_header(f, MLP_MAGIC, MLP_FORMAT_VERSION)
         f.write(struct.pack("<3I", N_IN, N_HIDDEN, N_OUT))
         for group in (

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TaskSpec
+from .statefile import replacing
 
 # The metrics that compare row k with earlier rows (FWT: with the baseline)
 # are undefined at k=1: reports store 0.0 there, the metrics CSV leaves the
@@ -301,7 +302,7 @@ def write_profile_csv(p: DegradationProfile, path: str) -> None:
         cells = [f"{p.a[i, j] * 100.0:.2f}" for j in range(i + 1)]
         cells += [""] * (n - i - 1)
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -363,7 +364,7 @@ def read_profile_csv(path: str) -> DegradationProfile:
 def write_baseline_csv(accuracies: list[float], path: str) -> None:
     """Write a baseline-accuracy CSV: header task,accuracy, then one row per
     task from 1, the accuracy in percent with two decimals."""
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         f.write("task,accuracy\n")
         for task_id, acc in enumerate(accuracies, start=1):
             f.write(f"{task_id},{acc * 100.0:.2f}\n")
@@ -442,7 +443,7 @@ def write_metrics_csv(report: MetricsReport, path: str) -> None:
             for name, values in series.items()
         ]
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         f.write("\n".join(lines) + "\n")
 
 

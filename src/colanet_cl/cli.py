@@ -68,7 +68,7 @@ from .dataset import (
     make_permuted_stream,
 )
 from .seeding import derive_seed
-from .statefile import StateFormatError
+from .statefile import StateFormatError, replacing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -327,7 +327,7 @@ def write_manifest(cfg: ExperimentConfig, command: str) -> str:
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return path
@@ -354,7 +354,7 @@ def run_unit(cfg: ExperimentConfig, seed: int, out_dir: str) -> MetricsReport:
     report = compute_report(profile)
     write_metrics_csv(report, os.path.join(out_dir, f"metrics_seed{seed}.csv"))
     summary_path = os.path.join(out_dir, f"summary_seed{seed}.txt")
-    with open(summary_path, "w", encoding="utf-8") as f:
+    with replacing(summary_path) as f:
         f.write(render_summary(report) + "\n")
     return report
 
@@ -409,7 +409,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             )
         )
     sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as f:
+    with replacing(sweep_path) as f:
         f.write("alpha,ns,AA,FM\n")
         for alpha, ns, aa, fm in rows:
             ns_cell = "" if ns is None else f"{ns:g}"

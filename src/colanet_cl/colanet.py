@@ -27,7 +27,9 @@ is a multiple of 2^-k with at most 53 significant bits, exact in float64:
 winners do not depend on summation order, BLAS threads, batch size or which
 pixels were gathered. The stored weights, plasticity and thresholds stay
 unrounded; each race weight differs from its stored weight by at most
-2^-(k+1).
+2^-(k+1). Most presentations cross early, so the race runs steps
+[0, ceil(T/2)) for the whole batch and the rest only for presentations with
+no crossing yet, from their carried potentials, which are exact too.
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
@@ -45,7 +47,7 @@ import numpy as np
 from .encoder import encode_active_batch
 from .seeding import generator_from
 from .snncore import N_INPUTS, depress, potentiate
-from .statefile import StateReader, write_header
+from .statefile import StateReader, replacing, write_header
 
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
@@ -76,7 +78,7 @@ class ColaNetConfig:
             thresholds out of reach of unrelated inputs).
         eta_minus: Depression rate; the calibrated ~4:1 ratio to eta_plus
             carves away systematic confusions in a few corrections.
-        steps_active: Active window length of a presentation.
+        steps_active: Active window length of a presentation (1 to 65535).
         steps_silent: Silent tail length. Nothing integrates silent steps,
             so it changes no result; it stays a field of the state format.
         seed: Root seed; initialization, training noise and evaluation
@@ -128,8 +130,8 @@ class ColaNetConfig:
             raise ValueError("w_min must be <= w_max")
         if self.init_high < 0:
             raise ValueError("init_high must be >= 0")
-        if self.steps_active < 1 or self.steps_silent < 0:
-            raise ValueError("steps_active must be >= 1 and steps_silent >= 0")
+        if not 1 <= self.steps_active <= 65535 or self.steps_silent < 0:
+            raise ValueError("steps_active must be in [1, 65535], steps_silent >= 0")
         if self.race_grid_bits < 30:
             raise ValueError("steps_active * 784 * max|w| must be <= 2**22")
 
@@ -238,12 +240,15 @@ class Network:
 
         Drives use the weights rounded to the grid 2^-k
         (``config.race_grid_bits``) and only the pixels that spiked
-        somewhere in the batch. Without leak the potentials are one product
-        of cumulative spike counts and those weight rows. |potential| never
-        exceeds steps_active * 784 * max|w| <= 2^(52-k), so every sum of
-        grid weights is exact: the winners are the same for any batching,
-        pixel order or BLAS. With leak the decay products are rounded as
-        usual, but the drives are still exact.
+        somewhere in the batch. Steps [0, ceil(T/2)) are raced for the whole
+        batch, the rest only for rows with no crossing yet, from their
+        potentials at the last first-half step. Without leak a window's
+        potentials are that carried potential plus one product of
+        cumulative spike counts and weight rows. No such sum exceeds
+        steps_active * 784 * max|w| <= 2^(52-k) in magnitude, so each is
+        exact: the split, batching, pixel order and BLAS change no winner.
+        With leak the decay products are rounded as usual, but the drives
+        are still exact.
 
         Args:
             spikes: (B, T, 784) boolean active-window rasters.
@@ -252,33 +257,38 @@ class Network:
             (B,) int64 flat index of each presentation's winner, or -1 when
             no neuron fired within the active window.
         """
-        crossed = self._potentials(spikes) >= self.thresholds()
-        fired = crossed.any(axis=2)
-        # The earliest step at which any neuron crossed, then the lowest
-        # flat index among the neurons crossing at that step.
-        step = fired.argmax(axis=1)
-        rows = np.arange(len(spikes))
-        return np.where(fired[rows, step], crossed[rows, step].argmax(axis=1), -1)
-
-    def _potentials(self, spikes: np.ndarray) -> np.ndarray:
-        """(B, T, C*M) membrane potentials of a batch, from the race view."""
-        batch, steps, _ = spikes.shape
         lit = np.flatnonzero(spikes.any(axis=(0, 1)))
-        inputs = spikes[:, :, lit]
+        # Step-major (``take`` keeps C order), so each step is one block.
+        inputs = spikes.transpose(1, 0, 2).take(lit, axis=2)
+        weights = self._drive_w[lit]
+        half = (len(inputs) + 1) // 2
+        u = self._potentials(inputs[:half], weights, 0.0)
+        winners, pending = _first_crossings(u >= self.thresholds())
+        if pending.size and half < len(inputs):
+            u = self._potentials(inputs[half:, pending], weights, u[-1, pending])
+            winners[pending] = _first_crossings(u >= self.thresholds())[0]
+        return winners
+
+    def _potentials(self, window, weights, carried) -> np.ndarray:
+        """(t, b, C*M) potentials over a (t, b, lit) step-major ``window`` of
+        the gathered pixels, their (lit, C*M) weight rows and the (b, C*M)
+        potentials ``carried`` from the step before (0.0 before step 0).
+        C order: a gather of pending rows comes out row-major."""
+        counts = window.astype(np.float64, order="C")
         leak = self.config.leak
+        if leak == 0.0:  # cumulative counts, by adds over contiguous steps
+            for t in range(1, len(counts)):
+                counts[t] += counts[t - 1]
+        steps, rows, lit = counts.shape
+        out = (counts.reshape(steps * rows, lit) @ weights).reshape(steps, rows, -1)
         if leak == 0.0:
-            counts = np.cumsum(inputs, axis=1, dtype=np.float64)
+            out += carried
         else:
-            counts = inputs.astype(np.float64)
-        potential = (
-            counts.reshape(batch * steps, lit.size) @ self._drive_w[lit]
-        ).reshape(batch, steps, -1)
-        if leak != 0.0:
-            u = np.zeros_like(potential[:, 0, :])
+            u = carried
             for t in range(steps):
-                u = (1.0 - leak) * u + potential[:, t, :]
-                potential[:, t, :] = u
-        return potential
+                u = (1.0 - leak) * u + out[t]
+                out[t] = u
+        return out
 
     def designated_microcolumn(self, column: int) -> int:
         """The column's least-committed microcolumn (smallest positive mass).
@@ -318,7 +328,8 @@ class Network:
         effective = raw
         if raw is None or raw[0] != label:
             effective = (label, self.designated_microcolumn(label))
-        eligibility = spikes[0].sum(axis=0, dtype=np.float64)
+        # Counts <= steps_active <= 65535; a uint16 sum beats a float64 one.
+        eligibility = spikes[0].sum(axis=0, dtype=np.uint16).astype(np.float64)
         return PresentationOutcome(raw, effective), eligibility
 
     # -- plasticity --------------------------------------------------------
@@ -327,6 +338,15 @@ class Network:
         """Apply a plasticity rule to one neuron's row, then re-cache its mass."""
         rule(self.weights[flat], eligibility, self.config)
         self._refresh_neuron(flat)
+
+
+def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (t, b, C*M) crossings: the race winner or -1; rows with none."""
+    fired = crossed.any(axis=2)
+    step = fired.argmax(axis=0)
+    rows = np.arange(crossed.shape[1])
+    hit = fired[step, rows]
+    return np.where(hit, crossed[step, rows].argmax(axis=1), -1), np.flatnonzero(~hit)
 
 
 def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -443,7 +463,7 @@ def save_state(net: Network, path: str) -> None:
     values = {name: getattr(net.config, name) for name in _CONFIG_FIELDS}
     values["ns"] = math.inf if values["ns"] is None else float(values["ns"])
     values["seed"] &= 0xFFFFFFFFFFFFFFFF
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         write_header(f, STATE_MAGIC, STATE_FORMAT_VERSION)
         f.write(struct.pack(_CONFIG_PACK, *values.values()))
         f.write(np.ascontiguousarray(net.weights, dtype="<f8").tobytes())
@@ -532,7 +552,7 @@ def export_heatmaps(net: Network, path: str) -> None:
             top = col * 29
             left = micro * 29
             canvas[top : top + 28, left : left + 28] = rgb
-    with open(path, "wb") as f:
+    with replacing(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         f.write(canvas.tobytes())
 

@@ -217,7 +217,7 @@ def load_idx(path: str) -> np.ndarray:
 def _load_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load an images/labels IDX pair and flatten the 28x28 images to 784 rows.
 
-    Raises IdxFormatError unless the pair is N 28x28 images and N labels.
+    Raises IdxFormatError unless the pair is N >= 1 28x28 images and N labels.
     """
     images = load_idx(images_path)
     labels = load_idx(labels_path)
@@ -226,6 +226,8 @@ def _load_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarr
     if images.shape[1:] != (28, 28):
         rows, cols = images.shape[1:]
         raise IdxFormatError(f"{images_path}: images are {rows}x{cols}, expected 28x28")
+    if not len(images):
+        raise IdxFormatError(f"{images_path}: no images")
     if labels.ndim != 1:
         raise IdxFormatError(f"{labels_path}: expected a label vector")
     if len(images) != len(labels):

@@ -10,6 +10,7 @@ infinite array values, are rejected too.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -19,6 +20,22 @@ import numpy as np
 
 class StateFormatError(Exception):
     """Raised when a serialized model file fails a structural check."""
+
+
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w"):
+    """Write ``path`` (mode ``"w"``, UTF-8, or ``"wb"``) through a temporary
+    file in its directory, moved into place by ``os.replace`` when the block
+    ends; if the block raises, ``path`` keeps its previous bytes."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
 
 
 def write_header(f, magic: bytes, version: int) -> None:

@@ -5,6 +5,9 @@ membrane potential decays by the leak fraction, integrates the summed weight
 of the spiking pixels, and fires (resetting to zero) once it reaches the
 adaptive threshold ``u_const + alpha * (positive mass)``. The network's
 batched race and cached thresholds are checked against this model.
+
+The whole-window batched race, which the network's two-window race must
+match bit for bit, is kept here as a second oracle.
 """
 
 from __future__ import annotations
@@ -96,3 +99,43 @@ def integrate_step(n: NeuronState, rf: ReceptiveField, presyn: np.ndarray) -> bo
         n.fired_this_presentation = True
         return True
     return False
+
+
+def whole_window_potentials(
+    spikes: np.ndarray, drive_w: np.ndarray, leak: float
+) -> np.ndarray:
+    """(B, T, N) potentials of a batch, integrated over the whole window.
+
+    The network's race before it was split into two windows: the pixels that
+    spike anywhere in the batch are gathered, and without leak the potentials
+    are one product of cumulative spike counts and the pixel-major weights
+    ``drive_w`` (784, N); with leak each step's drive is decayed into ``u``.
+    """
+    batch, steps, _ = spikes.shape
+    lit = np.flatnonzero(spikes.any(axis=(0, 1)))
+    inputs = spikes[:, :, lit]
+    if leak == 0.0:
+        counts = np.cumsum(inputs, axis=1, dtype=np.float64)
+    else:
+        counts = inputs.astype(np.float64)
+    potential = (
+        counts.reshape(batch * steps, lit.size) @ drive_w[lit]
+    ).reshape(batch, steps, -1)
+    if leak != 0.0:
+        u = np.zeros_like(potential[:, 0, :])
+        for t in range(steps):
+            u = (1.0 - leak) * u + potential[:, t, :]
+            potential[:, t, :] = u
+    return potential
+
+
+def first_crossing_winners(
+    potentials: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """(B,) winners of (B, T, N) potentials: the lowest flat index among the
+    neurons crossing at the earliest step with a crossing, or -1."""
+    crossed = potentials >= thresholds
+    fired = crossed.any(axis=2)
+    step = fired.argmax(axis=1)
+    rows = np.arange(len(potentials))
+    return np.where(fired[rows, step], crossed[rows, step].argmax(axis=1), -1)

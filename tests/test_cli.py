@@ -383,14 +383,15 @@ def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, cap
 @pytest.mark.parametrize(
     "damage",
     ["missing", "truncated", "truncated-gz", "images-32x32", "images-28x27",
-     "label-12"],
+     "label-12", "empty"],
 )
 def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
                                                   capsys, damage, command):
     """Each config command writes its manifest before it reads any data, so
     a damaged data file leaves the manifest (when the file can be hashed)
     and no result file. Well-formed IDX files holding images that are not
-    28x28, or a label that is not a digit, are damaged data too."""
+    28x28, a label that is not a digit, or no images at all are damaged data
+    too."""
     data_dir = tmp_path / "data"
     shutil.copytree(synthetic_mnist_dir, data_dir)
     target = data_dir / MNIST_FILES["test_images"]
@@ -407,6 +408,10 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
         write_idx(str(target), np.pad(load_idx(str(target)), ((0, 0), (2, 2), (2, 2))))
     elif damage == "images-28x27":
         write_idx(str(target), load_idx(str(target))[:, :, :27])
+    elif damage == "empty":  # a test split of 0 images and 0 labels
+        labels = data_dir / MNIST_FILES["test_labels"]
+        write_idx(str(target), load_idx(str(target))[:0])
+        write_idx(str(labels), load_idx(str(labels))[:0])
     else:
         labels = data_dir / MNIST_FILES["train_labels"]
         values = load_idx(str(labels)).copy()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import struct
@@ -97,6 +98,8 @@ INVALID_CONFIGS = [
     dict(init_high=math.inf),
     dict(init_high=-1.0),
     dict(steps_silent=-3),
+    # Spike counts over the window must fit the uint16 eligibility sum.
+    dict(steps_active=65536, w_min=-1e-6, w_max=1e-6, init_high=1e-6),
     # The race's weight grid would be coarser than 2^-30.
     dict(steps_active=5350),  # 5350 * 784 * 1 > 2**22
     dict(w_min=-600.0),
@@ -108,6 +111,7 @@ def test_config_validation():
     for overrides in INVALID_CONFIGS:
         with pytest.raises(ValueError):
             ColaNetConfig(**overrides)
+    ColaNetConfig(steps_active=65535, w_min=-1e-6, w_max=1e-6, init_high=1e-6)
 
 
 def test_race_grid_bits_follow_the_largest_potential():
@@ -215,6 +219,46 @@ def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
     return np.rint(weights * 2.0**k) / 2.0**k
 
 
+def race_windows(net: Network, spikes: np.ndarray):
+    """Race ``spikes``, recording each call of the per-window helper as
+    (window, carried, potentials)."""
+    calls = []
+    helper = net._potentials
+
+    def spy(window, weights, carried):
+        potential = helper(window, weights, carried)
+        calls.append((window.copy(), np.array(carried), potential.copy()))
+        return potential
+
+    net._potentials = spy
+    try:
+        winners = net.race(spikes)
+    finally:
+        del net._potentials
+    return winners, calls
+
+
+def assert_windows_equal(calls, expected, thresholds):
+    """The race's windows hold exactly the (B, T, N) ``expected`` potentials:
+    the first covers steps [0, ceil(T/2)) of every row from zero; the second,
+    called only when some row has not crossed, covers the remaining steps of
+    those rows from their potentials at the last first-half step."""
+    steps = expected.shape[1]
+    half = (steps + 1) // 2
+    _, carried, potential = calls[0]
+    assert not carried.any()
+    assert np.array_equal(potential, expected[:, :half].transpose(1, 0, 2))
+    crossed = (expected[:, :half] >= thresholds).any(axis=(1, 2))
+    pending = np.flatnonzero(~crossed)
+    if not pending.size or half == steps:
+        assert len(calls) == 1
+        return
+    assert len(calls) == 2
+    _, carried, potential = calls[1]
+    assert np.array_equal(carried, expected[pending, half - 1])
+    assert np.array_equal(potential, expected[pending, half:].transpose(1, 0, 2))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32),
@@ -222,8 +266,9 @@ def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
     st.sampled_from([1, 5]),
 )
 def test_race_is_exact_on_its_weight_grid(seed, leak, batch):
-    """Potentials equal a dense float64 product over the rounded weights,
-    bit for bit; permuting pixels or racing rows alone changes no winner."""
+    """Every potential the race compares, in both windows and carried between
+    them, equals a dense float64 product over the rounded weights, bit for
+    bit; permuting pixels or racing rows alone changes no winner."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=rng.uniform(0.0, 0.5), leak=leak)
     weights = rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784))
@@ -239,15 +284,84 @@ def test_race_is_exact_on_its_weight_grid(seed, leak, batch):
     for t in range(cfg.steps_active):
         u = (1.0 - leak) * u + drive[:, t, :]
         expected[:, t, :] = u
-    assert np.array_equal(net._potentials(spikes), expected)
+    winners, calls = race_windows(net, spikes)
+    assert_windows_equal(calls, expected, net.thresholds())
 
-    winners = net.race(spikes)
     perm = rng.permutation(784)
     shuffled = Network(cfg, weights=weights[:, perm])
-    assert np.array_equal(shuffled._potentials(spikes[:, :, perm]), expected)
-    assert np.array_equal(shuffled.race(spikes[:, :, perm]), winners)
+    shuffled_winners, calls = race_windows(shuffled, spikes[:, :, perm])
+    assert_windows_equal(calls, expected, shuffled.thresholds())
+    assert np.array_equal(shuffled_winners, winners)
     for b in range(batch):
         assert np.array_equal(net.race(spikes[b : b + 1]), winners[b : b + 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([1, 2, 3, 10]),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([1, 5, 64]),
+)
+def test_race_matches_whole_window_oracle(seed, steps, leak, batch):
+    """The two-window race picks the winners of the whole-window race, for
+    odd windows, windows with no second half, and batches with silent rows."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(alpha=rng.uniform(0.0, 0.5), leak=leak, steps_active=steps)
+    weights = rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784))
+    net = Network(cfg, weights=weights)
+    density = rng.choice([0.0, 0.002, 0.02, 0.15], size=(batch, 1, 1))
+    spikes = rng.random((batch, steps, 784)) < density
+    potentials = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
+    expected = ref.first_crossing_winners(potentials, net.thresholds())
+    assert np.array_equal(net.race(spikes), expected)
+
+
+def two_window_batch() -> tuple[Network, np.ndarray]:
+    """A 2x1 network and four presentations over a 10-step window.
+
+    Neuron 0 sums 0.25 per spike of pixels 0..9 and neuron 1 per spike of
+    pixel 100; both thresholds are 1. Row 0 crosses at step 0 (neuron 0),
+    row 1 is silent, row 2 crosses at step 3 (neuron 0), and row 3 spikes
+    pixel 100 at steps 2 and 7..9, so neuron 1 carries 0.25 into the second
+    half and crosses at step 9.
+    """
+    cfg = ColaNetConfig(class_count=2, microcolumns=1, alpha=0.0, seed=0)
+    weights = np.zeros((2, 784))
+    weights[0, :10] = 0.25
+    weights[1, 100] = 0.25
+    spikes = np.zeros((4, cfg.steps_active, 784), dtype=bool)
+    spikes[0, :, :10] = True
+    spikes[2, :, 0] = True
+    spikes[3, [2, 7, 8, 9], 100] = True
+    return Network(cfg, weights=weights), spikes
+
+
+def test_race_winner_crossing_in_second_half_matches_oracle():
+    net, spikes = two_window_batch()
+    potentials = ref.whole_window_potentials(spikes, net._drive_w, 0.0)
+    expected = ref.first_crossing_winners(potentials, net.thresholds())
+    assert expected.tolist() == [0, -1, 0, 1]
+    assert np.array_equal(net.race(spikes), expected)
+
+
+def test_second_window_races_only_rows_that_did_not_cross():
+    """The early exit: rows settled in the first window are not raced again,
+    and no second window runs when every row crossed in the first."""
+    net, spikes = two_window_batch()
+    half = (net.config.steps_active + 1) // 2
+    lit = np.flatnonzero(spikes.any(axis=(0, 1)))
+    winners, calls = race_windows(net, spikes)
+    assert winners.tolist() == [0, -1, 0, 1]
+    assert len(calls) == 2
+    window, carried, _ = calls[1]
+    pending = [1, 3]
+    assert np.array_equal(window, spikes[pending][:, half:, lit].transpose(1, 0, 2))
+    assert np.array_equal(carried, calls[0][2][-1, pending])
+
+    winners, calls = race_windows(net, spikes[[0, 2]])
+    assert winners.tolist() == [0, 0]
+    assert len(calls) == 1
 
 
 def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
@@ -325,6 +439,16 @@ def test_silent_presentation_potentiates_designated_only():
     assert (net.weights[2, :10] > before[2, :10]).all()
     changed = [i for i in range(4) if not np.array_equal(net.weights[i], before[i])]
     assert changed == [2]
+
+
+def test_present_full_eligibility_is_the_float_spike_count():
+    net = Network(small_config())
+    img = np.random.default_rng(1).integers(0, 256, 784).astype(np.uint8)
+    rng = copy.deepcopy(net.rng)  # the draw present_full is about to make
+    spikes = encode_active_batch(img[None], net.config.steps_active, rng)
+    _, eligibility = net.present_full(img, 0)
+    assert eligibility.dtype == np.float64
+    assert np.array_equal(eligibility, spikes[0].sum(axis=0))
 
 
 def test_train_sample_rejects_bad_label():
