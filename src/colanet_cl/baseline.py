@@ -223,8 +223,9 @@ def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
 def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     """Classification accuracy on a task's test split.
 
-    The split is scaled to [0, 1] once and classified ``_EVAL_BATCH`` images
-    per forward pass.
+    The split is classified ``_EVAL_BATCH`` images per forward pass, each
+    batch converted and scaled to [0, 1] in one reused buffer, so no float
+    copy of the whole split is made.
 
     Args:
         p: Network parameters.
@@ -233,13 +234,16 @@ def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     Returns:
         Fraction of correctly classified test images.
     """
-    images = task.test.images.astype(np.float64)
-    images /= 255.0
+    images = task.test.images
     labels = task.test.labels
+    buffer = np.empty((min(len(images), _EVAL_BATCH), N_IN))
     correct = 0
     for start in range(0, len(images), _EVAL_BATCH):
         batch = slice(start, start + _EVAL_BATCH)
-        _, probs = mlp_forward(p, images[batch])
+        x = buffer[: len(labels[batch])]
+        x[...] = images[batch]
+        x /= 255.0
+        probs = mlp_forward(p, x)[1]
         correct += int((probs.argmax(axis=1) == labels[batch]).sum())
     return correct / len(labels) if len(labels) else 0.0
 

@@ -22,8 +22,9 @@ Subcommands
 Config files are flat ``key = value`` text; ``#`` starts a comment. Keys not
 recognized are rejected so typos cannot silently change an experiment.
 Every run writes ``manifest.json`` echoing the resolved configuration, the
-seeds, and a content hash of each input data file (git blob SHA-1), so two
-runs with identical manifests produce identical profile CSVs.
+seeds, a content hash of each input data file (git blob SHA-1), and the
+Python, NumPy and BLAS versions, so two runs with identical manifests
+produce identical profile CSVs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation.
@@ -37,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import dataclass
 
@@ -314,8 +316,19 @@ def input_hashes(cfg: ExperimentConfig) -> dict[str, str]:
     return hashes
 
 
+def runtime_versions() -> dict[str, str]:
+    """The Python, NumPy and BLAS (as NumPy was built with) behind a run."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy < 1.25 has no dict form
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
 def write_manifest(cfg: ExperimentConfig, command: str) -> str:
-    """Write ``cfg.out_dir``/manifest.json: config echo, seeds, input hashes."""
+    """Write ``cfg.out_dir``/manifest.json: config echo, seeds, input hashes,
+    runtime versions."""
     manifest = {
         "command": command,
         "config": {
@@ -324,6 +337,7 @@ def write_manifest(cfg: ExperimentConfig, command: str) -> str:
         },
         "seeds": list(cfg.seeds),
         "input_hashes": input_hashes(cfg),
+        "versions": runtime_versions(),
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "manifest.json")

@@ -19,7 +19,8 @@ when nothing fires).
 
 The race integrates each weight rounded to the grid 2^-k through a
 pixel-major view kept beside the stored weights, and gathers only the pixels
-that spiked. k = 52 - ceil(log2(steps_active * 784 * max|w|)), where max|w|
+its caller passes: an image's nonzero pixels in training, a batch's in
+evaluation. k = 52 - ceil(log2(steps_active * 784 * max|w|)), where max|w|
 is the largest of |w_min|, |w_max| and init_high; k is 39 at the defaults,
 and configs that would give k < 30 are rejected. No potential exceeds
 steps_active * 784 * max|w| <= 2^(52-k) in magnitude, so every partial sum
@@ -27,9 +28,13 @@ is a multiple of 2^-k with at most 53 significant bits, exact in float64:
 winners do not depend on summation order, BLAS threads, batch size or which
 pixels were gathered. The stored weights, plasticity and thresholds stay
 unrounded; each race weight differs from its stored weight by at most
-2^-(k+1). Most presentations cross early, so the race runs steps
-[0, ceil(T/2)) for the whole batch and the rest only for presentations with
-no crossing yet, from their carried potentials, which are exact too.
+2^-(k+1). No potential can reach its threshold before the step at which
+steps * (positive grid mass) first does, so without leak the race starts
+there (the third of 10 steps for networks trained at alpha = 2.5), and a
+network that cannot cross at all is raced without a product. Most
+presentations cross early, so the race runs the first half of the remaining
+steps for the whole batch and the rest only for presentations with no
+crossing yet; their potentials are exact too.
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
@@ -205,31 +210,38 @@ class Network:
         self.rng = rng if rng is not None else generator_from(config.seed, "colanet-train")
         self._grid_bits = config.race_grid_bits
         # The race's view: pixel-major, each weight rounded to the grid.
-        # Allocated before the positive-mass temporary: in the other order
-        # glibc trimmed ~9 MB off the heap at the end of each run, and the
-        # next run in the same process page-faulted it back during set-up.
-        self._drive_w = _to_grid(
-            self.weights.T, self._grid_bits,
-            out=np.empty((N_INPUTS, config.neuron_count)),
-        )
-        self._pos_sum = np.maximum(self.weights, 0.0).sum(axis=1)
+        self._drive_w = np.empty((N_INPUTS, config.neuron_count))
+        self._pos_sum = np.empty(config.neuron_count)
+        self._thresholds = np.empty(config.neuron_count)
+        self._first_steps = np.empty(config.neuron_count, dtype=np.int64)
+        self._refresh(slice(None))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _flat(self, column: int, micro: int) -> int:
         return column * self.config.microcolumns + micro
 
-    def thresholds(self) -> np.ndarray:
-        """Per-neuron adaptive thresholds u_const + alpha * positive mass."""
-        return self.config.u_const + self.config.alpha * self._pos_sum
-
-    def _refresh_neuron(self, flat: int) -> None:
-        self._pos_sum[flat] = np.maximum(self.weights[flat], 0.0).sum()
-        self._drive_w[:, flat] = _to_grid(self.weights[flat], self._grid_bits)
+    def _refresh(self, rows: slice) -> None:
+        """Re-derive the race's cached state of neurons ``rows`` from their
+        weights: grid weights, positive mass, adaptive threshold
+        u_const + alpha * positive mass, and earliest step that can cross
+        (``_first_step``)."""
+        cfg = self.config
+        weights = self.weights[rows]
+        self._pos_sum[rows] = np.maximum(weights, 0.0).sum(axis=1)
+        grid = _to_grid(weights, self._grid_bits)
+        self._drive_w[:, rows] = grid.T
+        thresholds = cfg.u_const + cfg.alpha * self._pos_sum[rows]
+        self._thresholds[rows] = thresholds
+        peaks = np.maximum(grid, 0.0, out=grid).sum(axis=1)
+        self._first_steps[rows] = [
+            _first_step(theta, peak, cfg.steps_active)
+            for theta, peak in zip(thresholds.tolist(), peaks.tolist())
+        ]
 
     # -- dynamics ----------------------------------------------------------
 
-    def race(self, spikes: np.ndarray) -> np.ndarray:
+    def race(self, spikes: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Run the winner-take-all race for a batch of presentations.
 
         Each neuron integrates its summed synaptic drive step by step (with
@@ -239,55 +251,70 @@ class Network:
         winner's own reset is simulated.
 
         Drives use the weights rounded to the grid 2^-k
-        (``config.race_grid_bits``) and only the pixels that spiked
-        somewhere in the batch. Steps [0, ceil(T/2)) are raced for the whole
-        batch, the rest only for rows with no crossing yet, from their
-        potentials at the last first-half step. Without leak a window's
-        potentials are that carried potential plus one product of
-        cumulative spike counts and weight rows. No such sum exceeds
-        steps_active * 784 * max|w| <= 2^(52-k) in magnitude, so each is
-        exact: the split, batching, pixel order and BLAS change no winner.
-        With leak the decay products are rounded as usual, but the drives
-        are still exact.
+        (``config.race_grid_bits``) of the given pixels only; a pixel that
+        never spikes adds exact zeros. After step s no potential exceeds
+        s + 1 times its neuron's positive grid mass, so no neuron crosses
+        before the earliest step ``_first_step`` gives any of them; when
+        that is past the window, every row is -1 and nothing is multiplied.
+        Without leak no earlier step is multiplied either: steps [t0, T) are
+        raced in two parts, the first half for the whole batch and the rest
+        only for rows with no crossing yet, and each part's potentials are
+        one product of spike counts cumulated from step 0 and weight rows.
+        No such sum exceeds steps_active * 784 * max|w| <= 2^(52-k) in
+        magnitude, so each is exact: the start, the split, batching, pixel
+        order and BLAS change no winner. With leak the decayed potential
+        needs every step's drive, so the parts split [0, T) and the second
+        carries the first's potentials; the decay products are rounded as
+        usual, but the drives are still exact.
 
         Args:
-            spikes: (B, T, 784) boolean active-window rasters.
+            spikes: (B, T, U) boolean active-window rasters over ``pixels``.
+            pixels: (U,) indices of the input pixels the rasters cover; they
+                must include every pixel that spikes.
 
         Returns:
             (B,) int64 flat index of each presentation's winner, or -1 when
             no neuron fired within the active window.
         """
-        lit = np.flatnonzero(spikes.any(axis=(0, 1)))
-        # Step-major (``take`` keeps C order), so each step is one block.
-        inputs = spikes.transpose(1, 0, 2).take(lit, axis=2)
-        weights = self._drive_w[lit]
-        half = (len(inputs) + 1) // 2
-        u = self._potentials(inputs[:half], weights, 0.0)
-        winners, pending = _first_crossings(u >= self.thresholds())
-        if pending.size and half < len(inputs):
-            u = self._potentials(inputs[half:, pending], weights, u[-1, pending])
-            winners[pending] = _first_crossings(u >= self.thresholds())[0]
+        steps = spikes.shape[1]
+        first = int(self._first_steps.min())
+        if first >= steps:
+            return np.full(len(spikes), -1, dtype=np.int64)
+        start = first if self.config.leak == 0.0 else 0
+        split = (start + steps + 1) // 2
+        weights = self._drive_w[pixels]
+        counts = spikes[:, start:split].astype(np.float64)
+        if start:  # the spikes of the steps that cannot cross
+            counts[:, 0] += spikes[:, :start].sum(axis=1)
+        u = self._potentials(counts, weights, 0.0)
+        winners, pending = _first_crossings(u >= self._thresholds)
+        if pending.size and split < steps:
+            rest = spikes[pending, split:].astype(np.float64)
+            if self.config.leak == 0.0:
+                rest[:, 0] += counts[pending, -1]
+            u = self._potentials(rest, weights, u[pending, -1:])
+            winners[pending] = _first_crossings(u >= self._thresholds)[0]
         return winners
 
-    def _potentials(self, window, weights, carried) -> np.ndarray:
-        """(t, b, C*M) potentials over a (t, b, lit) step-major ``window`` of
-        the gathered pixels, their (lit, C*M) weight rows and the (b, C*M)
-        potentials ``carried`` from the step before (0.0 before step 0).
-        C order: a gather of pending rows comes out row-major."""
-        counts = window.astype(np.float64, order="C")
+    def _potentials(self, counts, weights, carried) -> np.ndarray:
+        """(b, t, C*M) potentials of t consecutive steps from their (b, t, U)
+        float64 spike ``counts`` over the race's pixels and the (U, C*M)
+        weight rows of those pixels. Without leak the counts are made
+        cumulative in place, so their first step must already hold every
+        earlier spike; with leak each step's drive decays into the
+        potentials ``carried`` from the step before ((b, 1, C*M), or 0.0
+        before step 0)."""
         leak = self.config.leak
-        if leak == 0.0:  # cumulative counts, by adds over contiguous steps
-            for t in range(1, len(counts)):
-                counts[t] += counts[t - 1]
-        steps, rows, lit = counts.shape
-        out = (counts.reshape(steps * rows, lit) @ weights).reshape(steps, rows, -1)
         if leak == 0.0:
-            out += carried
-        else:
+            for t in range(1, counts.shape[1]):
+                counts[:, t] += counts[:, t - 1]
+        rows, steps, width = counts.shape
+        out = (counts.reshape(rows * steps, width) @ weights).reshape(rows, steps, -1)
+        if leak != 0.0:
             u = carried
             for t in range(steps):
-                u = (1.0 - leak) * u + out[t]
-                out[t] = u
+                u = (1.0 - leak) * u + out[:, t : t + 1]
+                out[:, t : t + 1] = u
         return out
 
     def designated_microcolumn(self, column: int) -> int:
@@ -310,7 +337,8 @@ class Network:
     ) -> tuple[PresentationOutcome, np.ndarray]:
         """Race one training image and pick the microcolumn to reward.
 
-        The spikes are drawn from the network's training stream.
+        The spikes are drawn from the network's training stream, for the
+        image's nonzero pixels only, which the race then integrates.
 
         Args:
             img: uint8 image of shape (784,).
@@ -320,16 +348,19 @@ class Network:
             (outcome, eligibility) where eligibility is the per-pixel input
             spike count over the active window.
         """
+        img = np.asarray(img)
+        pixels = np.flatnonzero(img)
         spikes = encode_active_batch(
-            np.asarray(img)[None], self.config.steps_active, self.rng
+            img[None, pixels], self.config.steps_active, self.rng
         )
-        winner = int(self.race(spikes)[0])
+        winner = int(self.race(spikes, pixels)[0])
         raw = divmod(winner, self.config.microcolumns) if winner >= 0 else None
         effective = raw
         if raw is None or raw[0] != label:
             effective = (label, self.designated_microcolumn(label))
+        eligibility = np.zeros(N_INPUTS)
         # Counts <= steps_active <= 65535; a uint16 sum beats a float64 one.
-        eligibility = spikes[0].sum(axis=0, dtype=np.uint16).astype(np.float64)
+        eligibility[pixels] = spikes[0].sum(axis=0, dtype=np.uint16)
         return PresentationOutcome(raw, effective), eligibility
 
     # -- plasticity --------------------------------------------------------
@@ -337,16 +368,33 @@ class Network:
     def _learn(self, rule, flat: int, eligibility: np.ndarray) -> None:
         """Apply a plasticity rule to one neuron's row, then re-cache its mass."""
         rule(self.weights[flat], eligibility, self.config)
-        self._refresh_neuron(flat)
+        self._refresh(slice(flat, flat + 1))
 
 
 def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of (t, b, C*M) crossings: the race winner or -1; rows with none."""
+    """Per row of (b, t, C*M) crossings: the race winner or -1; rows with none."""
     fired = crossed.any(axis=2)
-    step = fired.argmax(axis=0)
-    rows = np.arange(crossed.shape[1])
-    hit = fired[step, rows]
-    return np.where(hit, crossed[step, rows].argmax(axis=1), -1), np.flatnonzero(~hit)
+    step = fired.argmax(axis=1)
+    rows = np.arange(len(crossed))
+    hit = fired[rows, step]
+    return np.where(hit, crossed[rows, step].argmax(axis=1), -1), np.flatnonzero(~hit)
+
+
+def _first_step(threshold: float, peak: float, steps: int) -> int:
+    """The earliest 0-based step s at which a neuron can reach ``threshold``,
+    or ``steps`` when it cannot within the window.
+
+    After step s every pixel has spiked at most s + 1 times, so no potential
+    exceeds (s + 1) * ``peak``, the positive mass of the neuron's race row;
+    leak only lowers it. The answer is the least s with
+    (s + 1) * peak >= threshold. peak is a sum of grid weights, so each
+    multiple m * peak with m <= steps is exact on the race's grid; the
+    correctly rounded quotient threshold / peak then lies on the same side
+    of every such m as the exact one, and its ceiling is exact.
+    """
+    if steps * peak < threshold:
+        return steps
+    return max(math.ceil(threshold / peak) - 1, 0)
 
 
 def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -431,8 +479,11 @@ def evaluate_task(
     silent = 0
     for start in range(0, len(images), batch_size):
         batch = slice(start, start + batch_size)
-        spikes = encode_active_batch(images[batch], net.config.steps_active, rng)
-        winners = net.race(spikes)
+        pixels = np.flatnonzero(images[batch].any(axis=0))
+        spikes = encode_active_batch(
+            images[batch, pixels], net.config.steps_active, rng
+        )
+        winners = net.race(spikes, pixels)
         quiet = winners < 0
         predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())

@@ -5,7 +5,8 @@ by a silent tail. At each active step, each pixel spikes independently with
 probability ``intensity / 255`` — so a black pixel never spikes and a
 fully saturated pixel spikes at every active step. Silent steps carry no
 spikes and nothing downstream integrates them, so only the active window is
-drawn. Spike noise is drawn fresh for every presentation, for training and
+drawn, and only for the nonzero pixels: a black pixel gets no uniform.
+Spike noise is drawn fresh for every presentation, for training and
 evaluation alike, which makes evaluation stochastic; callers pin a seed when
 they need repeatability.
 """
@@ -21,16 +22,29 @@ def encode_active_batch(
     """Encode a batch of images, active window only.
 
     The one Bernoulli draw behind every presentation, in training and in
-    evaluation. One draw for a batch of B images consumes the generator
-    exactly as B single-image draws would.
+    evaluation. It draws ``steps_active`` uniforms per nonzero pixel, in
+    (image, step, ascending pixel) order, and none for a zero pixel. So one
+    draw for a batch of B images consumes the generator exactly as B
+    single-image draws would, and passing only some pixel columns gives the
+    same spikes as passing all of them, as long as the columns left out are
+    zero in every image.
 
     Args:
-        images: uint8 array of shape (N, 784).
+        images: uint8 array of shape (B, U): B images over any U pixel
+            columns (784 for whole images).
         steps_active: Active window length.
         rng: Source of randomness.
 
     Returns:
-        Boolean array of shape (N, steps_active, 784).
+        Boolean array of shape (B, steps_active, U).
     """
-    p = images.astype(np.float64) / 255.0
-    return rng.random((len(images), steps_active, 784)) < p[:, None, :]
+    batch, width = images.shape
+    # Row (image, step) of ``repeated`` is that image; its nonzero entries,
+    # read in C order, are the draw order.
+    repeated = np.repeat(images, steps_active, axis=0)
+    spikes = repeated != 0
+    intensity = repeated[spikes]
+    # The mask becomes the raster: its False entries already are, and each
+    # True entry is overwritten with its own draw's outcome.
+    spikes[spikes] = rng.random(len(intensity)) < intensity / 255.0
+    return spikes.reshape(batch, steps_active, width)

@@ -430,7 +430,7 @@ def check_serialization_probe_equality(tmp_path):
         for i, img in enumerate(probes)
     ])
     assert np.array_equal(
-        net.race(spikes), loaded.race(spikes)
+        net.race(spikes, np.arange(784)), loaded.race(spikes, np.arange(784))
     ), "probe race winners diverged after reload"
 
 

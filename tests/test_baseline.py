@@ -219,6 +219,25 @@ def test_train_epoch_peak_does_not_grow_with_split_size():
     assert peaks[1] - peaks[0] < 0.5 * MiB
 
 
+def test_evaluate_peak_is_one_batch_not_the_split():
+    """Evaluation converts one 1024-image batch at a time: one float64 batch
+    (6.1 MiB) and its hidden layer (4 MiB). A float copy of the whole
+    4096-image split would alone take 24.5 MiB."""
+    task = tiny_task(seed=2, n_train=1, n_test=4096)
+    p = mlp_init(0)
+    mlp_evaluate(p, task)
+    assert traced_peak(mlp_evaluate, p, task) < 12 * MiB
+
+
+def test_evaluate_matches_one_whole_split_forward():
+    """Batching (two full batches and a partial one) changes no prediction."""
+    task = tiny_task(seed=3, n_train=1, n_test=2500)
+    p = mlp_init(4)
+    _, probs = mlp_forward(p, task.test.images.astype(np.float64) / 255.0)
+    expected = float((probs.argmax(axis=1) == task.test.labels).mean())
+    assert mlp_evaluate(p, task) == expected
+
+
 def test_epoch_learns_separable_task():
     task = template_task()
     p = mlp_init(0)

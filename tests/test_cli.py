@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -512,6 +513,10 @@ def test_run_command_writes_all_artifacts(tmp_path, synthetic_mnist_dir, capsys)
     assert len(manifest["input_hashes"]) == len(MNIST_FILES)
     for digest in manifest["input_hashes"].values():
         assert len(digest) == 40
+    versions = manifest["versions"]
+    assert versions["python"] == platform.python_version()
+    assert versions["numpy"] == np.__version__
+    assert versions["blas"]
 
 
 def test_run_command_is_reproducible(tmp_path, synthetic_mnist_dir, monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from colanet_cl.colanet import (
     _CONFIG_FIELDS as CONFIG_FIELDS,
     _CONFIG_PACK as CONFIG_PACK,
+    _first_step,
     ColaNetAdapter,
     ColaNetConfig,
     Network,
@@ -33,8 +34,11 @@ from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
 from conftest import bit_flips, flip, saved_bytes, truncation_cuts
+from test_trajectory import sparse_glyph_stream
 
 NO_FIRE = np.iinfo(np.int64).max
+#: The race's pixel set for whole-image rasters.
+ALL_PIXELS = np.arange(784)
 
 
 def small_config(**overrides) -> ColaNetConfig:
@@ -165,8 +169,7 @@ def test_network_rejects_mismatched_weights():
 def test_thresholds_match_neuron_kernel():
     net = Network(small_config(alpha=0.4, u_const=1.5))
     net.weights[:] = np.random.default_rng(0).uniform(-1, 1, net.weights.shape)
-    for flat in range(net.config.neuron_count):
-        net._refresh_neuron(flat)
+    net._refresh(slice(None))
     expected = [
         ref.adaptive_threshold(
             ref.ReceptiveField(weights=net.weights[flat].copy()),
@@ -174,7 +177,7 @@ def test_thresholds_match_neuron_kernel():
         )
         for flat in range(net.config.neuron_count)
     ]
-    assert net.thresholds() == pytest.approx(expected, rel=1e-12)
+    assert net._thresholds == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,7 +199,7 @@ def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
     density = rng.choice([0.0, 0.02, 0.15], size=(batch, 1, 1))
     spikes = rng.random((batch, cfg.steps_active, 784)) < density
 
-    winners = net.race(spikes)
+    winners = net.race(spikes, ALL_PIXELS)
     assert winners.shape == (batch,)
     for b in range(batch):
         firsts = []
@@ -219,62 +222,110 @@ def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
     return np.rint(weights * 2.0**k) / 2.0**k
 
 
-def race_windows(net: Network, spikes: np.ndarray):
+def race_windows(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
     """Race ``spikes``, recording each call of the per-window helper as
-    (window, carried, potentials)."""
+    (counts as passed, carried, potentials)."""
     calls = []
     helper = net._potentials
 
-    def spy(window, weights, carried):
-        potential = helper(window, weights, carried)
-        calls.append((window.copy(), np.array(carried), potential.copy()))
+    def spy(counts, weights, carried):
+        passed = counts.copy()
+        potential = helper(counts, weights, carried)
+        calls.append((passed, np.array(carried), potential.copy()))
         return potential
 
     net._potentials = spy
     try:
-        winners = net.race(spikes)
+        winners = net.race(spikes, pixels)
     finally:
         del net._potentials
     return winners, calls
 
 
-def assert_windows_equal(calls, expected, thresholds):
-    """The race's windows hold exactly the (B, T, N) ``expected`` potentials:
-    the first covers steps [0, ceil(T/2)) of every row from zero; the second,
+def race_start(net: Network) -> int:
+    """The first step the race should multiply, by brute force: with leak 0,
+    the least step s at which (s + 1) times some neuron's positive grid mass
+    reaches its threshold, or T when there is none; with leak, 0 unless no
+    neuron can cross at all."""
+    cfg = net.config
+    peaks = np.maximum(snapped(net.weights, cfg), 0.0).sum(axis=1)
+    for s in range(cfg.steps_active):
+        if ((s + 1) * peaks >= net._thresholds).any():
+            return 0 if cfg.leak else s
+    return cfg.steps_active
+
+
+def assert_windows_equal(calls, expected, net):
+    """The race's windows hold exactly the (B, T, N) ``expected`` potentials.
+
+    The first covers steps [t0, split) of every row, t0 being
+    ``race_start`` and split the midpoint of [t0, T) rounded up: no earlier
+    step is multiplied, and no neuron could have crossed in one. The second,
     called only when some row has not crossed, covers the remaining steps of
-    those rows from their potentials at the last first-half step."""
+    those rows, carrying their potentials at the last step of the first.
+    """
+    thresholds = net._thresholds
     steps = expected.shape[1]
-    half = (steps + 1) // 2
-    _, carried, potential = calls[0]
-    assert not carried.any()
-    assert np.array_equal(potential, expected[:, :half].transpose(1, 0, 2))
-    crossed = (expected[:, :half] >= thresholds).any(axis=(1, 2))
+    start = race_start(net)
+    if start == steps:
+        assert calls == []
+        return
+    split = (start + steps + 1) // 2
+    assert not (expected[:, :start] >= thresholds).any()
+    counts, carried, potential = calls[0]
+    assert counts.shape[1] == split - start
+    assert not np.any(carried)
+    assert np.array_equal(potential, expected[:, start:split])
+    crossed = (expected[:, start:split] >= thresholds).any(axis=(1, 2))
     pending = np.flatnonzero(~crossed)
-    if not pending.size or half == steps:
+    if not pending.size or split == steps:
         assert len(calls) == 1
         return
     assert len(calls) == 2
-    _, carried, potential = calls[1]
-    assert np.array_equal(carried, expected[pending, half - 1])
-    assert np.array_equal(potential, expected[pending, half:].transpose(1, 0, 2))
+    counts, carried, potential = calls[1]
+    assert counts.shape[:2] == (pending.size, steps - split)
+    assert np.array_equal(carried, expected[pending, split - 1 : split])
+    assert np.array_equal(potential, expected[pending, split:])
 
 
-@settings(max_examples=25, deadline=None)
+#: Adaptive-threshold coefficients the race is checked at: none, the
+#: paper's default, the stable setting (whose races start at step 2) and
+#: one at which a neuron can cross only at the last of 10 steps.
+RACE_ALPHAS = [0.0, 0.023817, 2.5, 9.0]
+
+
+def race_weights(rng, cfg: ColaNetConfig, family: str) -> np.ndarray:
+    """Dense uniform weights, or sparse nonnegative templates of ~40 pixels
+    each, like imprinted receptive fields."""
+    shape = (cfg.neuron_count, 784)
+    if family == "uniform":
+        return rng.uniform(-0.3, 0.6, shape)
+    return np.where(rng.random(shape) < 0.05, rng.uniform(0.0, 1.0, shape), 0.0)
+
+
+def race_spikes(rng, batch: int, steps: int) -> np.ndarray:
+    """Rasters whose rows mix silent, sparse, dense and saturated input."""
+    density = rng.choice([0.0, 0.002, 0.02, 0.15, 1.0], size=(batch, 1, 1))
+    return rng.random((batch, steps, 784)) < density
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(RACE_ALPHAS),
     st.sampled_from([0.0, 0.1]),
     st.sampled_from([1, 5]),
+    st.sampled_from(["uniform", "template"]),
 )
-def test_race_is_exact_on_its_weight_grid(seed, leak, batch):
+def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
     """Every potential the race compares, in both windows and carried between
     them, equals a dense float64 product over the rounded weights, bit for
     bit; permuting pixels or racing rows alone changes no winner."""
     rng = np.random.default_rng(seed)
-    cfg = small_config(alpha=rng.uniform(0.0, 0.5), leak=leak)
-    weights = rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784))
+    cfg = small_config(alpha=alpha, leak=leak)
+    weights = race_weights(rng, cfg, family)
     net = Network(cfg, weights=weights)
-    density = rng.choice([0.0, 0.02, 0.15], size=(batch, 1, 1))
-    spikes = rng.random((batch, cfg.steps_active, 784)) < density
+    spikes = race_spikes(rng, batch, cfg.steps_active)
 
     grid = snapped(weights, cfg)
     assert np.abs(grid - weights).max() <= 2.0 ** -(cfg.race_grid_bits + 1)
@@ -285,36 +336,41 @@ def test_race_is_exact_on_its_weight_grid(seed, leak, batch):
         u = (1.0 - leak) * u + drive[:, t, :]
         expected[:, t, :] = u
     winners, calls = race_windows(net, spikes)
-    assert_windows_equal(calls, expected, net.thresholds())
+    assert_windows_equal(calls, expected, net)
 
     perm = rng.permutation(784)
     shuffled = Network(cfg, weights=weights[:, perm])
     shuffled_winners, calls = race_windows(shuffled, spikes[:, :, perm])
-    assert_windows_equal(calls, expected, shuffled.thresholds())
+    assert_windows_equal(calls, expected, shuffled)
     assert np.array_equal(shuffled_winners, winners)
     for b in range(batch):
-        assert np.array_equal(net.race(spikes[b : b + 1]), winners[b : b + 1])
+        alone = net.race(spikes[b : b + 1], ALL_PIXELS)
+        assert np.array_equal(alone, winners[b : b + 1])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(RACE_ALPHAS),
     st.sampled_from([1, 2, 3, 10]),
     st.sampled_from([0.0, 0.1]),
     st.sampled_from([1, 5, 64]),
+    st.sampled_from(["uniform", "template"]),
 )
-def test_race_matches_whole_window_oracle(seed, steps, leak, batch):
-    """The two-window race picks the winners of the whole-window race, for
-    odd windows, windows with no second half, and batches with silent rows."""
+def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, family):
+    """The race, started at its bound and split in two, picks the winners of
+    the whole-window race from step 0, for odd windows, windows with no
+    second half, batches with silent rows, and a pixel set that holds, besides
+    every pixel that spikes, pixels that never do."""
     rng = np.random.default_rng(seed)
-    cfg = small_config(alpha=rng.uniform(0.0, 0.5), leak=leak, steps_active=steps)
-    weights = rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784))
+    cfg = small_config(alpha=alpha, leak=leak, steps_active=steps)
+    weights = race_weights(rng, cfg, family)
     net = Network(cfg, weights=weights)
-    density = rng.choice([0.0, 0.002, 0.02, 0.15], size=(batch, 1, 1))
-    spikes = rng.random((batch, steps, 784)) < density
+    spikes = race_spikes(rng, batch, steps)
     potentials = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
-    expected = ref.first_crossing_winners(potentials, net.thresholds())
-    assert np.array_equal(net.race(spikes), expected)
+    expected = ref.first_crossing_winners(potentials, net._thresholds)
+    pixels = np.flatnonzero(spikes.any(axis=(0, 1)) | (rng.random(784) < 0.1))
+    assert np.array_equal(net.race(spikes[:, :, pixels], pixels), expected)
 
 
 def two_window_batch() -> tuple[Network, np.ndarray]:
@@ -340,28 +396,99 @@ def two_window_batch() -> tuple[Network, np.ndarray]:
 def test_race_winner_crossing_in_second_half_matches_oracle():
     net, spikes = two_window_batch()
     potentials = ref.whole_window_potentials(spikes, net._drive_w, 0.0)
-    expected = ref.first_crossing_winners(potentials, net.thresholds())
+    expected = ref.first_crossing_winners(potentials, net._thresholds)
     assert expected.tolist() == [0, -1, 0, 1]
-    assert np.array_equal(net.race(spikes), expected)
+    assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
 
 
 def test_second_window_races_only_rows_that_did_not_cross():
     """The early exit: rows settled in the first window are not raced again,
-    and no second window runs when every row crossed in the first."""
+    and no second window runs when every row crossed in the first. The
+    second window's counts start from the pending rows' cumulative counts."""
     net, spikes = two_window_batch()
-    half = (net.config.steps_active + 1) // 2
-    lit = np.flatnonzero(spikes.any(axis=(0, 1)))
+    half = (net.config.steps_active + 1) // 2  # neuron 0 can cross at step 0
     winners, calls = race_windows(net, spikes)
     assert winners.tolist() == [0, -1, 0, 1]
     assert len(calls) == 2
-    window, carried, _ = calls[1]
+    counts, carried, _ = calls[1]
     pending = [1, 3]
-    assert np.array_equal(window, spikes[pending][:, half:, lit].transpose(1, 0, 2))
-    assert np.array_equal(carried, calls[0][2][-1, pending])
+    later = spikes[pending, half:].astype(np.float64)
+    later[:, 0] += spikes[pending, :half].sum(axis=1)
+    assert np.array_equal(counts, later)
+    assert np.array_equal(carried, calls[0][2][pending, -1:])
 
     winners, calls = race_windows(net, spikes[[0, 2]])
     assert winners.tolist() == [0, 0]
     assert len(calls) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(RACE_ALPHAS),
+    st.sampled_from([1, 3, 10]),
+)
+def test_race_starts_at_the_first_step_any_neuron_can_cross(seed, alpha, steps):
+    """Each neuron's cached earliest step is the least s with
+    (s + 1) * (positive grid mass) >= threshold; the race multiplies no step
+    before the least of them, and that bound is tight: with nonnegative
+    weights and every pixel spiking at every step, a neuron crosses exactly
+    there."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(alpha=alpha, steps_active=steps)
+    weights = race_weights(rng, cfg, "template")
+    net = Network(cfg, weights=weights)
+    peaks = np.maximum(snapped(weights, cfg), 0.0).sum(axis=1)
+    thresholds = net._thresholds
+    for flat in range(cfg.neuron_count):
+        first = next(
+            (s for s in range(steps) if (s + 1) * peaks[flat] >= thresholds[flat]),
+            steps,
+        )
+        assert net._first_steps[flat] == first
+    start = race_start(net)
+    assert start == min(net._first_steps)
+
+    spikes = np.ones((2, steps, 784), dtype=bool)
+    winners, calls = race_windows(net, spikes)
+    if start == steps:
+        assert calls == [] and winners.tolist() == [-1, -1]
+        return
+    counts, _, potential = calls[0]
+    assert counts.shape[1] == (start + steps + 1) // 2 - start
+    assert np.array_equal(counts[:, 0], np.full((2, 784), start + 1.0))
+    # Saturated input drives each neuron by its whole (nonnegative) mass.
+    assert (potential[:, 0] >= thresholds).any(axis=1).all()
+    assert winners.tolist() == [int(np.argmax(net._first_steps == start))] * 2
+
+
+def test_race_bound_handles_extremes():
+    assert _first_step(3.0, 1.0, 10) == 2  # (2 + 1) * 1 reaches 3 exactly
+    assert _first_step(math.nextafter(3.0, 4.0), 1.0, 10) == 3
+    assert _first_step(10.0, 1.0, 10) == 9
+    assert _first_step(math.nextafter(10.0, 11.0), 1.0, 10) == 10
+    assert _first_step(1.0, 0.0, 10) == 10  # no positive weight
+    assert _first_step(1e300, 2.0**-40, 10) == 10  # a quotient that overflows
+    assert _first_step(1e-300, 1.0, 10) == 0
+    # Thresholds one float either side of a multiple of a grid mass.
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        peak = float(rng.integers(1, 2**40)) * 2.0**-39
+        exact = float(rng.integers(1, 10)) * peak
+        below, above = math.nextafter(exact, 0.0), math.nextafter(exact, math.inf)
+        threshold = float(rng.choice([below, exact, above]))
+        first = next((s for s in range(10) if (s + 1) * peak >= threshold), 10)
+        assert _first_step(threshold, peak, 10) == first
+
+
+def test_untrained_network_with_zero_weights_races_nothing():
+    """With init_high = 0 no weight is positive, so no neuron can cross:
+    every row is -1 and nothing is multiplied."""
+    net = Network(ColaNetConfig(microcolumns=3, init_high=0.0))
+    spikes = np.ones((4, net.config.steps_active, 784), dtype=bool)
+    winners, calls = race_windows(net, spikes)
+    assert winners.tolist() == [-1] * 4
+    assert calls == []
 
 
 def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
@@ -371,7 +498,7 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
     net = Network(cfg, weights=weights)
     img = np.full((1, 784), 255, dtype=np.uint8)
     spikes = encode_active_batch(img, cfg.steps_active, np.random.default_rng(0))
-    assert net.race(spikes).tolist() == [0]
+    assert net.race(spikes, ALL_PIXELS).tolist() == [0]
 
 
 # ------------------------------------------------------------- teacher forcing
@@ -493,8 +620,12 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
         train_sample(net, img, label)
     expected = np.maximum(net.weights, 0.0).sum(axis=1)
     assert net._pos_sum == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    # The race view follows every update, and is rebuilt on load.
+    # The race view, thresholds and earliest steps follow every update, as
+    # a network built from the same weights derives them; load rebuilds them.
     assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
+    fresh = Network(net.config, weights=net.weights.copy())
+    assert np.array_equal(net._thresholds, fresh._thresholds)
+    assert np.array_equal(net._first_steps, fresh._first_steps)
     path = str(tmp_path / "net.bin")
     save_state(net, path)
     loaded = load_state(path)
@@ -556,7 +687,7 @@ def test_evaluate_task_matches_reference_reimplementation():
 
     eval_rng = generator_from(77, "eval", task.task_id)
     spikes = encode_active_batch(images, cfg.steps_active, eval_rng)
-    thresholds = net.thresholds()
+    thresholds = net._thresholds
     correct = 0
     for i in range(len(images)):
         potential = np.zeros(cfg.neuron_count)
@@ -573,14 +704,10 @@ def test_evaluate_task_matches_reference_reimplementation():
     assert got == correct / len(images)
 
 
-def test_evaluate_task_does_not_depend_on_batch_size():
-    rng = np.random.default_rng(8)
-    cfg = ColaNetConfig(class_count=4, microcolumns=3, alpha=0.05, seed=2)
-    net = Network(cfg, weights=rng.uniform(-0.05, 0.08, (cfg.neuron_count, 784)))
-    images = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
-    images[rng.random(images.shape) < 0.8] = 0  # sparse, like glyphs
-    labels = rng.integers(0, 4, size=300).astype(np.int64)
-    test = LabeledDataset(images, labels, 4)
+def assert_batch_size_free(net: Network, images, labels, classes: int) -> None:
+    """Accuracy and silent count are the same at batch sizes 1, 7, 64 and
+    256, and neither trivial."""
+    test = LabeledDataset(images, labels, classes)
     task = TaskSpec(task_id=3, source="synthetic", train=test, test=test)
     results = set()
     for batch_size in (1, 7, 64, 256):
@@ -590,6 +717,27 @@ def test_evaluate_task_does_not_depend_on_batch_size():
     assert len(results) == 1
     (accuracy, silent), = results
     assert 0.0 < accuracy < 1.0 and silent < len(labels)
+
+
+def test_evaluate_task_does_not_depend_on_batch_size():
+    rng = np.random.default_rng(8)
+    cfg = ColaNetConfig(class_count=4, microcolumns=3, alpha=0.05, seed=2)
+    net = Network(cfg, weights=rng.uniform(-0.05, 0.08, (cfg.neuron_count, 784)))
+    images = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
+    images[rng.random(images.shape) < 0.8] = 0  # sparse, like glyphs
+    labels = rng.integers(0, 4, size=300).astype(np.int64)
+    assert_batch_size_free(net, images, labels, 4)
+
+
+def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
+    """Each batch races over its own nonzero pixels and draws per nonzero
+    pixel; a network trained at alpha = 2.5 races from step 2 on."""
+    images, labels = sparse_glyph_stream(300, seed=8)
+    net = Network(ColaNetConfig(microcolumns=5, alpha=2.5, ns=0, seed=2))
+    for img, label in zip(images, labels):
+        train_sample(net, img, int(label))
+    assert min(net._first_steps) == 2
+    assert_batch_size_free(net, images, labels, 10)
 
 
 def test_evaluate_task_counts_silent_presentations():
@@ -626,7 +774,9 @@ def test_save_load_roundtrip(tmp_path):
         encode_active_batch(img[None], 10, generator_from(1, "probe", i))
         for i, img in enumerate(probes)
     ])
-    assert np.array_equal(net.race(spikes), loaded.race(spikes))
+    assert np.array_equal(
+        net.race(spikes, ALL_PIXELS), loaded.race(spikes, ALL_PIXELS)
+    )
 
 
 def test_save_load_preserves_training_stream(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,3 +112,49 @@ def test_zero_length_draw_leaves_the_stream_untouched():
     before = rng.bit_generator.state
     encode_one(np.full(784, 255, dtype=np.uint8), rng, steps_active=0)
     assert rng.bit_generator.state == before
+
+
+def sparse_images(seed: int, count: int, width: int = 784) -> np.ndarray:
+    """Random intensities with ~80% of pixels black, like glyphs."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(1, 256, (count, width), dtype=np.uint8)
+    images[rng.random(images.shape) < 0.8] = 0
+    return images
+
+
+def test_encode_draws_per_nonzero_pixel_in_image_step_pixel_order():
+    """Uniform j of the stream decides the j-th (image, step, nonzero pixel)
+    cell in that order, against ``uniform < intensity / 255``."""
+    images = sparse_images(10, 3)
+    images[1] = 0  # an all-black image draws nothing
+    spikes = encode_active_batch(images, 4, np.random.default_rng(11))
+    uniforms = iter(np.random.default_rng(11).random(4 * np.count_nonzero(images)))
+    expected = np.zeros((3, 4, 784), dtype=bool)
+    for i, img in enumerate(images):
+        for t in range(4):
+            for pixel in np.flatnonzero(img):
+                expected[i, t, pixel] = next(uniforms) < img[pixel] / 255.0
+    assert np.array_equal(spikes, expected)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+def test_encode_advances_the_generator_by_steps_times_nonzero_pixels(steps):
+    images = sparse_images(12, 5)
+    rng = np.random.default_rng(13)
+    clone = copy.deepcopy(rng)
+    encode_active_batch(images, steps, rng)
+    clone.bit_generator.advance(steps * int(np.count_nonzero(images)))
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_encode_column_subset_gives_the_full_width_spikes():
+    """Columns that are zero in every image can be left out: the spikes of the
+    columns passed, and the stream after them, are those of the full width."""
+    images = sparse_images(14, 6)
+    full_rng, subset_rng = np.random.default_rng(15), np.random.default_rng(15)
+    full = encode_active_batch(images, 10, full_rng)
+    columns = np.flatnonzero(images.any(axis=0))
+    subset = encode_active_batch(images[:, columns], 10, subset_rng)
+    assert np.array_equal(subset, full[:, :, columns])
+    assert not np.delete(full, columns, axis=2).any()
+    assert full_rng.bit_generator.state == subset_rng.bit_generator.state

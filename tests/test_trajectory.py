@@ -20,14 +20,17 @@ from colanet_cl.cli import EXIT_OK, main
 from colanet_cl.colanet import ColaNetConfig, Network, train_sample
 
 #: SHA-256 of the raw winners (flat index, -1 when silent) as little-endian
-#: int64, from ``stable_setting_winners()``, taken before the race moved to
-#: its weight grid (the move left every winner unchanged).
-WINNERS_SHA256 = "9542e5ef35774ac530322218bc5c66ccdea3f3fd9cbcb107fbb1da9a85b6317b"
+#: int64, from ``stable_setting_winners()``. Taken when the encoder began
+#: drawing uniforms for nonzero pixels only, which moved the stream-to-pixel
+#: map; the race's weight grid and its start bound each left every winner
+#: unchanged.
+WINNERS_SHA256 = "284bd7e392d8624089f5dd558565be9b8072e621448c24f234f8e9541c17091e"
 
 #: SHA-256 over ``RUN_FILES`` of ``colanet-cl run`` on the synthetic IDX
 #: corpus (each file as its name, a NUL, its length as little-endian uint64
-#: and its bytes), taken before the single-image inference path was deleted.
-RUN_SHA256 = "2d51cf3b7319ac85beece3b2b2dc6d9fc1bdb5c95d0f2140134dcad8119a56be"
+#: and its bytes), taken when the encoder began drawing for nonzero pixels
+#: only.
+RUN_SHA256 = "a314dd4fc06125fe4dc91b73fa3f493a9ea2cee3bb84f62b3d6f149bd36d6eed"
 RUN_FILES = (
     "profile_seed1.csv",
     "metrics_seed1.csv",
