@@ -11,7 +11,7 @@ initialization seed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +62,8 @@ class MlpParams:
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    grad_sq: dict = field(default_factory=dict)
-    update_sq: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in _PARAM_ORDER:
-            self.grad_sq.setdefault(name, np.zeros_like(getattr(self, name)))
-            self.update_sq.setdefault(name, np.zeros_like(getattr(self, name)))
+    grad_sq: dict
+    update_sq: dict
 
 
 def mlp_init(seed: int) -> MlpParams:
@@ -86,12 +81,15 @@ def mlp_init(seed: int) -> MlpParams:
     rng = generator_from(seed, "mlp-init")
     limit1 = np.sqrt(6.0 / N_IN)
     limit2 = np.sqrt(6.0 / N_HIDDEN)
-    return MlpParams(
+    params = dict(
         W1=rng.uniform(-limit1, limit1, size=(N_IN, N_HIDDEN)),
         b1=np.zeros(N_HIDDEN),
         W2=rng.uniform(-limit2, limit2, size=(N_HIDDEN, N_OUT)),
         b2=np.zeros(N_OUT),
     )
+    grad_sq = {name: np.zeros_like(a) for name, a in params.items()}
+    update_sq = {name: np.zeros_like(a) for name, a in params.items()}
+    return MlpParams(**params, grad_sq=grad_sq, update_sq=update_sq)
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

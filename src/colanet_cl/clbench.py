@@ -60,15 +60,8 @@ class ProfileFormatError(Exception):
 
 
 class SequenceError(Exception):
-    """Raised when a model adapter fails mid-sequence.
-
-    Attributes:
-        task_index: 1-based index of the task being processed.
-    """
-
-    def __init__(self, task_index: int, stage: str, cause: Exception):
-        self.task_index = task_index
-        super().__init__(f"task {task_index} ({stage}): {cause}")
+    """Raised when a model adapter fails mid-sequence; the message names the
+    1-based task index and the stage, the cause is chained."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +102,8 @@ class MetricsReport:
     """All metric series computed from one degradation profile.
 
     Series are indexed by k = 1..n (position 0 is k=1). The k=1 entries of
-    the ``UNDEFINED_AT_K1`` series are stored as 0.0. ``fwt`` and
-    ``baseline_acc`` are None unless a baseline accuracy series was supplied.
+    the ``UNDEFINED_AT_K1`` series are stored as 0.0. ``fwt`` is None unless
+    a baseline accuracy series was supplied.
     """
 
     n: int
@@ -120,7 +113,6 @@ class MetricsReport:
     fm: np.ndarray
     bwt: np.ndarray
     fwt: np.ndarray | None = None
-    baseline_acc: np.ndarray | None = None
 
 
 def compute_report(
@@ -171,7 +163,6 @@ def compute_report(
         fm=fm,
         bwt=bwt,
         fwt=fwt,
-        baseline_acc=baseline_acc,
     )
 
 
@@ -281,7 +272,7 @@ def _run_stage(fn, task_index: int, stage: str, *args):
     try:
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - context is re-raised
-        raise SequenceError(task_index, stage, exc) from exc
+        raise SequenceError(f"task {task_index} ({stage}): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise UsageError("n_tasks must be >= 1")
         if not self.seeds:
             raise UsageError("seeds must list at least one seed")
+        if not all(0 <= seed < 2**64 for seed in self.seeds):
+            raise UsageError(f"seeds must be in [0, 2**64), got {list(self.seeds)}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.train_count is not None and self.train_count < 1:
@@ -288,10 +290,14 @@ def colanet_config(cfg: ExperimentConfig, seed: int) -> ColaNetConfig:
 
 
 def build_adapter(cfg: ExperimentConfig, seed: int):
-    """Construct the model adapter for one run."""
+    """Construct the model adapter for one run; UsageError if it cannot be
+    allocated."""
     if cfg.model == "mlp":
         return MlpAdapter(seed, batch_size=cfg.batch_size)
-    return ColaNetAdapter(colanet_config(cfg, seed))
+    try:
+        return ColaNetAdapter(colanet_config(cfg, seed))
+    except MemoryError:
+        raise UsageError(f"{cfg.microcolumns} microcolumns do not fit in memory") from None
 
 
 def _git_blob_sha1(path: str) -> str:
@@ -326,7 +332,7 @@ def runtime_versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
 
 
-def write_manifest(cfg: ExperimentConfig, command: str) -> str:
+def write_manifest(cfg: ExperimentConfig, command: str) -> None:
     """Write ``cfg.out_dir``/manifest.json: config echo, seeds, input hashes,
     runtime versions."""
     manifest = {
@@ -344,7 +350,6 @@ def write_manifest(cfg: ExperimentConfig, command: str) -> str:
     with replacing(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,8 @@ class ColaNetConfig:
     Attributes:
         class_count: Number of columns (one per class).
         microcolumns: Microcolumns per column (M); 15 and 45 are the
-            reference configurations, any positive value is allowed.
+            reference configurations. Both counts must be in [1, 2^32):
+            each fills a uint32 slot of the state file.
         alpha: Adaptive-threshold coefficient (>= 0).
         ns: Virtual synapse count enabling potentiation renormalization:
             a number >= 0, or ``None`` to disable it (default). ``math.inf``
@@ -84,10 +85,8 @@ class ColaNetConfig:
         eta_minus: Depression rate; the calibrated ~4:1 ratio to eta_plus
             carves away systematic confusions in a few corrections.
         steps_active: Active window length of a presentation (1 to 65535).
-        steps_silent: Silent tail length. Nothing integrates silent steps,
-            so it changes no result; it stays a field of the state format.
-        seed: Root seed; initialization, training noise and evaluation
-            noise streams all derive from it.
+        seed: Root seed in [0, 2^64); initialization, training noise and
+            evaluation noise streams all derive from it.
         leak: Per-step membrane decay fraction in [0, 1); 0 integrates
             without decay over the short window.
         w_min: Lower weight clamp.
@@ -108,7 +107,6 @@ class ColaNetConfig:
     eta_plus: float = 0.07
     eta_minus: float = 0.3
     steps_active: int = 10
-    steps_silent: int = 10
     seed: int = 0
     leak: float = 0.0
     w_min: float = -1.0
@@ -121,8 +119,10 @@ class ColaNetConfig:
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.class_count < 1 or self.microcolumns < 1:
-            raise ValueError("class_count and microcolumns must be >= 1")
+        if not (1 <= self.class_count < 2**32 and 1 <= self.microcolumns < 2**32):
+            raise ValueError("class_count and microcolumns must be in [1, 2**32)")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if not 0.0 <= self.leak < 1.0:
             raise ValueError("leak must be in [0, 1)")
         if self.u_const <= 0 or self.alpha < 0:
@@ -135,8 +135,8 @@ class ColaNetConfig:
             raise ValueError("w_min must be <= w_max")
         if self.init_high < 0:
             raise ValueError("init_high must be >= 0")
-        if not 1 <= self.steps_active <= 65535 or self.steps_silent < 0:
-            raise ValueError("steps_active must be in [1, 65535], steps_silent >= 0")
+        if not 1 <= self.steps_active <= 65535:
+            raise ValueError("steps_active must be in [1, 65535]")
         if self.race_grid_bits < 30:
             raise ValueError("steps_active * 784 * max|w| must be <= 2**22")
 
@@ -397,9 +397,9 @@ def _first_step(threshold: float, peak: float, steps: int) -> int:
     return max(math.ceil(threshold / peak) - 1, 0)
 
 
-def _to_grid(w: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+def _to_grid(w: np.ndarray, bits: int) -> np.ndarray:
     """Round weights to the nearest multiple of 2^-bits (ties to even)."""
-    out = np.ldexp(w, bits, out=out)
+    out = np.ldexp(w, bits)
     np.rint(out, out=out)
     return np.ldexp(out, -bits, out=out)
 
@@ -497,26 +497,31 @@ def evaluate_task(
 # Serialization
 # ---------------------------------------------------------------------------
 
-#: The config block packs every ColaNetConfig field in declaration order.
+#: The config block of state format 1: the ColaNetConfig field each slot of
+#: ``_CONFIG_PACK`` holds, in file order. Slot "reserved" held a silent-tail
+#: length that nothing read; it is written as 10 and ignored on load.
+_CONFIG_FIELDS = (
+    "class_count", "microcolumns", "alpha", "ns", "u_const", "eta_plus",
+    "eta_minus", "steps_active", "reserved", "seed", "leak", "w_min", "w_max",
+    "init_high",
+)
 _CONFIG_PACK = "<II d d d d d II Q d d d d"
-_CONFIG_FIELDS = tuple(f.name for f in fields(ColaNetConfig))
 
 
 def save_state(net: Network, path: str) -> None:
     """Serialize the network to a binary state file.
 
     Layout: magic ``CLNT``, uint32 format version, packed config block
-    (``ns`` None stored as infinity, ``seed`` as uint64), little-endian
+    (``_CONFIG_FIELDS``; ``ns`` None stored as infinity), little-endian
     float64 weight array (C*M x 784, row-major), then the training
     generator's state. Reloading reproduces identical race winners and
     bit-identical continued training.
     """
-    values = {name: getattr(net.config, name) for name in _CONFIG_FIELDS}
+    values = dict(vars(net.config), reserved=10)
     values["ns"] = math.inf if values["ns"] is None else float(values["ns"])
-    values["seed"] &= 0xFFFFFFFFFFFFFFFF
     with replacing(path, "wb") as f:
         write_header(f, STATE_MAGIC, STATE_FORMAT_VERSION)
-        f.write(struct.pack(_CONFIG_PACK, *values.values()))
+        f.write(struct.pack(_CONFIG_PACK, *(values[name] for name in _CONFIG_FIELDS)))
         f.write(np.ascontiguousarray(net.weights, dtype="<f8").tobytes())
         state = net.rng.bit_generator.state
         f.write(state["state"]["state"].to_bytes(16, "little"))
@@ -538,6 +543,7 @@ def load_state(path: str) -> Network:
         values = dict(
             zip(_CONFIG_FIELDS, reader.unpack(_CONFIG_PACK, "config block"))
         )
+        del values["reserved"]
         try:
             config = ColaNetConfig(**values)
         except ValueError as exc:

@@ -19,7 +19,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,21 +95,18 @@ class LabeledDataset:
     Attributes:
         pixels: uint8 array of shape (N, 784), row-major 28x28 intensities:
             the images themselves, or the base when ``permutation`` is set.
-        labels: int64 array of shape (N,), each in [0, class_count).
-        class_count: Size of the label space.
+        labels: int64 array of shape (N,), the class of each image; the
+            loaders that build splits check the label range.
         permutation: The PixelPermutation ``images`` applies, or None.
     """
 
     pixels: np.ndarray
     labels: np.ndarray
-    class_count: int
     permutation: PixelPermutation | None = None
 
     def __post_init__(self):
         if len(self.pixels) != len(self.labels):
             raise ValueError("images and labels must have equal length")
-        if len(self.labels) and int(self.labels.max(initial=0)) >= self.class_count:
-            raise ValueError("labels must be < class_count")
 
     @property
     def images(self) -> np.ndarray:
@@ -128,24 +125,13 @@ class TaskSpec:
 
     Attributes:
         task_id: 1-based position in the stream.
-        source: Human-readable provenance string, e.g. ``"mnist-truncated"``
-            or ``"permuted-mnist(seed=...)"``.
         train: Training split.
         test: Test split.
     """
 
     task_id: int
-    source: str
     train: LabeledDataset
     test: LabeledDataset
-
-    def __post_init__(self):
-        if self.train.class_count != self.test.class_count:
-            raise ValueError("train and test must share class_count")
-
-    @property
-    def class_count(self) -> int:
-        return self.train.class_count
 
 
 def _open_maybe_gzip(path: str):
@@ -197,8 +183,17 @@ def load_idx(path: str) -> np.ndarray:
             dims = struct.unpack(f">{ndim}I", dim_bytes)
             expected = math.prod(dims)
             # Read what the file holds, not what the header declares: a corrupt
-            # dimension can declare terabytes.
-            payload = f.read()
+            # dimension can declare terabytes. A plain file's size bounds one
+            # read; a gzip stream is read in 1 MiB chunks, up to one byte past
+            # the payload.
+            if isinstance(f, gzip.GzipFile):
+                chunks, left = [], expected + 1
+                while left and (chunk := f.read(min(left, 1 << 20))):
+                    chunks.append(chunk)
+                    left -= len(chunk)
+                payload = b"".join(chunks)
+            else:
+                payload = f.read()
             if len(payload) < expected:
                 raise IdxFormatError(
                     f"{path}: truncated payload, expected {expected} bytes, "
@@ -290,7 +285,7 @@ def make_mnist_truncated(data_dir: str) -> TaskSpec:
         data_dir: Directory with the MNIST IDX files.
 
     Returns:
-        TaskSpec with class_count 10.
+        The TaskSpec, labels 0-9.
 
     Raises:
         DataError: Source has fewer images than the task keeps.
@@ -304,11 +299,8 @@ def make_mnist_truncated(data_dir: str) -> TaskSpec:
         )
     return TaskSpec(
         task_id=1,
-        source="mnist-truncated",
-        train=LabeledDataset(
-            train_images[:train_count], train_labels[:train_count], 10
-        ),
-        test=LabeledDataset(test_images[:test_count], test_labels[:test_count], 10),
+        train=LabeledDataset(train_images[:train_count], train_labels[:train_count]),
+        test=LabeledDataset(test_images[:test_count], test_labels[:test_count]),
     )
 
 
@@ -327,7 +319,7 @@ def make_emnist_letters(data_dir: str) -> TaskSpec:
         data_dir: Directory with the four emnist-balanced-* IDX files.
 
     Returns:
-        TaskSpec with class_count 10.
+        The TaskSpec, letters relabeled 0-9.
 
     Raises:
         DataError: A letter class has no samples in the source.
@@ -353,9 +345,9 @@ def make_emnist_letters(data_dir: str) -> TaskSpec:
         keep = np.isin(labels, source_ids)
         # Undo the stored transpose: each row is a 28x28 image saved column-major.
         kept = images[keep].reshape(-1, 28, 28).transpose(0, 2, 1).reshape(-1, 784)
-        splits.append(LabeledDataset(kept, relabel[labels[keep]], 10))
+        splits.append(LabeledDataset(kept, relabel[labels[keep]]))
     train, test = splits
-    return TaskSpec(task_id=1, source="emnist-letters", train=train, test=test)
+    return TaskSpec(task_id=1, train=train, test=test)
 
 
 def gen_permutation(seed: int) -> PixelPermutation:
@@ -439,11 +431,8 @@ def make_permuted_stream(
         tasks.append(
             TaskSpec(
                 task_id=t,
-                source=f"permuted-mnist(seed={seed})",
-                train=LabeledDataset(train_images, train_labels, 10, perm),
-                test=LabeledDataset(
-                    apply_permutation(test_images, perm), test_labels, 10
-                ),
+                train=LabeledDataset(train_images, train_labels, perm),
+                test=LabeledDataset(apply_permutation(test_images, perm), test_labels),
             )
         )
     return tasks

@@ -77,15 +77,22 @@ class StateReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """A little-endian float64 array of ``shape``, copied out of the file.
+        """A little-endian float64 array of ``shape``, read straight into
+        the array returned.
 
         Raises when any element is NaN or infinite: no model stores one.
         """
-        data = self.take(math.prod(shape) * 8, what)
-        values = np.frombuffer(data, dtype="<f8")
-        if not np.isfinite(values).all():
+        size = math.prod(shape) * 8
+        if size > self.left:
+            raise self.error(f"truncated {what}")
+        values = np.empty(shape, dtype="<f8")
+        if self.f.readinto(values) != size:
+            raise self.error(f"truncated {what}")
+        self.left -= size
+        # min and max propagate NaN, and an infinity is one of them.
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise self.error(f"non-finite value in {what}")
-        return values.reshape(shape).copy()
+        return values
 
     def finish(self) -> None:
         if self.left:

@@ -173,10 +173,9 @@ def tiny_task(seed: int = 0, n_train: int = 40, n_test: int = 20, classes: int =
         return LabeledDataset(
             pixels=rng.integers(0, 256, size=(n, 784), dtype=np.uint8),
             labels=rng.integers(0, classes, size=n).astype(np.int64),
-            class_count=classes,
         )
 
-    return TaskSpec(task_id=1, source="synthetic", train=split(n_train), test=split(n_test))
+    return TaskSpec(task_id=1, train=split(n_train), test=split(n_test))
 
 
 def truncation_cuts(size: int, header_len: int, payload_samples: int = 16) -> list[int]:

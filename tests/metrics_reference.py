@@ -91,5 +91,4 @@ def reference_report(
         fm=np.array([forgetting_measure(p, k) for k in ks]),
         bwt=np.array([backward_transfer(p, k) for k in ks]),
         fwt=fwt,
-        baseline_acc=baseline_acc,
     )

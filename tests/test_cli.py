@@ -29,7 +29,13 @@ from colanet_cl.cli import (
 )
 from colanet_cl.clbench import ProfileFormatError, read_baseline_csv, read_profile_csv
 from colanet_cl.colanet import ColaNetConfig, Network, save_state
-from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES, load_idx
+from colanet_cl.dataset import (
+    EMNIST_FILES,
+    MNIST_FILES,
+    load_idx,
+    make_emnist_letters,
+    make_mnist_truncated,
+)
 
 from conftest import FIXTURES_DIR, bit_flips, flip, write_idx
 
@@ -300,6 +306,7 @@ def test_bad_network_setting_is_usage_error(tmp_path, capsys):
         ("run", "ns = -784\n"),
         ("run", "eta_plus = 0\n"),
         ("run", "microcolumns = 0\n"),
+        ("run", "microcolumns = 4294967296\n"),  # 2**32: beyond its uint32 slot
         ("run", "train_count = -5\n"),
         ("sweep", "ns_grid = 0, -1\n"),
     ):
@@ -458,6 +465,31 @@ def test_run_non_finite_float_is_usage_error(tmp_path, synthetic_mnist_dir, caps
     err = capsys.readouterr().err
     assert key in err and "finite" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model", ["colanet", "mlp"])
+@pytest.mark.parametrize("seeds, flag", [("-3", None), ("1, 18446744073709551616", None),
+                                         ("5", "-1")])
+def test_run_seed_outside_uint64_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
+                                                model, seeds, flag):
+    """A seed must fit the checkpoint's uint64 slot: one outside [0, 2**64)
+    exits 1 before the manifest is written, from the config or ``--seed``."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, model=model, seeds=seeds)
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", cfg, "--out", str(out_dir)]
+    assert main(argv + (["--seed", flag] if flag else [])) == EXIT_USAGE
+    assert "seeds must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_network_too_large_to_allocate_is_usage_error(tmp_path, synthetic_mnist_dir,
+                                                          capsys):
+    """The most microcolumns a checkpoint can hold, 2**32 - 1 per class, ask
+    for 245 TiB of weights, more than a process can address: the allocation
+    fails at once, and the run exits 1 with a message, not a traceback."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, microcolumns=2**32 - 1)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "do not fit in memory" in capsys.readouterr().err
 
 
 def test_run_checkpoint_write_failure_is_data_error(tmp_path, synthetic_mnist_dir,
@@ -667,20 +699,19 @@ def mnist_data_dir_or_skip() -> str:
 
 
 def test_two_task_scenarios_order_tasks(combined_data_dir):
-    cfg = ExperimentConfig(scenario="two-task-forward", data_dir=combined_data_dir)
-    forward = build_tasks(cfg, seed=1)
-    assert [t.task_id for t in forward] == [1, 2]
-    assert forward[0].source == "mnist-truncated"
-    assert forward[1].source == "emnist-letters"
-    assert len(forward[0].train) == 24000
-
-    reverse = build_tasks(
-        ExperimentConfig(scenario="two-task-reverse", data_dir=combined_data_dir),
-        seed=1,
-    )
-    assert reverse[0].source == "emnist-letters"
-    assert reverse[1].source == "mnist-truncated"
-    assert [t.task_id for t in reverse] == [1, 2]
+    digits = make_mnist_truncated(combined_data_dir)
+    letters = make_emnist_letters(combined_data_dir)
+    for scenario, order in (
+        ("two-task-forward", (digits, letters)),
+        ("two-task-reverse", (letters, digits)),
+    ):
+        cfg = ExperimentConfig(scenario=scenario, data_dir=combined_data_dir)
+        tasks = build_tasks(cfg, seed=1)
+        assert [t.task_id for t in tasks] == [1, 2]
+        for task, expected in zip(tasks, order, strict=True):
+            assert np.array_equal(task.train.pixels, expected.train.pixels)
+            assert np.array_equal(task.test.labels, expected.test.labels)
+    assert len(digits.train) == 24000
 
 
 def test_two_task_manifest_hashes_both_corpora(tmp_path, combined_data_dir):

@@ -62,11 +62,9 @@ def stripes_task(
 
     def split(n_per_class: int) -> LabeledDataset:
         labels = np.tile(np.arange(class_count), n_per_class).astype(np.int64)
-        return LabeledDataset(templates[labels].copy(), labels, class_count)
+        return LabeledDataset(templates[labels].copy(), labels)
 
-    return TaskSpec(
-        task_id=1, source="stripes", train=split(per_class_train), test=split(2)
-    )
+    return TaskSpec(task_id=1, train=split(per_class_train), test=split(2))
 
 
 # ------------------------------------------------------------ configuration
@@ -101,7 +99,11 @@ INVALID_CONFIGS = [
     dict(w_min=-math.inf),
     dict(init_high=math.inf),
     dict(init_high=-1.0),
-    dict(steps_silent=-3),
+    # Each field must fit its slot of the state file's config block.
+    dict(seed=-1),
+    dict(seed=2**64),
+    dict(class_count=2**32),
+    dict(microcolumns=2**32),
     # Spike counts over the window must fit the uint16 eligibility sum.
     dict(steps_active=65536, w_min=-1e-6, w_max=1e-6, init_high=1e-6),
     # The race's weight grid would be coarser than 2^-30.
@@ -139,7 +141,6 @@ def test_reference_defaults():
     assert cfg.microcolumns == 15
     assert cfg.u_const == 1.0
     assert cfg.steps_active == 10
-    assert cfg.steps_silent == 10
     assert (cfg.w_min, cfg.w_max) == (-1.0, 1.0)
     assert cfg.neuron_count == 150
 
@@ -649,7 +650,7 @@ def test_single_image_imprint_predicts_its_class():
     label = int(task.train.labels[3])
     train_sample(net, img, label)
     train_sample(net, img, label)
-    only = LabeledDataset(img[None].copy(), np.array([label]), task.test.class_count)
+    only = LabeledDataset(img[None].copy(), np.array([label]))
     assert evaluate_task(net, dataclasses.replace(task, test=only), seed=1) == 1.0
 
 
@@ -678,9 +679,8 @@ def test_evaluate_task_matches_reference_reimplementation():
     labels = rng.integers(0, 4, size=60).astype(np.int64)
     task = TaskSpec(
         task_id=2,
-        source="synthetic",
-        train=LabeledDataset(images[:1], labels[:1], 4),
-        test=LabeledDataset(images, labels, 4),
+        train=LabeledDataset(images[:1], labels[:1]),
+        test=LabeledDataset(images, labels),
     )
 
     got = evaluate_task(net, task, seed=77)
@@ -704,11 +704,11 @@ def test_evaluate_task_matches_reference_reimplementation():
     assert got == correct / len(images)
 
 
-def assert_batch_size_free(net: Network, images, labels, classes: int) -> None:
+def assert_batch_size_free(net: Network, images, labels) -> None:
     """Accuracy and silent count are the same at batch sizes 1, 7, 64 and
     256, and neither trivial."""
-    test = LabeledDataset(images, labels, classes)
-    task = TaskSpec(task_id=3, source="synthetic", train=test, test=test)
+    test = LabeledDataset(images, labels)
+    task = TaskSpec(task_id=3, train=test, test=test)
     results = set()
     for batch_size in (1, 7, 64, 256):
         diagnostics = {}
@@ -726,7 +726,7 @@ def test_evaluate_task_does_not_depend_on_batch_size():
     images = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
     images[rng.random(images.shape) < 0.8] = 0  # sparse, like glyphs
     labels = rng.integers(0, 4, size=300).astype(np.int64)
-    assert_batch_size_free(net, images, labels, 4)
+    assert_batch_size_free(net, images, labels)
 
 
 def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
@@ -737,7 +737,7 @@ def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
     for img, label in zip(images, labels):
         train_sample(net, img, int(label))
     assert min(net._first_steps) == 2
-    assert_batch_size_free(net, images, labels, 10)
+    assert_batch_size_free(net, images, labels)
 
 
 def test_evaluate_task_counts_silent_presentations():
@@ -810,6 +810,40 @@ def test_save_load_preserves_ns_sentinel(tmp_path):
     assert off == (tmp_path / "ns_inf.bin").read_bytes()
     stored = dict(zip(CONFIG_FIELDS, struct.unpack_from(CONFIG_PACK, off, 8)))
     assert stored["ns"] == math.inf
+
+
+def test_save_load_keeps_the_largest_seed(tmp_path):
+    cfg = ColaNetConfig(class_count=2, microcolumns=1, seed=2**64 - 1)
+    path = str(tmp_path / "net.bin")
+    save_state(Network(cfg), path)
+    assert load_state(path).config == cfg
+
+
+def test_config_block_holds_every_field_once():
+    """Each ColaNetConfig field has exactly one slot of the state file's
+    config block, and ``_CONFIG_PACK`` has one item of the field's type per
+    slot, so a new field cannot be left out of checkpoints unnoticed."""
+    names = [f.name for f in dataclasses.fields(ColaNetConfig)]
+    assert sorted(CONFIG_FIELDS) == sorted(names + ["reserved"])
+    codes = CONFIG_PACK.replace(" ", "")[1:]
+    assert len(codes) == len(CONFIG_FIELDS)
+    defaults = dict(vars(ColaNetConfig()), reserved=10)
+    for name, code in zip(CONFIG_FIELDS, codes):
+        is_float = defaults[name] is None or isinstance(defaults[name], float)
+        assert (code == "d") == is_float, name
+
+
+def test_reserved_config_slot_is_written_as_10_and_ignored(tmp_path):
+    """The slot that held the silent-tail length keeps format 1's bytes: it
+    is written as 10, and a file holding another value loads the same."""
+    edited = load_state(corrupt_config(tmp_path, reserved=5))
+    original = tmp_path / "net.bin"
+    stored = struct.unpack_from(CONFIG_PACK, original.read_bytes(), 8)
+    assert dict(zip(CONFIG_FIELDS, stored))["reserved"] == 10
+    net = load_state(str(original))
+    assert edited.config == net.config
+    assert np.array_equal(edited.weights, net.weights)
+    assert edited.rng.bit_generator.state == net.rng.bit_generator.state
 
 
 def test_load_rejects_bad_magic(tmp_path):

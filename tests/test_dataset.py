@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from colanet_cl.dataset import (
 from colanet_cl.seeding import derive_seed
 
 from conftest import bit_flips, flip, requires_mnist, saved_bytes, write_idx
+
+MiB = 1 << 20
 
 
 # ---------------------------------------------------------------- IDX files
@@ -74,6 +77,34 @@ def test_load_idx_damaged_gzip_is_format_error(tmp_path, damage):
     gz.write_bytes(damage_gzip(gzip.compress(plain.read_bytes(), mtime=0), damage))
     with pytest.raises(IdxFormatError, match="damaged gzip stream"):
         load_idx(str(gz))
+
+
+@pytest.mark.parametrize(
+    "header, payload_mib, message",
+    [
+        # One label declared, 64 MiB of zeros held: read whole, it peaked at
+        # 128 MiB before it was rejected.
+        (struct.pack(">II", 0x00000801, 1), 64, "exceeds"),
+        # Terabytes declared, 1 MiB held.
+        (struct.pack(">IIII", 0x00000803, 2**32 - 1, 28, 28), 1, "truncated payload"),
+    ],
+)
+def test_load_idx_gzip_reads_at_most_the_declared_payload(
+    tmp_path, header, payload_mib, message
+):
+    path = tmp_path / "labels.gz"
+    with gzip.open(path, "wb", compresslevel=1) as fh:
+        fh.write(header)
+        for _ in range(payload_mib):
+            fh.write(bytes(MiB))
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxFormatError, match=message):
+            load_idx(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * MiB
 
 
 def test_load_idx_missing_file(tmp_path):
@@ -202,8 +233,7 @@ def test_apply_permutation_batch_matches_single():
 def test_make_mnist_truncated_shapes(mnist_dir, mnist_arrays):
     task = make_mnist_truncated(mnist_dir)
     assert task.task_id == 1
-    assert task.source == "mnist-truncated"
-    assert task.class_count == 10
+    assert task.train.permutation is None and task.test.permutation is None
     assert len(task.train) == 24000
     assert len(task.test) == 4000
     # Truncation keeps the file-order prefix.
@@ -216,11 +246,10 @@ def test_make_mnist_truncated_shapes(mnist_dir, mnist_arrays):
 def test_make_permuted_stream_structure(mnist_dir):
     tasks = make_permuted_stream(3, base_seed=5, data_dir=mnist_dir, train_count=100)
     assert [t.task_id for t in tasks] == [1, 2, 3]
-    assert tasks[0].source == "permuted-mnist(seed=0)"
+    assert np.array_equal(tasks[0].train.permutation.mapping, np.arange(784))
     for task in tasks:
         assert len(task.train) == 100
         assert len(task.test) == 10000
-        assert task.class_count == 10
 
     # Task 1 is plain MNIST; later tasks are pixel-shuffled copies of it.
     base = tasks[0].train.images
@@ -236,7 +265,9 @@ def test_make_permuted_stream_structure(mnist_dir):
     other = make_permuted_stream(2, base_seed=6, data_dir=mnist_dir, train_count=100)
     assert not np.array_equal(other[1].train.images, tasks[1].train.images)
     expected_seed = derive_seed(5, "permutation", 2)
-    assert tasks[1].source == f"permuted-mnist(seed={expected_seed})"
+    assert np.array_equal(
+        tasks[1].train.permutation.mapping, gen_permutation(expected_seed).mapping
+    )
 
 
 def test_permuted_stream_splits_equal_eager_permuted_copies(synthetic_mnist_dir):
@@ -249,7 +280,7 @@ def test_permuted_stream_splits_equal_eager_permuted_copies(synthetic_mnist_dir)
     seeds = [0] + [derive_seed(3, "permutation", t) or 1 for t in range(2, 5)]
     for task, seed in zip(tasks, seeds, strict=True):
         mapping = gen_permutation(seed).mapping
-        assert task.source == f"permuted-mnist(seed={seed})"
+        assert np.array_equal(task.train.permutation.mapping, mapping)
         assert task.train.images.tobytes() == train_images[:250][..., mapping].tobytes()
         assert task.test.images.tobytes() == test_images[..., mapping].tobytes()
         assert np.array_equal(task.train.labels, train_labels[:250])
@@ -283,7 +314,6 @@ def test_permuted_stream_test_splits_are_materialized(synthetic_mnist_dir):
 def test_permuted_stream_task_one_is_identity(synthetic_mnist_dir):
     train_images, _, test_images, _ = load_mnist(synthetic_mnist_dir)
     (task,) = make_permuted_stream(1, base_seed=9, data_dir=synthetic_mnist_dir)
-    assert task.source == "permuted-mnist(seed=0)"
     assert np.array_equal(task.train.permutation.mapping, np.arange(784))
     assert np.array_equal(task.train.images, train_images)
     assert np.array_equal(task.test.images, test_images)
@@ -299,8 +329,7 @@ def test_make_permuted_stream_rejects_zero_tasks(synthetic_mnist_dir):
 
 def test_emnist_letters_relabeling(emnist_corpus):
     task = make_emnist_letters(emnist_corpus["dir"])
-    assert task.source == "emnist-letters"
-    assert task.class_count == 10
+    assert task.train.permutation is None and task.test.permutation is None
     n = emnist_corpus["train_rows_per_class"]
     assert len(task.train) == n * len(EMNIST_LETTER_CLASSES)
     assert len(task.test) == emnist_corpus["test_rows_per_class"] * len(
@@ -349,14 +378,4 @@ def test_labeled_dataset_rejects_length_mismatch():
         LabeledDataset(
             pixels=np.zeros((3, 784), dtype=np.uint8),
             labels=np.zeros(2, dtype=np.int64),
-            class_count=10,
-        )
-
-
-def test_labeled_dataset_rejects_out_of_range_labels():
-    with pytest.raises(ValueError):
-        LabeledDataset(
-            pixels=np.zeros((2, 784), dtype=np.uint8),
-            labels=np.array([0, 10], dtype=np.int64),
-            class_count=10,
         )
