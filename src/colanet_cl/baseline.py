@@ -209,21 +209,17 @@ def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    images = task.train.images
-    labels = task.train.labels
-    for start in range(0, len(images), batch_size):
-        x = images[start : start + batch_size].astype(np.float64) / 255.0
-        y = labels[start : start + batch_size]
-        _, grads = mlp_loss_and_grads(p, x, y)
+    for images, labels in task.train.batches(batch_size):
+        _, grads = mlp_loss_and_grads(p, images / 255.0, labels)
         adadelta_step(p, grads)
 
 
 def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     """Classification accuracy on a task's test split.
 
-    The split is classified ``_EVAL_BATCH`` images per forward pass, each
-    batch converted and scaled to [0, 1] in one reused buffer, so no float
-    copy of the whole split is made.
+    The split is read and classified ``_EVAL_BATCH`` images per forward
+    pass, each batch scaled to [0, 1] into one reused buffer, so no copy of
+    the whole split is made.
 
     Args:
         p: Network parameters.
@@ -232,18 +228,13 @@ def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     Returns:
         Fraction of correctly classified test images.
     """
-    images = task.test.images
-    labels = task.test.labels
-    buffer = np.empty((min(len(images), _EVAL_BATCH), N_IN))
+    buffer = np.empty((min(len(task.test), _EVAL_BATCH), N_IN))
     correct = 0
-    for start in range(0, len(images), _EVAL_BATCH):
-        batch = slice(start, start + _EVAL_BATCH)
-        x = buffer[: len(labels[batch])]
-        x[...] = images[batch]
-        x /= 255.0
+    for images, labels in task.test.batches(_EVAL_BATCH):
+        x = np.divide(images, 255.0, out=buffer[: len(labels)])
         probs = mlp_forward(p, x)[1]
-        correct += int((probs.argmax(axis=1) == labels[batch]).sum())
-    return correct / len(labels) if len(labels) else 0.0
+        correct += int((probs.argmax(axis=1) == labels).sum())
+    return correct / len(task.test) if len(task.test) else 0.0
 
 
 def mlp_save(p: MlpParams, path: str) -> None:

@@ -280,6 +280,15 @@ def _run_stage(fn, task_index: int, stage: str, *args):
 # ---------------------------------------------------------------------------
 
 
+def _csv_lines(path: str) -> list[str]:
+    """The stripped non-blank lines of a CSV; ProfileFormatError unless UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def write_profile_csv(p: DegradationProfile, path: str) -> None:
     """Write a profile as CSV: header task_1..task_n, percent, blank upper.
 
@@ -311,8 +320,7 @@ def read_profile_csv(path: str) -> DegradationProfile:
     Raises:
         ProfileFormatError: Structural problems, with row/column context.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip() != ""]
+    lines = _csv_lines(path)
     if not lines:
         raise ProfileFormatError(f"{path}: empty profile")
     header = [h.strip() for h in lines[0].split(",")]
@@ -371,8 +379,7 @@ def read_baseline_csv(path: str) -> np.ndarray:
         ProfileFormatError: Malformed header or cells, tasks not consecutive
             from 1, or a bad accuracy cell, with row context.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
+    lines = _csv_lines(path)
     header = [c.strip() for c in lines[0].split(",")] if lines else []
     if header != ["task", "accuracy"]:
         raise ProfileFormatError(f"{path}: row 1: header must be task,accuracy")

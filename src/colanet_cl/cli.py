@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.train_count is not None and self.train_count < 1:
             raise UsageError(f"train_count must be >= 1, got {self.train_count}")
+        if not self.out_dir:
+            raise UsageError("out_dir must not be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +274,10 @@ def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
         return make_permuted_stream(
             cfg.n_tasks, seed, cfg.data_dir, train_count=cfg.train_count
         )
-    digits = make_mnist_truncated(cfg.data_dir)
-    letters = make_emnist_letters(cfg.data_dir)
-    if cfg.scenario == "two-task-forward":
-        first, second = digits, letters
-    else:
-        first, second = letters, digits
-    return [
-        dataclasses.replace(first, task_id=1),
-        dataclasses.replace(second, task_id=2),
-    ]
+    pair = [make_mnist_truncated(cfg.data_dir), make_emnist_letters(cfg.data_dir)]
+    if cfg.scenario == "two-task-reverse":
+        pair.reverse()
+    return [dataclasses.replace(task, task_id=t) for t, task in enumerate(pair, start=1)]
 
 
 def colanet_config(cfg: ExperimentConfig, seed: int) -> ColaNetConfig:

@@ -57,6 +57,9 @@ from .statefile import StateReader, replacing, write_header
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
 
+#: Training images permuted per read of a split (affects speed only).
+_TRAIN_BATCH = 1024
+
 #: Float fields that must be finite (``ns`` may be None).
 _FINITE_FIELDS = (
     "alpha", "u_const", "eta_plus", "eta_minus", "leak", "w_min", "w_max", "init_high"
@@ -438,10 +441,9 @@ def train_task(net: Network, task) -> None:
         net: The network (mutated).
         task: TaskSpec whose train split is streamed in order.
     """
-    images = task.train.images
-    labels = task.train.labels
-    for i in range(len(images)):
-        train_sample(net, images[i], int(labels[i]))
+    for images, labels in task.train.batches(_TRAIN_BATCH):
+        for img, label in zip(images, labels):
+            train_sample(net, img, int(label))
 
 
 def evaluate_task(
@@ -471,26 +473,19 @@ def evaluate_task(
     """
     root = net.config.seed if seed is None else seed
     rng = generator_from(root, "eval", task.task_id)
-    images = task.test.images
-    labels = task.test.labels
-    if len(images) == 0:
-        return 0.0
     correct = 0
     silent = 0
-    for start in range(0, len(images), batch_size):
-        batch = slice(start, start + batch_size)
-        pixels = np.flatnonzero(images[batch].any(axis=0))
-        spikes = encode_active_batch(
-            images[batch, pixels], net.config.steps_active, rng
-        )
+    for images, labels in task.test.batches(batch_size):
+        pixels = np.flatnonzero(images.any(axis=0))
+        spikes = encode_active_batch(images[:, pixels], net.config.steps_active, rng)
         winners = net.race(spikes, pixels)
         quiet = winners < 0
         predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())
-        correct += int((predicted == labels[batch]).sum())
+        correct += int((predicted == labels).sum())
     if diagnostics is not None:
         diagnostics["silent"] = diagnostics.get("silent", 0) + silent
-    return correct / len(labels)
+    return correct / len(task.test) if len(task.test) else 0.0
 
 
 # ---------------------------------------------------------------------------

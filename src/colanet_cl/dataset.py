@@ -88,16 +88,16 @@ class LabeledDataset:
     """Images with class labels.
 
     A split holds its images as given, or holds an unpermuted base (which
-    other splits may share) together with a pixel permutation; the permuted
-    copy is then made each time ``images`` is read and lives only as long
-    as the caller keeps it.
+    other splits may share) together with a pixel permutation. Readers take
+    the split one batch at a time through ``batches``, which permutes only
+    that batch, so a permuted split never holds a permuted copy of itself.
 
     Attributes:
         pixels: uint8 array of shape (N, 784), row-major 28x28 intensities:
             the images themselves, or the base when ``permutation`` is set.
         labels: int64 array of shape (N,), the class of each image; the
             loaders that build splits check the label range.
-        permutation: The PixelPermutation ``images`` applies, or None.
+        permutation: The PixelPermutation applied on reading, or None.
     """
 
     pixels: np.ndarray
@@ -114,6 +114,15 @@ class LabeledDataset:
         if self.permutation is None:
             return self.pixels
         return apply_permutation(self.pixels, self.permutation)
+
+    def batches(self, size: int):
+        """Yield ``(images, labels)`` for consecutive ``size``-image batches
+        (the last may be smaller), permuting only the batch yielded."""
+        for start in range(0, len(self), size):
+            images = self.pixels[start : start + size]
+            if self.permutation is not None:
+                images = apply_permutation(images, self.permutation)
+            yield images, self.labels[start : start + size]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -299,8 +308,13 @@ def make_mnist_truncated(data_dir: str) -> TaskSpec:
         )
     return TaskSpec(
         task_id=1,
-        train=LabeledDataset(train_images[:train_count], train_labels[:train_count]),
-        test=LabeledDataset(test_images[:test_count], test_labels[:test_count]),
+        # Copies, so the split does not keep the whole file's payload alive.
+        train=LabeledDataset(
+            train_images[:train_count].copy(), train_labels[:train_count].copy()
+        ),
+        test=LabeledDataset(
+            test_images[:test_count].copy(), test_labels[:test_count].copy()
+        ),
     )
 
 
@@ -397,11 +411,9 @@ def make_permuted_stream(
     permutations, each derived from ``base_seed`` and the task index and
     applied consistently to the full train and test splits.
 
-    All train splits share one unpermuted image array and one label array;
-    each permutes it only when its ``images`` are read, once per training
-    pass, so the stream holds no per-task training copy. Test splits are
-    permuted here, because every task's test split is evaluated again after
-    each later task.
+    Every split keeps the shared unpermuted base, the shared labels and its
+    task's permutation, which is applied one batch at a time as the split is
+    read, so the stream holds no per-task copy of any image.
 
     Args:
         n_tasks: Number of tasks, at least 1.
@@ -417,22 +429,19 @@ def make_permuted_stream(
         raise ValueError("n_tasks must be >= 1")
     train_images, train_labels, test_images, test_labels = load_mnist(data_dir)
     if train_count is not None:
-        train_images = train_images[:train_count]
-        train_labels = train_labels[:train_count]
+        # Copies, so the stream does not keep the whole file's payload alive.
+        train_images = train_images[:train_count].copy()
+        train_labels = train_labels[:train_count].copy()
     tasks = []
     for t in range(1, n_tasks + 1):
-        if t == 1:
-            seed = 0
-        else:
-            seed = derive_seed(base_seed, "permutation", t)
-            if seed == 0:
-                seed = 1
+        # Task 1 is plain; a derived seed of 0, the identity, is replaced by 1.
+        seed = 0 if t == 1 else derive_seed(base_seed, "permutation", t) or 1
         perm = gen_permutation(seed)
         tasks.append(
             TaskSpec(
                 task_id=t,
                 train=LabeledDataset(train_images, train_labels, perm),
-                test=LabeledDataset(apply_permutation(test_images, perm), test_labels),
+                test=LabeledDataset(test_images, test_labels, perm),
             )
         )
     return tasks

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ def tiny_task(seed: int = 0, n_train: int = 40, n_test: int = 20, classes: int =
         )
 
     return TaskSpec(task_id=1, train=split(n_train), test=split(n_test))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def truncation_cuts(size: int, header_len: int, payload_samples: int = 16) -> list[int]:

@@ -6,7 +6,6 @@ import copy
 import dataclasses
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,14 @@ from colanet_cl.clbench import run_sequence
 from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
 from colanet_cl.statefile import StateFormatError
 
-from conftest import bit_flips, flip, saved_bytes, tiny_task, truncation_cuts
+from conftest import (
+    bit_flips,
+    flip,
+    saved_bytes,
+    tiny_task,
+    traced_peak,
+    truncation_cuts,
+)
 from mlp_reference import (
     PARAM_NAMES,
     reference_adadelta_step,
@@ -192,15 +198,6 @@ def test_train_epoch_rejects_non_positive_batch_size(batch_size):
     assert np.array_equal(p.W1, before)
 
 
-def traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_adadelta_step_allocates_nothing_parameter_sized():
     p = mlp_init(0)
     grads = random_grads(p, np.random.default_rng(0))
@@ -226,6 +223,20 @@ def test_evaluate_peak_is_one_batch_not_the_split():
     p = mlp_init(0)
     mlp_evaluate(p, task)
     assert traced_peak(mlp_evaluate, p, task) < 12 * MiB
+
+
+def test_evaluate_permutes_one_batch_not_the_split():
+    """A permuted split is permuted one 1024-image batch at a time: it costs
+    about one uint8 batch (0.77 MiB) over the same split unpermuted, not a
+    permuted copy of all 10000 images (7.5 MiB)."""
+    plain = tiny_task(seed=2, n_train=1, n_test=10000)
+    split = plain.test
+    permuted = TaskSpec(
+        2, split, LabeledDataset(split.pixels, split.labels, gen_permutation(7))
+    )
+    p = mlp_init(0)
+    extra = traced_peak(mlp_evaluate, p, permuted) - traced_peak(mlp_evaluate, p, plain)
+    assert extra < 2 * 1024 * 784
 
 
 def test_evaluate_matches_one_whole_split_forward():

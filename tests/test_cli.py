@@ -281,6 +281,21 @@ def test_metrics_short_baseline_is_data_error(tmp_path, capsys, rows):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("damaged", ["profile", "baseline"])
+def test_metrics_non_utf8_csv_is_data_error(tmp_path, capsys, damaged):
+    """A profile or baseline CSV that is not UTF-8 text exits 2 and names
+    the file, not a UnicodeDecodeError traceback."""
+    paths = {"profile": tmp_path / "p.csv", "baseline": tmp_path / "b.csv"}
+    paths["profile"].write_text("task_1,task_2\n90.00,\n80.00,85.00\n")
+    paths["baseline"].write_text("task,accuracy\n1,88.00\n2,80.00\n")
+    paths[damaged].write_bytes(paths[damaged].read_bytes() + b"\xff\n")
+    argv = ["metrics", str(paths["profile"]), str(paths["baseline"])]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {paths[damaged]}: not UTF-8" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------ usage failures
 
 
@@ -314,6 +329,23 @@ def test_bad_network_setting_is_usage_error(tmp_path, capsys):
         path.write_text(f"model = colanet\ndata_dir = /tmp\n{text}")
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_empty_out_dir_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
+                                      monkeypatch, command, source):
+    """An empty output directory, from the config or ``--out``, exits 1
+    before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    overrides = {"alpha_grid": "0.1, 0.2"} if command == "sweep" else {}
+    if source == "config":
+        overrides["out_dir"] = ""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, **overrides)
+    argv = [command, "--config", cfg] + (["--out", ""] if source == "flag" else [])
+    assert main(argv) == EXIT_USAGE
+    assert "error: out_dir must not be empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 def test_sweep_without_grids_is_usage_error(tmp_path, capsys):

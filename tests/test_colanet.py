@@ -27,13 +27,13 @@ from colanet_cl.colanet import (
     train_sample,
     train_task,
 )
-from colanet_cl.dataset import LabeledDataset, TaskSpec
+from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
 from colanet_cl.encoder import encode_active_batch
 from colanet_cl.statefile import StateFormatError
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
-from conftest import bit_flips, flip, saved_bytes, truncation_cuts
+from conftest import bit_flips, flip, saved_bytes, traced_peak, truncation_cuts
 from test_trajectory import sparse_glyph_stream
 
 NO_FIRE = np.iinfo(np.int64).max
@@ -738,6 +738,22 @@ def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
         train_sample(net, img, int(label))
     assert min(net._first_steps) == 2
     assert_batch_size_free(net, images, labels)
+
+
+def test_evaluate_task_permutes_one_batch_not_the_split():
+    """A permuted split is permuted one 64-image batch at a time: it costs
+    about one uint8 batch (49 KiB) over the same split unpermuted, not a
+    permuted copy of all 10000 images (7.5 MiB)."""
+    images, labels = sparse_glyph_stream(10000)
+    net = Network(ColaNetConfig(class_count=10, microcolumns=2))
+    peaks = [
+        traced_peak(evaluate_task, net, TaskSpec(2, split, split))
+        for split in (
+            LabeledDataset(images, labels),
+            LabeledDataset(images, labels, gen_permutation(7)),
+        )
+    ]
+    assert peaks[1] - peaks[0] < 2 * 64 * 784
 
 
 def test_evaluate_task_counts_silent_presentations():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colanet_cl import dataset
 from colanet_cl.dataset import (
     EMNIST_LETTER_CLASSES,
     DataError,
@@ -288,27 +289,62 @@ def test_permuted_stream_splits_equal_eager_permuted_copies(synthetic_mnist_dir)
 
 
 def test_permuted_stream_shares_one_train_base(synthetic_mnist_dir):
-    tasks = make_permuted_stream(3, base_seed=3, data_dir=synthetic_mnist_dir)
-    base = tasks[0].train.pixels
-    assert base.shape == (300, 784)
+    """A 10-task stream holds one train base, one test base, their two label
+    arrays and one permutation per task, shared by the task's two splits."""
+    tasks = make_permuted_stream(10, base_seed=3, data_dir=synthetic_mnist_dir)
+    assert tasks[0].train.pixels.shape == (300, 784)
+    assert tasks[0].test.pixels.shape == (100, 784)
+
+    def held(task):
+        return (task.train.pixels, task.train.labels, task.test.pixels, task.test.labels)
+
     for task in tasks:
-        assert task.train.pixels is base
-        assert task.train.labels is tasks[0].train.labels
-        assert task.train.permutation is not None
-        # Each read makes a fresh permuted copy; none is kept by the split.
-        first = task.train.images
-        assert first is not task.train.images
-        assert not np.shares_memory(first, base)
-    held = {id(split.pixels) for task in tasks for split in (task.train, task.test)}
-    assert len(held) == 1 + len(tasks)  # the train base and one array per test split
+        assert all(a is b for a, b in zip(held(task), held(tasks[0]), strict=True))
+        assert task.test.permutation is task.train.permutation
+    assert len({id(task.train.permutation) for task in tasks}) == 10
+    for split in (split for task in tasks for split in (task.train, task.test)):
+        assert set(vars(split)) == {"pixels", "labels", "permutation"}
 
 
-def test_permuted_stream_test_splits_are_materialized(synthetic_mnist_dir):
+def test_permuted_stream_test_splits_permute_on_read(synthetic_mnist_dir):
+    """A test split, like a train split, makes its permuted copy only when
+    read, and keeps none."""
     tasks = make_permuted_stream(3, base_seed=3, data_dir=synthetic_mnist_dir)
     for task in tasks:
-        assert task.test.permutation is None
-        assert task.test.images is task.test.pixels
-        assert task.test.images.flags.c_contiguous
+        first = task.test.images
+        assert first is not task.test.images
+        assert not np.shares_memory(first, task.test.pixels)
+        assert first.flags.c_contiguous
+
+
+def test_capped_split_owns_only_its_rows(synthetic_mnist_dir, monkeypatch):
+    """A train_count cap, and the truncated-MNIST task, copy the kept rows,
+    so the split does not keep the whole file's payload alive."""
+    tasks = make_permuted_stream(2, base_seed=3, data_dir=synthetic_mnist_dir,
+                                 train_count=100)
+    monkeypatch.setattr(dataset, "MNIST_TRUNCATED_COUNTS", (100, 40))
+    truncated = make_mnist_truncated(synthetic_mnist_dir)
+    splits = (tasks[0].train, truncated.train, truncated.test)
+    assert [len(split) for split in splits] == [100, 100, 40]
+    for split in splits:
+        assert split.pixels.base is None and split.labels.base is None
+
+
+@pytest.mark.parametrize("kind", ["plain", "permuted"])
+@pytest.mark.parametrize("size", [1, 7, 64, 100, 101])
+def test_batches_concatenate_to_images(synthetic_mnist_dir, kind, size):
+    """Batches of any size, the split's length (100) and one more included,
+    put together give ``images`` and ``labels`` byte for byte."""
+    test = make_permuted_stream(2, base_seed=3, data_dir=synthetic_mnist_dir)[1].test
+    split = test if kind == "permuted" else LabeledDataset(test.pixels, test.labels)
+    assert len(split) == 100
+    batches = list(split.batches(size))
+    assert [len(images) for images, _ in batches[:-1]] == [size] * (len(batches) - 1)
+    images = np.concatenate([images for images, _ in batches])
+    labels = np.concatenate([labels for _, labels in batches])
+    assert images.dtype == np.uint8
+    assert images.tobytes() == split.images.tobytes()
+    assert labels.tobytes() == split.labels.tobytes()
 
 
 def test_permuted_stream_task_one_is_identity(synthetic_mnist_dir):
