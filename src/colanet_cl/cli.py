@@ -521,6 +521,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage problems; remap to the documented code.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        if args.command in ("metrics", "heatmap") and args.out == "":
+            raise UsageError("--out must not be empty")
         if args.command == "metrics":
             return cmd_metrics(args.profile, args.baseline, args.out)
         if args.command == "heatmap":

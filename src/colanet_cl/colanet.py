@@ -231,15 +231,20 @@ class Network:
         (``_first_step``)."""
         cfg = self.config
         weights = self.weights[rows]
-        self._pos_sum[rows] = np.maximum(weights, 0.0).sum(axis=1)
-        grid = _to_grid(weights, self._grid_bits)
+        grid = np.maximum(weights, 0.0)
+        masses = grid.sum(axis=1)
+        self._pos_sum[rows] = masses
+        # Weights rounded to the nearest multiple of 2^-k (ties to even).
+        np.ldexp(weights, self._grid_bits, out=grid)
+        np.rint(grid, out=grid)
+        np.ldexp(grid, -self._grid_bits, out=grid)
         self._drive_w[:, rows] = grid.T
-        thresholds = cfg.u_const + cfg.alpha * self._pos_sum[rows]
-        self._thresholds[rows] = thresholds
         peaks = np.maximum(grid, 0.0, out=grid).sum(axis=1)
+        thresholds = [cfg.u_const + cfg.alpha * mass for mass in masses.tolist()]
+        self._thresholds[rows] = thresholds
         self._first_steps[rows] = [
             _first_step(theta, peak, cfg.steps_active)
-            for theta, peak in zip(thresholds.tolist(), peaks.tolist())
+            for theta, peak in zip(thresholds, peaks.tolist())
         ]
 
     # -- dynamics ----------------------------------------------------------
@@ -287,8 +292,8 @@ class Network:
         split = (start + steps + 1) // 2
         weights = self._drive_w[pixels]
         counts = spikes[:, start:split].astype(np.float64)
-        if start:  # the spikes of the steps that cannot cross
-            counts[:, 0] += spikes[:, :start].sum(axis=1)
+        head = spikes[:, : start + 1]  # step start and those that cannot cross
+        np.add.reduce(head, axis=1, dtype=np.float64, out=counts[:, 0])
         u = self._potentials(counts, weights, 0.0)
         winners, pending = _first_crossings(u >= self._thresholds)
         if pending.size and split < steps:
@@ -321,16 +326,8 @@ class Network:
         return out
 
     def designated_microcolumn(self, column: int) -> int:
-        """The column's least-committed microcolumn (smallest positive mass).
-
-        Ties go to the lowest microcolumn index.
-
-        Args:
-            column: Column (class) index.
-
-        Returns:
-            Microcolumn index within the column.
-        """
+        """The index within ``column`` of its least-committed microcolumn
+        (smallest positive mass; ties go to the lowest index)."""
         m = self.config.microcolumns
         sums = self._pos_sum[column * m : (column + 1) * m]
         return int(sums.argmin())
@@ -352,7 +349,7 @@ class Network:
             spike count over the active window.
         """
         img = np.asarray(img)
-        pixels = np.flatnonzero(img)
+        pixels = img.nonzero()[0]
         spikes = encode_active_batch(
             img[None, pixels], self.config.steps_active, self.rng
         )
@@ -375,12 +372,14 @@ class Network:
 
 
 def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of (b, t, C*M) crossings: the race winner or -1; rows with none."""
-    fired = crossed.any(axis=2)
-    step = fired.argmax(axis=1)
-    rows = np.arange(len(crossed))
-    hit = fired[rows, step]
-    return np.where(hit, crossed[rows, step].argmax(axis=1), -1), np.flatnonzero(~hit)
+    """Per row of (b, t, C*M) crossings: the race winner or -1; rows with none.
+    A row's first True in C order is the earliest step's lowest index."""
+    flat = crossed.reshape(len(crossed), -1)
+    first = flat.argmax(axis=1)
+    pending = (~flat[np.arange(len(flat)), first]).nonzero()[0]
+    first %= crossed.shape[2]
+    first[pending] = -1
+    return first, pending
 
 
 def _first_step(threshold: float, peak: float, steps: int) -> int:
@@ -398,13 +397,6 @@ def _first_step(threshold: float, peak: float, steps: int) -> int:
     if steps * peak < threshold:
         return steps
     return max(math.ceil(threshold / peak) - 1, 0)
-
-
-def _to_grid(w: np.ndarray, bits: int) -> np.ndarray:
-    """Round weights to the nearest multiple of 2^-bits (ties to even)."""
-    out = np.ldexp(w, bits)
-    np.rint(out, out=out)
-    return np.ldexp(out, -bits, out=out)
 
 
 def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutcome:

@@ -11,8 +11,9 @@ active window):
   correction, and ns=None disables it, which is the default).
 * ``depress`` — anti-Hebbian punishment: weaken the same way, clamped below.
 
-Both work in place on one row and read their rates, window length, clamp
-bounds and ``ns`` from the network config they are given.
+Both work in place on one row, through one scratch row that keeps each
+weight's operations in the order of the formula, and read their rates,
+window length, clamp bounds and ``ns`` from the network config they are given.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ def potentiate(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
             w_max, ns and ``renormalization_active``).
     """
     before = w.sum()
-    np.minimum(w + cfg.eta_plus * eligibility / cfg.steps_active, cfg.w_max, out=w)
+    step = np.multiply(eligibility, cfg.eta_plus)
+    step /= cfg.steps_active
+    np.minimum(np.add(w, step, out=step), cfg.w_max, out=w)
     if cfg.renormalization_active:
         added = w.sum() - before
-        np.maximum(w - added / (N_INPUTS + cfg.ns), cfg.w_min, out=w)
+        w -= added / (N_INPUTS + cfg.ns)
+        np.maximum(w, cfg.w_min, out=w)
 
 
 def depress(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
@@ -55,4 +59,6 @@ def depress(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
         eligibility: Per-pixel presynaptic spike counts, shape (784,).
         cfg: A ``ColaNetConfig`` (supplies eta_minus, steps_active, w_min).
     """
-    np.maximum(w - cfg.eta_minus * eligibility / cfg.steps_active, cfg.w_min, out=w)
+    step = np.multiply(eligibility, cfg.eta_minus)
+    step /= cfg.steps_active
+    np.maximum(np.subtract(w, step, out=step), cfg.w_min, out=w)

@@ -7,7 +7,9 @@ adaptive threshold ``u_const + alpha * (positive mass)``. The network's
 batched race and cached thresholds are checked against this model.
 
 The whole-window batched race, which the network's two-window race must
-match bit for bit, is kept here as a second oracle.
+match bit for bit, is kept here as a second oracle, and the plasticity rules
+as whole-array expressions, which the in-place kernel must match bit for bit,
+as a third.
 """
 
 from __future__ import annotations
@@ -139,3 +141,17 @@ def first_crossing_winners(
     step = fired.argmax(axis=1)
     rows = np.arange(len(potentials))
     return np.where(fired[rows, step], crossed[rows, step].argmax(axis=1), -1)
+
+
+def potentiate_reference(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
+    """``snncore.potentiate`` as whole-array expressions, in place on ``w``."""
+    before = w.sum()
+    np.minimum(w + cfg.eta_plus * eligibility / cfg.steps_active, cfg.w_max, out=w)
+    if cfg.renormalization_active:
+        added = w.sum() - before
+        np.maximum(w - added / (N_INPUTS + cfg.ns), cfg.w_min, out=w)
+
+
+def depress_reference(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
+    """``snncore.depress`` as a whole-array expression, in place on ``w``."""
+    np.maximum(w - cfg.eta_minus * eligibility / cfg.steps_active, cfg.w_min, out=w)

@@ -362,6 +362,24 @@ def test_sweep_rejects_mlp_grid(tmp_path, capsys):
     assert "colanet" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["metrics", "heatmap"])
+def test_empty_out_path_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    """``--out ""`` exits 1 before the profile or state is read, and leaves
+    no file (not even a temporary one) behind."""
+    monkeypatch.chdir(tmp_path)
+    if command == "metrics":
+        source = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
+    else:
+        source = str(tmp_path / "net.bin")
+        save_state(Network(ColaNetConfig(class_count=2, microcolumns=2)), source)
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, source, "--out", ""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error: --out must not be empty" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 # ----------------------------------------------------------- heatmap command
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from colanet_cl.colanet import (
     _CONFIG_FIELDS as CONFIG_FIELDS,
     _CONFIG_PACK as CONFIG_PACK,
+    _first_crossings,
     _first_step,
     ColaNetAdapter,
     ColaNetConfig,
@@ -374,6 +375,31 @@ def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, famil
     assert np.array_equal(net.race(spikes[:, :, pixels], pixels), expected)
 
 
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    batch=st.sampled_from([1, 5, 64]),
+    steps=st.sampled_from([1, 4]),
+    neurons=st.sampled_from([1, 3, 90]),
+    density=st.sampled_from([0.0, 0.003, 0.05, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_crossings_match_the_reference_readout(
+    batch, steps, neurons, density, seed
+):
+    """The readout picks the earliest step's lowest crossing index and lists
+    the rows with none, on crossings dense enough to tie at every step, rows
+    with no crossing and rows whose crossings all sit in the last step."""
+    rng = np.random.default_rng(seed)
+    crossed = rng.random((batch, steps, neurons)) < density
+    crossed[::3] = False
+    crossed[1::3, :-1] = False
+    winners, pending = _first_crossings(crossed)
+    expected = ref.first_crossing_winners(crossed.astype(np.float64), 0.5)
+    assert winners.dtype == np.int64
+    assert np.array_equal(winners, expected)
+    assert np.array_equal(pending, np.flatnonzero(expected < 0))
+
+
 def two_window_batch() -> tuple[Network, np.ndarray]:
     """A 2x1 network and four presentations over a 10-step window.
 
@@ -505,9 +531,10 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
 # ------------------------------------------------------------- teacher forcing
 
 
-def fixed_net() -> Network:
+def fixed_net(**overrides) -> Network:
     """2x2 network with one strong neuron (0,0) tuned to pixels 0..9."""
-    cfg = ColaNetConfig(class_count=2, microcolumns=2, alpha=0.0, seed=0)
+    fields = dict(class_count=2, microcolumns=2, alpha=0.0, seed=0) | overrides
+    cfg = ColaNetConfig(**fields)
     weights = np.zeros((4, 784))
     weights[0, :10] = 0.2  # fires on the probe image
     weights[2, 100:110] = 0.05  # committed micro of column 1
@@ -615,22 +642,28 @@ def test_renormalization_conserves_row_mass():
 
 
 def test_cached_positive_sums_stay_consistent(tmp_path):
-    net = fixed_net()
-    img = probe_img()
-    for label in (0, 1, 0, 1):
-        train_sample(net, img, label)
-    expected = np.maximum(net.weights, 0.0).sum(axis=1)
-    assert net._pos_sum == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    # The race view, thresholds and earliest steps follow every update, as
-    # a network built from the same weights derives them; load rebuilds them.
-    assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
-    fresh = Network(net.config, weights=net.weights.copy())
-    assert np.array_equal(net._thresholds, fresh._thresholds)
-    assert np.array_equal(net._first_steps, fresh._first_steps)
-    path = str(tmp_path / "net.bin")
-    save_state(net, path)
-    loaded = load_state(path)
-    assert np.array_equal(loaded._drive_w, snapped(net.weights, net.config).T)
+    """The positive mass, race view, thresholds and earliest steps follow
+    every depression and potentiation bit for bit, with and without
+    renormalization and leak, as a network built from the same weights
+    derives them; load rebuilds them."""
+    for ns in (None, 0, 100):
+        for leak in (0.0, 0.1):
+            net = fixed_net(alpha=0.25, ns=ns, leak=leak)
+            img = probe_img()
+            outcomes = [train_sample(net, img, label) for label in (0, 1, 0, 1)]
+            # A wrong-column winner was depressed, and others potentiated.
+            assert any(o.raw_winner not in (None, o.effective_winner) for o in outcomes)
+            fresh = Network(net.config, weights=net.weights.copy())
+            assert np.array_equal(net._pos_sum, fresh._pos_sum)
+            positive = np.maximum(net.weights, 0.0).sum(axis=1)
+            assert np.array_equal(net._pos_sum, positive)
+            assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
+            assert np.array_equal(net._thresholds, fresh._thresholds)
+            assert np.array_equal(net._first_steps, fresh._first_steps)
+            path = str(tmp_path / f"net_{ns}_{leak}.bin")
+            save_state(net, path)
+            loaded = load_state(path)
+            assert np.array_equal(loaded._drive_w, snapped(net.weights, net.config).T)
 
 
 # ------------------------------------------------------------------ inference

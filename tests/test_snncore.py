@@ -15,7 +15,9 @@ from neuron_reference import (
     NeuronState,
     ReceptiveField,
     adaptive_threshold,
+    depress_reference,
     integrate_step,
+    potentiate_reference,
 )
 
 
@@ -286,3 +288,33 @@ def test_weights_stay_bounded_under_random_plasticity(seed):
             depress(w, elig, cfg)
         assert w.max() <= 1.0 + 1e-12
         assert w.min() >= -1.0 - 1e-12
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rule=st.sampled_from(["potentiate", "depress"]),
+    ns=st.sampled_from([None, 0, 7, 100.5]),
+    steps=st.sampled_from([1, 3, 10]),
+    eta=st.floats(0.001, 2.0),
+)
+def test_plasticity_matches_whole_array_reference_bitwise(seed, rule, ns, steps, eta):
+    """The in-place kernel writes the same bits as the whole-array
+    expressions, on rows with exact zeros, weights at and near both clamps,
+    and sparse spike counts."""
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-1.0, 0.0, 1.0, -0.9999, 0.9999], N_INPUTS)
+    dense = rng.random(N_INPUTS) < 0.6
+    w[dense] = rng.uniform(-1.0, 1.0, dense.sum())
+    elig = np.zeros(N_INPUTS)
+    lit = rng.random(N_INPUTS) < 0.2
+    elig[lit] = rng.integers(0, steps + 1, lit.sum())
+    cfg = rates(eta_plus=eta, eta_minus=eta, ns=ns, steps_active=steps)
+    kernel, reference = {
+        "potentiate": (potentiate, potentiate_reference),
+        "depress": (depress, depress_reference),
+    }[rule]
+    expected = w.copy()
+    reference(expected, elig, cfg)
+    kernel(w, elig, cfg)
+    assert w.tobytes() == expected.tobytes()

@@ -26,6 +26,13 @@ from colanet_cl.colanet import ColaNetConfig, Network, train_sample
 #: unchanged.
 WINNERS_SHA256 = "284bd7e392d8624089f5dd558565be9b8072e621448c24f234f8e9541c17091e"
 
+#: SHA-256 of the raw winners, as for ``WINNERS_SHA256``, from
+#: ``stable_setting_winners(leak=0.1)``: the race's leak branch, whose
+#: potentials decay step by step and which shares the first-crossing
+#: readout. Taken before the readout became one argmax over each row's
+#: flattened crossings and before plasticity ran through a scratch row.
+LEAK_WINNERS_SHA256 = "2191291e7e8e09e98dcd29e281eec337570aa2f54a2a543827d599db7b34c513"
+
 #: SHA-256 over ``RUN_FILES`` of ``colanet-cl run`` on the synthetic IDX
 #: corpus (each file as its name, a NUL, its length as little-endian uint64
 #: and its bytes), taken when the encoder began drawing for nonzero pixels
@@ -70,9 +77,9 @@ def sparse_glyph_stream(count: int = 300, seed: int = 2024):
     return np.rint(images).astype(np.uint8), labels.astype(np.int64)
 
 
-def stable_setting_winners() -> np.ndarray:
-    """Raw winners of one online pass at M=45, alpha=2.5, ns=0."""
-    net = Network(ColaNetConfig(microcolumns=45, alpha=2.5, ns=0, seed=7))
+def stable_setting_winners(leak: float = 0.0) -> np.ndarray:
+    """Raw winners of one online pass at M=45, alpha=2.5, ns=0 and ``leak``."""
+    net = Network(ColaNetConfig(microcolumns=45, alpha=2.5, ns=0, seed=7, leak=leak))
     images, labels = sparse_glyph_stream()
     winners = []
     for img, label in zip(images, labels):
@@ -95,6 +102,14 @@ def test_training_winner_trajectory_is_pinned():
     assert (winners < 0).any()
     digest = hashlib.sha256(winners.tobytes()).hexdigest()
     assert digest == WINNERS_SHA256
+
+
+def test_leak_winner_trajectory_is_pinned():
+    winners = stable_setting_winners(leak=0.1)
+    assert len(set(winners.tolist())) > 100
+    assert (winners < 0).any()
+    digest = hashlib.sha256(winners.tobytes()).hexdigest()
+    assert digest == LEAK_WINNERS_SHA256
 
 
 def test_run_output_bytes_are_pinned(tmp_path, synthetic_mnist_dir, capsys):
