@@ -280,30 +280,59 @@ def _run_stage(fn, task_index: int, stage: str, *args):
 # ---------------------------------------------------------------------------
 
 
-def _csv_lines(path: str) -> list[str]:
-    """The stripped non-blank lines of a CSV; ProfileFormatError unless UTF-8."""
+def percent_cell(fraction: float) -> str:
+    """A fraction as a table cell: percent with two decimals."""
+    return f"{fraction * 100.0:.2f}"
+
+
+def write_table(path: str, rows) -> str:
+    """Write rows of cells, header first, as a UTF-8 comma-separated table
+    through ``replacing``; a None cell is written empty. Returns the text."""
+    text = "".join(
+        ",".join("" if cell is None else str(cell) for cell in row) + "\n" for row in rows
+    )
+    with replacing(path) as f:
+        f.write(text)
+    return text
+
+
+def read_table(path: str, header) -> list[list[str]]:
+    """Read a table ``write_table`` wrote: its non-blank lines split into
+    stripped cells, the header row first.
+
+    Checks, in this order, that the file is UTF-8 text, that its first row
+    equals ``header(width)`` for its own width, and that every row has that
+    width. Blank lines are skipped and not counted as rows.
+
+    Raises:
+        ProfileFormatError: A failed check, naming the file and the row.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return [line.strip() for line in f if line.strip()]
+            lines = [line.strip() for line in f if line.strip()]
     except UnicodeDecodeError as exc:
         raise ProfileFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    table = [[cell.strip() for cell in line.split(",")] for line in lines or [""]]
+    width = len(table[0])
+    if table[0] != header(width):
+        raise ProfileFormatError(
+            f"{path}: row 1: header must be {','.join(header(width))}, got {table[0]}"
+        )
+    for row, cells in enumerate(table[1:], start=2):
+        if len(cells) != width:
+            raise ProfileFormatError(
+                f"{path}: row {row}: expected {width} cells, got {len(cells)}"
+            )
+    return table
 
 
 def write_profile_csv(p: DegradationProfile, path: str) -> None:
-    """Write a profile as CSV: header task_1..task_n, percent, blank upper.
-
-    Args:
-        p: Degradation profile.
-        path: Output path (UTF-8, comma-separated, dot decimal).
-    """
+    """Write a profile as a table: header task_1..task_n, then row k's
+    percentages through task k and empty cells above the diagonal."""
     n = p.k
-    lines = [",".join(f"task_{j}" for j in range(1, n + 1))]
-    for i in range(n):
-        cells = [f"{p.a[i, j] * 100.0:.2f}" for j in range(i + 1)]
-        cells += [""] * (n - i - 1)
-        lines.append(",".join(cells))
-    with replacing(path) as f:
-        f.write("\n".join(lines) + "\n")
+    rows = [[percent_cell(p.a[i, j]) if j <= i else None for j in range(n)]
+            for i in range(n)]
+    write_table(path, [[f"task_{j}" for j in range(1, n + 1)], *rows])
 
 
 def read_profile_csv(path: str) -> DegradationProfile:
@@ -311,62 +340,37 @@ def read_profile_csv(path: str) -> DegradationProfile:
 
     Values are percentages; blank cells form the upper triangle.
 
-    Args:
-        path: CSV path.
-
     Returns:
         DegradationProfile with fractions.
 
     Raises:
         ProfileFormatError: Structural problems, with row/column context.
     """
-    lines = _csv_lines(path)
-    if not lines:
-        raise ProfileFormatError(f"{path}: empty profile")
-    header = [h.strip() for h in lines[0].split(",")]
+    header, *rows = read_table(path, lambda n: [f"task_{j}" for j in range(1, n + 1)])
     n = len(header)
-    expected_header = [f"task_{j}" for j in range(1, n + 1)]
-    if header != expected_header:
+    if len(rows) != n:
         raise ProfileFormatError(
-            f"{path}: row 1: header must be task_1..task_{n}, got {header}"
-        )
-    if len(lines) - 1 != n:
-        raise ProfileFormatError(
-            f"{path}: expected {n} data rows to match {n} header columns, "
-            f"got {len(lines) - 1}"
+            f"{path}: expected {n} data rows to match {n} header columns, got {len(rows)}"
         )
     a = np.full((n, n), np.nan)
-    for i, line in enumerate(lines[1:], start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != n:
-            raise ProfileFormatError(
-                f"{path}: row {i + 1}: expected {n} cells, got {len(cells)}"
-            )
-        for j, cell in enumerate(cells, start=1):
-            if j <= i:
-                if cell == "":
-                    raise ProfileFormatError(
-                        f"{path}: row {i + 1}, col {j}: "
-                        "missing lower-triangle value"
-                    )
-                a[i - 1, j - 1] = _parse_accuracy(
-                    cell, f"{path}: row {i + 1}, col {j}"
-                )
-            elif cell != "":
-                raise ProfileFormatError(
-                    f"{path}: row {i + 1}, col {j}: "
-                    "upper-triangle cell must be empty"
-                )
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells):
+            where = f"{path}: row {i + 2}, col {j + 1}"
+            if j > i:
+                if cell != "":
+                    raise ProfileFormatError(f"{where}: upper-triangle cell must be empty")
+            elif cell == "":
+                raise ProfileFormatError(f"{where}: missing lower-triangle value")
+            else:
+                a[i, j] = _parse_accuracy(cell, where)
     return DegradationProfile(a)
 
 
 def write_baseline_csv(accuracies: list[float], path: str) -> None:
-    """Write a baseline-accuracy CSV: header task,accuracy, then one row per
-    task from 1, the accuracy in percent with two decimals."""
-    with replacing(path) as f:
-        f.write("task,accuracy\n")
-        for task_id, acc in enumerate(accuracies, start=1):
-            f.write(f"{task_id},{acc * 100.0:.2f}\n")
+    """Write a baseline-accuracy table: header task,accuracy, then one row
+    per task from 1 with its accuracy in percent."""
+    rows = [[task, percent_cell(acc)] for task, acc in enumerate(accuracies, start=1)]
+    write_table(path, [["task", "accuracy"], *rows])
 
 
 def read_baseline_csv(path: str) -> np.ndarray:
@@ -379,26 +383,17 @@ def read_baseline_csv(path: str) -> np.ndarray:
         ProfileFormatError: Malformed header or cells, tasks not consecutive
             from 1, or a bad accuracy cell, with row context.
     """
-    lines = _csv_lines(path)
-    header = [c.strip() for c in lines[0].split(",")] if lines else []
-    if header != ["task", "accuracy"]:
-        raise ProfileFormatError(f"{path}: row 1: header must be task,accuracy")
+    _, *rows = read_table(path, lambda width: ["task", "accuracy"])
     values = []
-    for row, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2:
-            raise ProfileFormatError(f"{path}: row {row}: expected 2 cells")
+    for row, (task, accuracy) in enumerate(rows, start=2):
+        where = f"{path}: row {row}"
         try:
-            task_id = int(cells[0])
+            task_id = int(task)
         except ValueError:
-            raise ProfileFormatError(
-                f"{path}: row {row}: task not numeric: {cells[0]!r}"
-            ) from None
+            raise ProfileFormatError(f"{where}: task not numeric: {task!r}") from None
         if task_id != row - 1:
-            raise ProfileFormatError(
-                f"{path}: row {row}: tasks must be consecutive from 1"
-            )
-        values.append(_parse_accuracy(cells[1], f"{path}: row {row}"))
+            raise ProfileFormatError(f"{where}: tasks must be consecutive from 1")
+        values.append(_parse_accuracy(accuracy, where))
     return np.asarray(values, dtype=np.float64)
 
 
@@ -419,11 +414,11 @@ def _parse_accuracy(cell: str, where: str) -> float:
     return value / 100.0
 
 
-def write_metrics_csv(report: MetricsReport, path: str) -> None:
-    """Write metric series as CSV (percent, two decimals).
+def metrics_table(report: MetricsReport) -> list[list]:
+    """The metric series as table rows, header first, in percent.
 
     Columns: k, AA, AIA, AIA_padded, FM, BWT and FWT when available. The
-    k=1 cells of the ``UNDEFINED_AT_K1`` metrics are left empty.
+    k=1 cells of the ``UNDEFINED_AT_K1`` metrics are None (written empty).
     """
     series = {
         "AA": report.aa,
@@ -434,15 +429,16 @@ def write_metrics_csv(report: MetricsReport, path: str) -> None:
     }
     if report.fwt is not None:
         series["FWT"] = report.fwt
-    lines = [",".join(["k", *series])]
-    for k in range(1, report.n + 1):
-        cells = [str(k)] + [
-            "" if k == 1 and name in UNDEFINED_AT_K1 else f"{values[k - 1] * 100.0:.2f}"
-            for name, values in series.items()
-        ]
-        lines.append(",".join(cells))
-    with replacing(path) as f:
-        f.write("\n".join(lines) + "\n")
+    return [["k", *series]] + [
+        [k] + [None if k == 1 and name in UNDEFINED_AT_K1 else percent_cell(values[k - 1])
+               for name, values in series.items()]
+        for k in range(1, report.n + 1)
+    ]
+
+
+def write_metrics_csv(report: MetricsReport, path: str) -> None:
+    """Write ``metrics_table(report)`` to ``path``."""
+    write_table(path, metrics_table(report))
 
 
 def render_summary(report: MetricsReport) -> str:

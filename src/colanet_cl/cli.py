@@ -12,7 +12,8 @@ Subcommands
 ``sweep``
     Run the first seed once per point of an ``alpha`` and/or ``ns`` grid,
     each point writing the files of a ``run`` under ``point_NNN/``, and
-    tabulate (alpha, ns, AA, FM) per point in ``sweep.csv``.
+    tabulate (alpha, ns, AA, FM) per point in ``sweep.csv``, printing the same
+    rows.
 ``heatmap``
     Render the receptive fields of a saved network state as a PPM image.
 ``baseline-acc``
@@ -51,6 +52,7 @@ from .clbench import (
     ProfileFormatError,
     SequenceError,
     compute_report,
+    metrics_table,
     read_baseline_csv,
     read_profile_csv,
     render_summary,
@@ -58,6 +60,7 @@ from .clbench import (
     write_baseline_csv,
     write_metrics_csv,
     write_profile_csv,
+    write_table,
 )
 from .colanet import ColaNetAdapter, ColaNetConfig, export_heatmaps, load_state
 from .dataset import (
@@ -131,6 +134,8 @@ class ExperimentConfig:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.train_count is not None and self.train_count < 1:
             raise UsageError(f"train_count must be >= 1, got {self.train_count}")
+        if self.train_count is not None and self.scenario != "permuted":
+            raise UsageError("train_count applies to the permuted scenario only")
         if not self.out_dir:
             raise UsageError("out_dir must not be empty")
 
@@ -187,10 +192,12 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     ``#`` starts a comment (full-line or trailing); blank lines are ignored.
 
     Raises:
-        UsageError: Unknown key, missing ``=``, or an unparsable value (NaN
-            or an infinity among them), with the offending line number.
+        UsageError: Unknown or repeated key, missing ``=``, or an
+            unparsable value (NaN or an infinity among them), with the
+            offending line number (a repeated key names both lines).
     """
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -202,6 +209,11 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         raw = raw.strip()
         if key not in _KEY_PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise UsageError(
+                f"{path}:{lineno}: config key {key!r} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         try:
             values[key] = _KEY_PARSERS[key](raw)
         except (ValueError, UsageError) as exc:
@@ -403,7 +415,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
     The points are ``grid_points(cfg)``; at least one of ``alpha_grid`` and
     ``ns_grid`` must be non-empty. Point NNN is one ``run_unit`` whose files
-    land in ``point_NNN/`` under the output directory.
+    land in ``point_NNN/`` under the output directory. Each point's AA and
+    FM cells are the last row of its metrics table; ``sweep.csv`` holds one
+    row per point, and the same rows are printed.
     """
     if not cfg.alpha_grid and not cfg.ns_grid:
         raise UsageError("sweep requires alpha_grid and/or ns_grid")
@@ -411,30 +425,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise UsageError("sweep grids apply to the colanet model only")
     seed = cfg.seeds[0]
     write_manifest(cfg, "sweep")
-    rows = []
+    rows = [["alpha", "ns", "AA", "FM"]]
     for index, point in enumerate(grid_points(cfg)):
-        point_dir = os.path.join(cfg.out_dir, f"point_{index:03d}")
-        report = run_unit(point, seed, point_dir)
-        rows.append(
-            (
-                point.alpha,
-                point.ns,
-                report.aa[-1] * 100.0,
-                report.fm[-1] * 100.0 if report.n > 1 else float("nan"),
-            )
-        )
-    sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
-    with replacing(sweep_path) as f:
-        f.write("alpha,ns,AA,FM\n")
-        for alpha, ns, aa, fm in rows:
-            ns_cell = "" if ns is None else f"{ns:g}"
-            fm_cell = "" if np.isnan(fm) else f"{fm:.2f}"
-            f.write(f"{alpha:g},{ns_cell},{aa:.2f},{fm_cell}\n")
-    print(f"{'alpha':>10} {'ns':>10} {'AA':>8} {'FM':>8}")
-    for alpha, ns, aa, fm in rows:
-        ns_cell = "off" if ns is None else f"{ns:g}"
-        fm_cell = "-" if np.isnan(fm) else f"{fm:.2f}"
-        print(f"{alpha:>10g} {ns_cell:>10} {aa:>8.2f} {fm_cell:>8}")
+        report = run_unit(point, seed, os.path.join(cfg.out_dir, f"point_{index:03d}"))
+        header, *_, last = metrics_table(report)
+        final = dict(zip(header, last))
+        ns = None if point.ns is None else f"{point.ns:g}"
+        rows.append([f"{point.alpha:g}", ns, final["AA"], final["FM"]])
+    print(write_table(os.path.join(cfg.out_dir, "sweep.csv"), rows), end="")
     return EXIT_OK
 
 

@@ -576,26 +576,16 @@ def export_heatmaps(net: Network, path: str) -> None:
     """
     cfg = net.config
     c, m = cfg.class_count, cfg.microcolumns
-    height = c * 28 + (c - 1)
-    width = m * 28 + (m - 1)
-    canvas = np.zeros((height, width, 3), dtype=np.uint8)
-    vmax = np.abs(net.weights).max()
-    for col in range(c):
-        for micro in range(m):
-            tile = net.weights[col * m + micro].reshape(28, 28)
-            rgb = np.full((28, 28, 3), 255, dtype=np.uint8)
-            if vmax > 0:
-                scaled = np.clip(tile / vmax, -1.0, 1.0)
-                fade = np.round(255 * np.abs(scaled)).astype(np.uint8)
-                pos = scaled > 0
-                neg = scaled < 0
-                rgb[pos, 1] = 255 - fade[pos]
-                rgb[pos, 2] = 255 - fade[pos]
-                rgb[neg, 0] = 255 - fade[neg]
-                rgb[neg, 1] = 255 - fade[neg]
-            top = col * 29
-            left = micro * 29
-            canvas[top : top + 28, left : left + 28] = rgb
+    # An all-zero grid (vmax 0) is divided by 1 instead and stays white.
+    scaled = np.clip(net.weights / (np.abs(net.weights).max() or 1.0), -1.0, 1.0)
+    fade = 255 - np.round(255 * np.abs(scaled)).astype(np.uint8)
+    # Red keeps full strength on positive weights, blue on negative ones.
+    faded = np.stack([scaled < 0, scaled != 0, scaled > 0], axis=-1)
+    rgb = np.where(faded, fade[..., None], np.uint8(255))
+    canvas = np.zeros((c, 29, m, 29, 3), dtype=np.uint8)
+    canvas[:, :28, :, :28] = rgb.reshape(c, m, 28, 28, 3).transpose(0, 2, 1, 3, 4)
+    canvas = canvas.reshape(c * 29, m * 29, 3)[:-1, :-1]
+    height, width = canvas.shape[:2]
     with replacing(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         f.write(canvas.tobytes())

@@ -38,11 +38,11 @@ def potentiate(w: np.ndarray, eligibility: np.ndarray, cfg) -> None:
         cfg: A ``ColaNetConfig`` (supplies eta_plus, steps_active, w_min,
             w_max, ns and ``renormalization_active``).
     """
-    before = w.sum()
+    before = w.sum() if cfg.renormalization_active else None
     step = np.multiply(eligibility, cfg.eta_plus)
     step /= cfg.steps_active
     np.minimum(np.add(w, step, out=step), cfg.w_max, out=w)
-    if cfg.renormalization_active:
+    if before is not None:
         added = w.sum() - before
         w -= added / (N_INPUTS + cfg.ns)
         np.maximum(w, cfg.w_min, out=w)

@@ -22,6 +22,14 @@ import pytest
 from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES, load_mnist
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def python_env() -> dict[str, str]:
+    """The environment for a child Python process that imports this
+    checkout's ``colanet_cl``: ``src`` first on its ``PYTHONPATH``."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC_DIR + (os.pathsep + path if path else "")}
 
 # One line per acceptance criterion, recorded as its test runs and echoed
 # in a dedicated section at the end of the pytest run (so the verdicts are

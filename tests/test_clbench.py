@@ -29,7 +29,7 @@ from colanet_cl.clbench import (
 )
 
 import metrics_reference as ref
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, python_env
 
 NAN = float("nan")
 
@@ -466,6 +466,21 @@ def test_profile_and_baseline_readers_share_accuracy_rule(tmp_path, bad, message
         read_baseline_csv(str(baseline))
 
 
+@pytest.mark.parametrize("row", ["80.00", "80.00,85.00,1"], ids=["short", "long"])
+def test_profile_and_baseline_readers_share_row_width_rule(tmp_path, row):
+    """Both CSV readers reject a row with fewer or more cells than the
+    header, naming the row."""
+    cells = len(row.split(","))
+    profile = tmp_path / "p.csv"
+    profile.write_text(f"task_1,task_2\n90.00,\n{row}\n")
+    with pytest.raises(ProfileFormatError, match=f"row 3: expected 2 cells, got {cells}"):
+        read_profile_csv(str(profile))
+    baseline = tmp_path / "b.csv"
+    baseline.write_text(f"task,accuracy\n1,90.00\n{row.replace('80.00', '2', 1)}\n")
+    with pytest.raises(ProfileFormatError, match=f"row 3: expected 2 cells, got {cells}"):
+        read_baseline_csv(str(baseline))
+
+
 def test_quickstart_demo_runs():
     """The data-free demo the README points to still runs end to end."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -474,6 +489,7 @@ def test_quickstart_demo_runs():
         capture_output=True,
         text=True,
         cwd=root,
+        env=python_env(),
     )
     assert result.returncode == 0, result.stderr
     assert "after task 4:" in result.stdout

@@ -37,7 +37,7 @@ from colanet_cl.dataset import (
     make_mnist_truncated,
 )
 
-from conftest import FIXTURES_DIR, bit_flips, flip, write_idx
+from conftest import FIXTURES_DIR, bit_flips, flip, python_env, write_idx
 
 MLP_PROFILE = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
 
@@ -93,6 +93,20 @@ def test_parse_config_rejects_bad_value_with_line():
         parse_config_text("model = mlp\n\nn_tasks = many\n")
 
 
+def test_parse_config_rejects_repeated_key_with_both_lines(tmp_path, capsys):
+    """A key set twice is a usage error, not a silent last-one-wins."""
+    with pytest.raises(
+        UsageError, match=r"<config>:3: config key 'alpha' is already set on line 1"
+    ):
+        parse_config_text("alpha = 2.5\nmodel = colanet\nalpha = 0.1\n")
+    path = tmp_path / "twice.cfg"
+    path.write_text("ns = 0\n# ns again\nns = off\n")
+    assert main(["run", "--config", str(path)]) == EXIT_USAGE
+    assert f"error: {path}:3: config key 'ns' is already set on line 1" in (
+        capsys.readouterr().err
+    )
+
+
 CONFIG_BYTES = b"""# experiment
 model = colanet
 scenario = permuted
@@ -135,6 +149,19 @@ def test_experiment_config_validation():
             ExperimentConfig(batch_size=batch_size)
     with pytest.raises(UsageError, match="train_count"):
         ExperimentConfig(train_count=0)
+
+
+@pytest.mark.parametrize("scenario", ["two-task-forward", "two-task-reverse"])
+def test_train_count_is_permuted_only(tmp_path, capsys, scenario):
+    """The two-task builders have fixed split sizes, so a train_count there
+    would be ignored; it is a usage error instead. ``none`` stays valid."""
+    with pytest.raises(UsageError, match="train_count applies to the permuted"):
+        ExperimentConfig(scenario=scenario, train_count=100)
+    assert ExperimentConfig(scenario=scenario, train_count=None).train_count is None
+    path = tmp_path / "two.cfg"
+    path.write_text(f"scenario = {scenario}\ntrain_count = 100\n")
+    assert main(["baseline-acc", "--config", str(path)]) == EXIT_USAGE
+    assert "train_count applies to the permuted" in capsys.readouterr().err
 
 
 def test_load_experiment_config_overrides(tmp_path):
@@ -651,8 +678,8 @@ def test_sweep_command(tmp_path, synthetic_mnist_dir, capsys):
     assert lines[2].startswith("0.02,,")
     for point in ("point_000", "point_001"):
         assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
-    out = capsys.readouterr().out
-    assert "alpha" in out and "AA" in out
+    # Sweep prints the rows sweep.csv holds.
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
@@ -699,6 +726,11 @@ def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
         "summary_seed5.txt",
     ]
     assert point == files(run_dir)
+    # The point's AA and FM cells are the last row of its metrics table.
+    metrics = point["metrics_seed5.csv"].decode().splitlines()
+    final = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
+    sweep_rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+    assert sweep_rows[2] == f"0.02,,{final['AA']},{final['FM']}"
 
 
 def test_baseline_acc_feeds_forward_transfer(tmp_path, synthetic_mnist_dir, capsys):
@@ -781,6 +813,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=python_env(),
     )
     assert result.returncode == 0
     assert "metric" in result.stdout

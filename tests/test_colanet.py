@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import math
 import struct
 import warnings
@@ -1072,6 +1073,21 @@ def test_heatmap_intermediate_weights_fade(tmp_path):
     assert tuple(pixels[0, 0]) == (255, 0, 0)
     r, g, b = pixels[0, 1]
     assert r == 255 and g == b and 0 < g < 255
+
+
+# SHA-256 of the PPM for seeded random weights, a third of them zeroed, on a
+# 3 x 4 grid, as the per-tile renderer wrote it: the whole-array renderer
+# must match it byte for byte.
+HEATMAP_SHA256 = "d02beb72a8700b4fe5b76c7b1ff92041ad28963ef9cfc089d4c56c0ab8aa8de2"
+
+
+def test_heatmap_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(16)
+    weights = rng.normal(size=(12, 784)) * (rng.random((12, 784)) > 1 / 3)
+    net = Network(ColaNetConfig(class_count=3, microcolumns=4), weights=weights)
+    path = tmp_path / "pinned.ppm"
+    export_heatmaps(net, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == HEATMAP_SHA256
 
 
 # ------------------------------------------------------------------- adapter
