@@ -95,7 +95,9 @@ class UsageError(Exception):
 class ExperimentConfig:
     """One experiment, fully resolved.
 
-    Every field is echoed into the run manifest for provenance.
+    Every field is echoed into the run manifest for provenance, so a field
+    the chosen model does not read must keep its default: the colanet keys
+    and grids for ``mlp``, ``batch_size`` for ``colanet``.
     """
 
     model: str = "colanet"
@@ -138,6 +140,14 @@ class ExperimentConfig:
             raise UsageError("train_count applies to the permuted scenario only")
         if not self.out_dir:
             raise UsageError("out_dir must not be empty")
+        other, unread = "mlp", ("batch_size",)
+        if self.model == "mlp":
+            other, unread = "colanet", NETWORK_KEYS + ("alpha_grid", "ns_grid")
+        changed = [f.name for f in dataclasses.fields(self)
+                   if f.name in unread and getattr(self, f.name) != f.default]
+        if changed:
+            raise UsageError(f"the {self.model} model does not read {', '.join(changed)}; "
+                             f"leave these {other} keys at their defaults")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +431,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     """
     if not cfg.alpha_grid and not cfg.ns_grid:
         raise UsageError("sweep requires alpha_grid and/or ns_grid")
-    if cfg.model != "colanet":
-        raise UsageError("sweep grids apply to the colanet model only")
     seed = cfg.seeds[0]
     write_manifest(cfg, "sweep")
     rows = [["alpha", "ns", "AA", "FM"]]

@@ -33,8 +33,9 @@ steps * (positive grid mass) first does, so without leak the race starts
 there (the third of 10 steps for networks trained at alpha = 2.5), and a
 network that cannot cross at all is raced without a product. Most
 presentations cross early, so the race runs the first half of the remaining
-steps for the whole batch and the rest only for presentations with no
-crossing yet; their potentials are exact too.
+steps first and the rest only for presentations with no crossing yet; their
+potentials are exact too. Training races one image at a time
+(``_race_image``), evaluation batches of 64 (``Network.race``).
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
@@ -217,32 +218,32 @@ class Network:
         self._pos_sum = np.empty(config.neuron_count)
         self._thresholds = np.empty(config.neuron_count)
         self._first_steps = np.empty(config.neuron_count, dtype=np.int64)
-        self._refresh(slice(None))
+        self._refresh()
 
     # -- bookkeeping -------------------------------------------------------
 
     def _flat(self, column: int, micro: int) -> int:
         return column * self.config.microcolumns + micro
 
-    def _refresh(self, rows: slice) -> None:
-        """Re-derive the race's cached state of neurons ``rows`` from their
-        weights: grid weights, positive mass, adaptive threshold
+    def _refresh(self) -> None:
+        """Derive the race's cached state of every neuron from its weights:
+        grid weights, positive mass, adaptive threshold
         u_const + alpha * positive mass, and earliest step that can cross
-        (``_first_step``)."""
+        (``_first_step``). ``_learn`` re-derives one row the same way."""
         cfg = self.config
-        weights = self.weights[rows]
+        weights = self.weights
         grid = np.maximum(weights, 0.0)
         masses = grid.sum(axis=1)
-        self._pos_sum[rows] = masses
+        self._pos_sum[:] = masses
         # Weights rounded to the nearest multiple of 2^-k (ties to even).
         np.ldexp(weights, self._grid_bits, out=grid)
         np.rint(grid, out=grid)
         np.ldexp(grid, -self._grid_bits, out=grid)
-        self._drive_w[:, rows] = grid.T
+        self._drive_w[:] = grid.T
         peaks = np.maximum(grid, 0.0, out=grid).sum(axis=1)
         thresholds = [cfg.u_const + cfg.alpha * mass for mass in masses.tolist()]
-        self._thresholds[rows] = thresholds
-        self._first_steps[rows] = [
+        self._thresholds[:] = thresholds
+        self._first_steps[:] = [
             _first_step(theta, peak, cfg.steps_active)
             for theta, peak in zip(thresholds, peaks.tolist())
         ]
@@ -338,7 +339,8 @@ class Network:
         """Race one training image and pick the microcolumn to reward.
 
         The spikes are drawn from the network's training stream, for the
-        image's nonzero pixels only, which the race then integrates.
+        image's nonzero pixels only; their counts, cumulated over the
+        window, are raced by ``_race_image``.
 
         Args:
             img: uint8 image of shape (784,).
@@ -353,22 +355,63 @@ class Network:
         spikes = encode_active_batch(
             img[None, pixels], self.config.steps_active, self.rng
         )
-        winner = int(self.race(spikes, pixels)[0])
+        counts = spikes[0].astype(np.float64)
+        for t in range(1, len(counts)):
+            counts[t] += counts[t - 1]
+        winner = self._race_image(counts, pixels)
         raw = divmod(winner, self.config.microcolumns) if winner >= 0 else None
         effective = raw
         if raw is None or raw[0] != label:
             effective = (label, self.designated_microcolumn(label))
         eligibility = np.zeros(N_INPUTS)
-        # Counts <= steps_active <= 65535; a uint16 sum beats a float64 one.
-        eligibility[pixels] = spikes[0].sum(axis=0, dtype=np.uint16)
+        eligibility[pixels] = counts[-1]
         return PresentationOutcome(raw, effective), eligibility
+
+    def _race_image(self, counts: np.ndarray, pixels: np.ndarray) -> int:
+        """``race``'s winner for one presentation, from its (T, U) spike
+        counts over ``pixels`` cumulated from step 0, with ``race``'s sums:
+        without leak each half of [t0, T) is one product, the second made
+        only when nothing crossed; with leak the whole window decays."""
+        steps = len(counts)
+        start = int(self._first_steps.min())
+        if start >= steps:
+            return -1
+        weights = self._drive_w[pixels]
+        if self.config.leak != 0.0:
+            drives = np.diff(counts, axis=0, prepend=0.0)[None]
+            return self._first_crossing(self._potentials(drives, weights, 0.0)[0])
+        split = (start + steps + 1) // 2
+        winner = self._first_crossing(counts[start:split] @ weights)
+        if winner < 0 and split < steps:
+            winner = self._first_crossing(counts[split:] @ weights)
+        return winner
+
+    def _first_crossing(self, potentials: np.ndarray) -> int:
+        """The first crossing among (t, C*M) potentials of consecutive steps:
+        the earliest step's lowest flat index, or -1 when none crosses."""
+        crossed = (potentials >= self._thresholds).ravel()
+        first = int(crossed.argmax())
+        return first % len(self._thresholds) if crossed[first] else -1
 
     # -- plasticity --------------------------------------------------------
 
     def _learn(self, rule, flat: int, eligibility: np.ndarray) -> None:
-        """Apply a plasticity rule to one neuron's row, then re-cache its mass."""
-        rule(self.weights[flat], eligibility, self.config)
-        self._refresh(slice(flat, flat + 1))
+        """Apply a plasticity rule to one neuron's row, then re-derive that
+        row's race state as ``_refresh`` does."""
+        cfg = self.config
+        weights = self.weights[flat]
+        rule(weights, eligibility, cfg)
+        grid = np.maximum(weights, 0.0)
+        mass = float(grid.sum())
+        self._pos_sum[flat] = mass
+        np.ldexp(weights, self._grid_bits, out=grid)
+        np.rint(grid, out=grid)
+        np.ldexp(grid, -self._grid_bits, out=grid)
+        self._drive_w[:, flat] = grid
+        peak = float(np.maximum(grid, 0.0, out=grid).sum())
+        threshold = cfg.u_const + cfg.alpha * mass
+        self._thresholds[flat] = threshold
+        self._first_steps[flat] = _first_step(threshold, peak, cfg.steps_active)
 
 
 def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +579,7 @@ def load_state(path: str) -> Network:
         except ValueError as exc:
             raise reader.error(f"invalid config block: {exc}") from None
         weights = reader.array((config.neuron_count, N_INPUTS), "weight payload")
-        if np.abs(weights).max() > config.weight_bound:
+        if max(-weights.min(), weights.max()) > config.weight_bound:
             raise reader.error("weight payload exceeds the config's weight bound")
         rng_bytes = reader.take(16 + 16 + 8, "rng state")
         reader.finish()

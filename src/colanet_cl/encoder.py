@@ -39,6 +39,10 @@ def encode_active_batch(
         Boolean array of shape (B, steps_active, U).
     """
     batch, width = images.shape
+    if images.all():
+        # No zero entry: the draw order is C order over (image, step, pixel).
+        uniforms = rng.random((batch, steps_active, width))
+        return uniforms < images[:, None, :] / 255.0
     # Row (image, step) of ``repeated`` is that image; its nonzero entries,
     # read in C order, are the draw order.
     repeated = np.repeat(images, steps_active, axis=0)

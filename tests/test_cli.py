@@ -151,6 +151,26 @@ def test_experiment_config_validation():
         ExperimentConfig(train_count=0)
 
 
+def test_keys_the_model_does_not_read_are_usage_errors(tmp_path, capsys):
+    """The manifest echoes every field, so one the model never reads must
+    keep its default: each that differs is named, and ``run`` exits 1."""
+    with pytest.raises(UsageError, match="mlp model does not read alpha, microcolumns;"):
+        ExperimentConfig(model="mlp", alpha=5.0, microcolumns=90)
+    with pytest.raises(UsageError, match="mlp model does not read ns_grid; .* colanet"):
+        ExperimentConfig(model="mlp", ns_grid=(0.0,))
+    with pytest.raises(UsageError, match="colanet model does not read batch_size;"):
+        ExperimentConfig(model="colanet", batch_size=7)
+    # Defaults, spelled out or not, are accepted.
+    ExperimentConfig(model="mlp", alpha=ColaNetConfig.alpha, ns=None)
+    ExperimentConfig(model="colanet", batch_size=32)
+    path = tmp_path / "exp.cfg"
+    path.write_text("model = mlp\nleak = 0.1\ndata_dir = /tmp\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert "mlp model does not read leak" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["two-task-forward", "two-task-reverse"])
 def test_train_count_is_permuted_only(tmp_path, capsys, scenario):
     """The two-task builders have fixed split sizes, so a train_count there
@@ -431,6 +451,8 @@ def test_heatmap_bad_state_is_data_error(tmp_path, capsys):
 
 
 def run_config(tmp_path, mnist_dir, **overrides) -> str:
+    """A run config file; an mlp config leaves out ``microcolumns``, which
+    only colanet reads."""
     values = dict(
         model="colanet",
         scenario="permuted",
@@ -441,6 +463,8 @@ def run_config(tmp_path, mnist_dir, **overrides) -> str:
         data_dir=mnist_dir,
     )
     values.update(overrides)
+    if values["model"] == "mlp":
+        del values["microcolumns"]
     path = tmp_path / "exp.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return str(path)

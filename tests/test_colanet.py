@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 import struct
 import warnings
@@ -106,7 +107,7 @@ INVALID_CONFIGS = [
     dict(seed=2**64),
     dict(class_count=2**32),
     dict(microcolumns=2**32),
-    # Spike counts over the window must fit the uint16 eligibility sum.
+    # The window is at most 65535 steps long.
     dict(steps_active=65536, w_min=-1e-6, w_max=1e-6, init_high=1e-6),
     # The race's weight grid would be coarser than 2^-30.
     dict(steps_active=5350),  # 5350 * 784 * 1 > 2**22
@@ -172,7 +173,7 @@ def test_network_rejects_mismatched_weights():
 def test_thresholds_match_neuron_kernel():
     net = Network(small_config(alpha=0.4, u_const=1.5))
     net.weights[:] = np.random.default_rng(0).uniform(-1, 1, net.weights.shape)
-    net._refresh(slice(None))
+    net._refresh()
     expected = [
         ref.adaptive_threshold(
             ref.ReceptiveField(weights=net.weights[flat].copy()),
@@ -191,9 +192,9 @@ def test_thresholds_match_neuron_kernel():
     st.sampled_from([1, 4]),
 )
 def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
-    """The batched race picks, per presentation, the neuron the sequential
-    per-neuron dynamics would: earliest first spike, flat order breaking
-    ties, and -1 when nothing fires."""
+    """The batched race, and the one-image race of each presentation, pick
+    the neuron the sequential per-neuron dynamics would: earliest first
+    spike, flat order breaking ties, and -1 when nothing fires."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, leak=leak)
     net = Network(cfg, weights=rng.uniform(-0.3, 0.6, (cfg.neuron_count, 784)))
@@ -217,6 +218,7 @@ def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
             firsts.append(first)
         expected = -1 if min(firsts) == NO_FIRE else int(np.argmin(firsts))
         assert winners[b] == expected
+        assert race_image(net, spikes[b])[0] == expected
 
 
 def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
@@ -243,6 +245,23 @@ def race_windows(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
     finally:
         del net._potentials
     return winners, calls
+
+
+class ReadRows(np.ndarray):
+    """Cumulated counts that record each index the one-image race reads."""
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return np.asarray(self)[key]
+
+
+def race_image(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
+    """The one-image race of a (T, U) raster, given its counts cumulated
+    from step 0 as ``present_full`` gives them: the winner, and the row
+    slices of the counts it read."""
+    counts = np.cumsum(spikes, axis=0, dtype=np.float64).view(ReadRows)
+    counts.reads = []
+    return net._race_image(counts, pixels), counts.reads
 
 
 def race_start(net: Network) -> int:
@@ -427,6 +446,7 @@ def test_race_winner_crossing_in_second_half_matches_oracle():
     expected = ref.first_crossing_winners(potentials, net._thresholds)
     assert expected.tolist() == [0, -1, 0, 1]
     assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
+    assert [race_image(net, raster)[0] for raster in spikes] == expected.tolist()
 
 
 def test_second_window_races_only_rows_that_did_not_cross():
@@ -461,7 +481,7 @@ def test_race_starts_at_the_first_step_any_neuron_can_cross(seed, alpha, steps):
     (s + 1) * (positive grid mass) >= threshold; the race multiplies no step
     before the least of them, and that bound is tight: with nonnegative
     weights and every pixel spiking at every step, a neuron crosses exactly
-    there."""
+    there. The one-image race reads no count before that step either."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, steps_active=steps)
     weights = race_weights(rng, cfg, "template")
@@ -479,8 +499,11 @@ def test_race_starts_at_the_first_step_any_neuron_can_cross(seed, alpha, steps):
 
     spikes = np.ones((2, steps, 784), dtype=bool)
     winners, calls = race_windows(net, spikes)
+    winner, reads = race_image(net, spikes[0])
+    assert winner == winners[0]
+    assert all(rows.start >= start for rows in reads)
     if start == steps:
-        assert calls == [] and winners.tolist() == [-1, -1]
+        assert calls == [] and winners.tolist() == [-1, -1] and reads == []
         return
     counts, _, potential = calls[0]
     assert counts.shape[1] == (start + steps + 1) // 2 - start
@@ -517,6 +540,7 @@ def test_untrained_network_with_zero_weights_races_nothing():
     winners, calls = race_windows(net, spikes)
     assert winners.tolist() == [-1] * 4
     assert calls == []
+    assert race_image(net, spikes[0]) == (-1, [])
 
 
 def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
@@ -527,6 +551,7 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
     img = np.full((1, 784), 255, dtype=np.uint8)
     spikes = encode_active_batch(img, cfg.steps_active, np.random.default_rng(0))
     assert net.race(spikes, ALL_PIXELS).tolist() == [0]
+    assert race_image(net, spikes[0])[0] == 0
 
 
 # ------------------------------------------------------------- teacher forcing
@@ -598,13 +623,27 @@ def test_silent_presentation_potentiates_designated_only():
 
 
 def test_present_full_eligibility_is_the_float_spike_count():
-    net = Network(small_config())
-    img = np.random.default_rng(1).integers(0, 256, 784).astype(np.uint8)
-    rng = copy.deepcopy(net.rng)  # the draw present_full is about to make
-    spikes = encode_active_batch(img[None], net.config.steps_active, rng)
-    _, eligibility = net.present_full(img, 0)
-    assert eligibility.dtype == np.float64
-    assert np.array_equal(eligibility, spikes[0].sum(axis=0))
+    """The eligibility, read off the last step of the cumulated counts, is
+    the raster's per-pixel spike count, and the raw winner is the batch
+    race's on the same raster: for a sparse image, a saturated one and a
+    black one, with and without leak, over one step and ten, from a network
+    that races and one that races none."""
+    rng = np.random.default_rng(1)
+    sparse = rng.integers(0, 256, 784).astype(np.uint8)
+    sparse[rng.random(784) < 0.8] = 0
+    images = [sparse, np.full(784, 255, dtype=np.uint8), np.zeros(784, np.uint8)]
+    for steps, leak, init_high in itertools.product((1, 10), (0.0, 0.1), (0.01, 0.0)):
+        cfg = small_config(alpha=0.0, steps_active=steps, leak=leak, init_high=init_high)
+        net = Network(cfg)
+        for img in images:
+            draw = copy.deepcopy(net.rng)  # the draw present_full is about to make
+            spikes = encode_active_batch(img[None], steps, draw)
+            outcome, eligibility = net.present_full(img, 0)
+            assert eligibility.dtype == np.float64
+            assert np.array_equal(eligibility, spikes[0].sum(axis=0))
+            winner = int(net.race(spikes, ALL_PIXELS)[0])
+            flat = -1 if outcome.raw_winner is None else net._flat(*outcome.raw_winner)
+            assert flat == winner
 
 
 def test_train_sample_rejects_bad_label():
@@ -985,6 +1024,29 @@ def test_load_rejects_non_finite_weight(tmp_path):
     bad.write_bytes(bytes(data))
     with pytest.raises(StateFormatError, match="non-finite"):
         load_state(str(bad))
+
+
+def test_load_checks_weights_against_the_weight_bound(tmp_path):
+    """A weight of magnitude exactly ``weight_bound`` loads; one ulp beyond
+    it, on either side, fails typed."""
+    cfg = ColaNetConfig(class_count=2, microcolumns=1)
+    bound = cfg.weight_bound
+    cases = [
+        (bound, True),
+        (-bound, True),
+        (math.nextafter(bound, math.inf), False),
+        (math.nextafter(-bound, -math.inf), False),
+    ]
+    for index, (value, loads) in enumerate(cases):
+        net = Network(cfg)
+        net.weights[1, 300] = value
+        path = str(tmp_path / f"net{index}.bin")
+        save_state(net, path)
+        if loads:
+            assert load_state(path).weights[1, 300] == value
+        else:
+            with pytest.raises(StateFormatError, match="exceeds"):
+                load_state(path)
 
 
 def _trained_2x1() -> Network:

@@ -122,29 +122,43 @@ def sparse_images(seed: int, count: int, width: int = 784) -> np.ndarray:
     return images
 
 
+def lit_images(seed: int, count: int) -> np.ndarray:
+    """Random intensities with no black pixel, as training draws them (the
+    nonzero pixels of one image)."""
+    return np.random.default_rng(seed).integers(1, 256, (count, 784), dtype=np.uint8)
+
+
+def draw_batches(seed: int) -> list[np.ndarray]:
+    """Sparse images with an all-black one (the masked draw), and one or
+    three images with no zero entry (the dense draw)."""
+    sparse = sparse_images(seed, 3)
+    sparse[1] = 0  # an all-black image draws nothing
+    return [sparse, lit_images(seed, 1), lit_images(seed, 3)]
+
+
 def test_encode_draws_per_nonzero_pixel_in_image_step_pixel_order():
     """Uniform j of the stream decides the j-th (image, step, nonzero pixel)
-    cell in that order, against ``uniform < intensity / 255``."""
-    images = sparse_images(10, 3)
-    images[1] = 0  # an all-black image draws nothing
-    spikes = encode_active_batch(images, 4, np.random.default_rng(11))
-    uniforms = iter(np.random.default_rng(11).random(4 * np.count_nonzero(images)))
-    expected = np.zeros((3, 4, 784), dtype=bool)
-    for i, img in enumerate(images):
-        for t in range(4):
-            for pixel in np.flatnonzero(img):
-                expected[i, t, pixel] = next(uniforms) < img[pixel] / 255.0
-    assert np.array_equal(spikes, expected)
+    cell in that order, against ``uniform < intensity / 255``, whether or
+    not some entry is zero."""
+    for images in draw_batches(10):
+        spikes = encode_active_batch(images, 4, np.random.default_rng(11))
+        uniforms = iter(np.random.default_rng(11).random(4 * np.count_nonzero(images)))
+        expected = np.zeros((len(images), 4, 784), dtype=bool)
+        for i, img in enumerate(images):
+            for t in range(4):
+                for pixel in np.flatnonzero(img):
+                    expected[i, t, pixel] = next(uniforms) < img[pixel] / 255.0
+        assert np.array_equal(spikes, expected)
 
 
 @pytest.mark.parametrize("steps", [1, 10])
 def test_encode_advances_the_generator_by_steps_times_nonzero_pixels(steps):
-    images = sparse_images(12, 5)
-    rng = np.random.default_rng(13)
-    clone = copy.deepcopy(rng)
-    encode_active_batch(images, steps, rng)
-    clone.bit_generator.advance(steps * int(np.count_nonzero(images)))
-    assert rng.bit_generator.state == clone.bit_generator.state
+    for images in draw_batches(12):
+        rng = np.random.default_rng(13)
+        clone = copy.deepcopy(rng)
+        encode_active_batch(images, steps, rng)
+        clone.bit_generator.advance(steps * int(np.count_nonzero(images)))
+        assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def test_encode_column_subset_gives_the_full_width_spikes():
