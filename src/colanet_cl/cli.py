@@ -132,6 +132,10 @@ class ExperimentConfig:
             raise UsageError("seeds must list at least one seed")
         if not all(0 <= seed < 2**64 for seed in self.seeds):
             raise UsageError(f"seeds must be in [0, 2**64), got {list(self.seeds)}")
+        for key in ("seeds", "alpha_grid", "ns_grid"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise UsageError(f"{key} lists a value more than once: {list(values)}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.train_count is not None and self.train_count < 1:
@@ -319,12 +323,12 @@ def build_adapter(cfg: ExperimentConfig, seed: int):
 
 
 def _git_blob_sha1(path: str) -> str:
-    """Content hash of a file, computed the way git hashes blobs."""
+    """Content hash of a file, computed the way git hashes blobs, 1 MiB at a time."""
+    chunk = memoryview(bytearray(1 << 20))
     with open(path, "rb") as f:
-        payload = f.read()
-    h = hashlib.sha1()
-    h.update(b"blob %d\x00" % len(payload))
-    h.update(payload)
+        h = hashlib.sha1(b"blob %d\x00" % os.fstat(f.fileno()).st_size)
+        while size := f.readinto(chunk):
+            h.update(chunk[:size])
     return h.hexdigest()
 
 

@@ -5,9 +5,9 @@ truncated-MNIST and EMNIST-letter ten-class tasks, and generates streams of
 pixel-permuted MNIST tasks. All images are 28x28 grayscale flattened to
 784-length rows of uint8 intensities in [0, 255].
 
-Pixel permutations are produced by a Fisher-Yates shuffle driven by the
-documented splitmix64 generator (see ``seeding``), so a permutation is a pure
-function of its integer seed and can be reproduced bit-for-bit anywhere.
+Pixel permutations are produced by a Fisher-Yates shuffle over the
+documented splitmix64 stream (``seeding.splitmix64``), so a permutation is a
+pure function of its integer seed and can be reproduced bit-for-bit anywhere.
 Seed 0 is reserved for the identity permutation: task 1 of every permuted
 stream is plain, unpermuted MNIST.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import SplitMix64, derive_seed
+from .seeding import derive_seed, splitmix64
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
@@ -368,8 +368,8 @@ def gen_permutation(seed: int) -> PixelPermutation:
     """Generate a deterministic pixel permutation from an integer seed.
 
     Seed 0 is reserved for the identity permutation. Any other seed drives a
-    Fisher-Yates shuffle over a splitmix64 stream, so the mapping depends
-    only on the seed value.
+    Fisher-Yates shuffle over the splitmix64 stream it seeds, so the mapping
+    depends only on the seed value.
 
     Args:
         seed: Permutation seed; 0 means identity.
@@ -377,11 +377,16 @@ def gen_permutation(seed: int) -> PixelPermutation:
     Returns:
         The PixelPermutation.
     """
-    mapping = np.arange(784, dtype=np.int64)
+    mapping = list(range(784))
     if seed != 0:
-        rng = SplitMix64(seed)
+        draws = splitmix64(seed)
         for i in range(783, 0, -1):
-            j = rng.randbelow(i + 1)
+            # Redraw values >= the largest multiple of i + 1 up to 2**64: j is unbiased.
+            limit = (1 << 64) - 1 - (1 << 64) % (i + 1)
+            value = next(draws)
+            while value > limit:
+                value = next(draws)
+            j = value % (i + 1)
             mapping[i], mapping[j] = mapping[j], mapping[i]
     return PixelPermutation(mapping)
 
@@ -424,11 +429,19 @@ def make_permuted_stream(
 
     Returns:
         List of ``n_tasks`` TaskSpecs.
+
+    Raises:
+        DataError: ``train_count`` exceeds the source's training images.
     """
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     train_images, train_labels, test_images, test_labels = load_mnist(data_dir)
     if train_count is not None:
+        if train_count > len(train_images):
+            raise DataError(
+                f"insufficient source data: requested {train_count} training "
+                f"images, available {len(train_images)}"
+            )
         # Copies, so the stream does not keep the whole file's payload alive.
         train_images = train_images[:train_count].copy()
         train_labels = train_labels[:train_count].copy()

@@ -10,7 +10,8 @@ bit-for-bit to another language.
 The derivation: start from ``mix64(root)``, then for every label absorb the
 UTF-8 byte length followed by each byte, applying ``mix64`` after every
 absorption. ``mix64`` is the splitmix64 output function (Steele, Lea &
-Flood's SplittableRandom finalizer).
+Flood's SplittableRandom finalizer). ``splitmix64`` yields its stream, which
+pixel permutations draw from; bulk sampling uses ``generator_from``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,18 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 #: splitmix64's increment, the odd integer nearest 2^64 / golden ratio.
 _GAMMA = 0x9E3779B97F4A7C15
+#: Outputs per ``mix64`` call in ``splitmix64``: one pixel shuffle's 783 draws.
+_BLOCK = 1024
 
 
 def mix64(x: int) -> int:
     """Apply the splitmix64 finalizer to a 64-bit integer.
 
     Args:
-        x: Any integer; only the low 64 bits are used.
+        x: Any integer (only its low 64 bits are used) or a uint64 array.
 
     Returns:
-        A well-mixed 64-bit integer.
+        A well-mixed 64-bit integer, or a uint64 array mixed elementwise.
     """
     z = (x + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -61,39 +64,16 @@ def derive_seed(root_seed: int, *labels) -> int:
     return state
 
 
-class SplitMix64:
-    """Minimal splitmix64 pseudo-random generator.
+def splitmix64(seed: int):
+    """Yield the splitmix64 stream seeded with ``seed``, as Python ints.
 
-    Used where a documented, trivially portable integer stream is needed
-    (pixel-permutation generation). For bulk numeric sampling we hand derived
-    seeds to ``numpy.random.Generator`` instead.
+    The k-th output is ``mix64((seed + k * gamma) mod 2**64)``, so a block of
+    outputs is one ``mix64`` call over a uint64 array, which wraps mod 2**64.
     """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        """Return the next 64-bit output: ``mix64`` of the state, then advance it."""
-        z = self._state
-        self._state = (z + _GAMMA) & _MASK64
-        return mix64(z)
-
-    def randbelow(self, n: int) -> int:
-        """Return an unbiased uniform integer in ``[0, n)``.
-
-        Uses rejection sampling on the top of the 64-bit range so every
-        residue is equally likely.
-
-        Args:
-            n: Exclusive upper bound, must be positive.
-        """
-        if n <= 0:
-            raise ValueError("randbelow requires a positive bound")
-        limit = _MASK64 - (_MASK64 + 1) % n
-        while True:
-            value = self.next_u64()
-            if value <= limit:
-                return value % n
+    steps = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_GAMMA)
+    while True:
+        yield from mix64(steps + np.uint64(seed & _MASK64)).tolist()
+        seed += _BLOCK * _GAMMA
 
 
 def generator_from(root_seed: int, *labels) -> np.random.Generator:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import os
 import platform
@@ -37,7 +38,7 @@ from colanet_cl.dataset import (
     make_mnist_truncated,
 )
 
-from conftest import FIXTURES_DIR, bit_flips, flip, python_env, write_idx
+from conftest import FIXTURES_DIR, bit_flips, flip, python_env, traced_peak, write_idx
 
 MLP_PROFILE = os.path.join(FIXTURES_DIR, "profile_mlp_10task.csv")
 
@@ -363,19 +364,26 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_bad_network_setting_is_usage_error(tmp_path, capsys):
     """Settings that the experiment config or ColaNetConfig rejects exit 1
-    before any run starts, including the sweep grid's points."""
-    for command, text in (
-        ("run", "ns = -784\n"),
-        ("run", "eta_plus = 0\n"),
-        ("run", "microcolumns = 0\n"),
-        ("run", "microcolumns = 4294967296\n"),  # 2**32: beyond its uint32 slot
-        ("run", "train_count = -5\n"),
-        ("sweep", "ns_grid = 0, -1\n"),
+    before any run starts, including the sweep grid's points, and so does a
+    value listed twice in ``seeds`` or a grid, compared after parsing."""
+    repeated = "lists a value more than once"
+    for command, text, message in (
+        ("run", "ns = -784\n", "error:"),
+        ("run", "eta_plus = 0\n", "error:"),
+        ("run", "microcolumns = 0\n", "error:"),
+        ("run", "microcolumns = 4294967296\n", "error:"),  # 2**32: beyond its uint32 slot
+        ("run", "train_count = -5\n", "error:"),
+        ("sweep", "ns_grid = 0, -1\n", "error:"),
+        ("run", "seeds = 1, 1\n", f"seeds {repeated}"),
+        ("run", "seeds = 3, 1, 03\n", f"seeds {repeated}"),
+        ("sweep", "alpha_grid = 2.5, 1, 2.50\n", f"alpha_grid {repeated}"),
+        ("sweep", "ns_grid = none, inf\n", f"ns_grid {repeated}"),
+        ("sweep", "ns_grid = off, 0, none\n", f"ns_grid {repeated}"),
     ):
         path = tmp_path / "exp.cfg"
         path.write_text(f"model = colanet\ndata_dir = /tmp\n{text}")
         assert main([command, "--config", str(path)]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
@@ -581,6 +589,18 @@ def test_run_seed_outside_uint64_is_usage_error(tmp_path, synthetic_mnist_dir, c
     assert main(argv + (["--seed", flag] if flag else [])) == EXIT_USAGE
     assert "seeds must be in [0, 2**64)" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_run_train_count_beyond_the_split_is_data_error(tmp_path, synthetic_mnist_dir,
+                                                       capsys):
+    """The fixture holds 300 training images: a run capped at 301 exits 2
+    before it trains, while a cap of 300 runs."""
+    for train_count, code in ((301, EXIT_DATA), (300, EXIT_OK)):
+        cfg = run_config(tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=train_count)
+        out_dir = tmp_path / f"out{train_count}"
+        assert main(["run", "--config", cfg, "--out", str(out_dir)]) == code
+        assert (out_dir / "profile_seed5.csv").exists() == (code == EXIT_OK)
+    assert "insufficient source data: requested 301" in capsys.readouterr().err
 
 
 def test_run_network_too_large_to_allocate_is_usage_error(tmp_path, synthetic_mnist_dir,
@@ -826,6 +846,25 @@ def test_two_task_manifest_hashes_both_corpora(tmp_path, combined_data_dir):
     cfg = ExperimentConfig(scenario="two-task-forward", data_dir=combined_data_dir)
     hashes = input_hashes(cfg)
     assert len(hashes) == len(MNIST_FILES) + len(EMNIST_FILES)
+
+
+def test_git_blob_sha1_is_gits_blob_hash(tmp_path):
+    path = tmp_path / "hello.txt"
+    path.write_bytes(b"hello\n")
+    # What ``git hash-object hello.txt`` prints.
+    assert cli._git_blob_sha1(str(path)) == "ce013625030ba8dba906f756967f9e9ca394464a"
+
+
+def test_git_blob_sha1_streams_the_file(tmp_path):
+    """A data file is hashed a chunk at a time: hashing 6 MiB peaks below
+    2 MiB, with the digest of the whole blob."""
+    payload = np.random.default_rng(0).bytes(6 * (1 << 20) + 5)
+    path = tmp_path / "big.bin"
+    path.write_bytes(payload)
+    expected = hashlib.sha1(b"blob %d\x00" % len(payload) + payload).hexdigest()
+    assert cli._git_blob_sha1(str(path)) == expected
+    del payload
+    assert traced_peak(cli._git_blob_sha1, str(path)) < 2 * (1 << 20)
 
 
 # --------------------------------------------------------------- module entry

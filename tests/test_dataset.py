@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import struct
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -26,11 +28,17 @@ from colanet_cl.dataset import (
     make_mnist_truncated,
     make_permuted_stream,
 )
-from colanet_cl.seeding import derive_seed
+from colanet_cl.seeding import derive_seed, splitmix64
 
+import permutation_reference as ref
 from conftest import bit_flips, flip, requires_mnist, saved_bytes, write_idx
 
 MiB = 1 << 20
+
+#: SHA-256 of ``gen_permutation``'s mapping bytes for these seeds in turn,
+#: pinned so a change to the stream or the shuffle cannot pass unseen.
+PERMUTATION_SEEDS = (1, 2, 7, 99, 12345, 2**63, 2**64 - 1)
+PERMUTATION_SHA256 = "2ae20dc2431c161293dd4939081671af2497981f648baac4d4e5138ae7e46dec"
 
 
 # ---------------------------------------------------------------- IDX files
@@ -178,10 +186,38 @@ def test_gen_permutation_deterministic():
 
 
 @settings(max_examples=30)
-@given(st.integers(min_value=1, max_value=2**63))
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+@example(2**64 - 1)
 def test_gen_permutation_is_bijection(seed):
+    """Every seed in [1, 2**64) gives a bijection, the scalar reference's."""
     mapping = gen_permutation(seed).mapping
+    assert mapping.dtype == np.int64
     assert np.array_equal(np.sort(mapping), np.arange(784))
+    assert np.array_equal(mapping, ref.shuffle(ref.scalar_stream(seed)))
+
+
+def test_gen_permutation_digest_is_pinned():
+    digest = hashlib.sha256()
+    for seed in PERMUTATION_SEEDS:
+        digest.update(gen_permutation(seed).mapping.tobytes())
+    assert digest.hexdigest() == PERMUTATION_SHA256
+
+
+def test_gen_permutation_redraws_a_biased_draw(monkeypatch):
+    """784 does not divide 2**64, so at i = 783 a draw is kept up to the last
+    value below the largest multiple of 784 and redrawn past it. Streams that
+    start at either side of that bound, or at 2**64 - 1, shuffle as the
+    reference does on the same stream; a redrawn first value leaves the
+    unsubstituted shuffle, a kept one does not."""
+    seed = 12345
+    last_kept = (1 << 64) // 784 * 784 - 1
+    plain = gen_permutation(seed).mapping
+    for first, kept in ((last_kept, True), (last_kept + 1, False), (2**64 - 1, False)):
+        monkeypatch.setattr(dataset, "splitmix64",
+                            lambda s, first=first: chain([first], splitmix64(s)))
+        mapping = gen_permutation(seed).mapping
+        assert np.array_equal(mapping, ref.shuffle(chain([first], ref.scalar_stream(seed))))
+        assert np.array_equal(mapping, plain) != kept
 
 
 def test_gen_permutation_distinct_seeds_differ():
@@ -353,6 +389,15 @@ def test_permuted_stream_task_one_is_identity(synthetic_mnist_dir):
     assert np.array_equal(task.train.permutation.mapping, np.arange(784))
     assert np.array_equal(task.train.images, train_images)
     assert np.array_equal(task.test.images, test_images)
+
+
+def test_make_permuted_stream_rejects_train_count_beyond_the_split(synthetic_mnist_dir):
+    """The fixture holds 300 training images: a cap of 300 keeps them all,
+    one more is a data error, not a silent run on 300 images."""
+    (task,) = make_permuted_stream(1, 1, synthetic_mnist_dir, train_count=300)
+    assert len(task.train) == 300
+    with pytest.raises(DataError, match="insufficient source data: requested 301 .*300"):
+        make_permuted_stream(1, 1, synthetic_mnist_dir, train_count=301)
 
 
 def test_make_permuted_stream_rejects_zero_tasks(synthetic_mnist_dir):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from colanet_cl.seeding import SplitMix64, derive_seed, generator_from, mix64
+import permutation_reference as ref
+from colanet_cl import seeding
+from colanet_cl.seeding import derive_seed, generator_from, mix64, splitmix64
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,8 +29,21 @@ SPLITMIX64_FIRST_5 = [
 
 
 def test_splitmix64_reference_stream():
-    rng = SplitMix64(SPLITMIX64_SEED)
-    assert [rng.next_u64() for _ in range(5)] == SPLITMIX64_FIRST_5
+    assert list(islice(splitmix64(SPLITMIX64_SEED), 5)) == SPLITMIX64_FIRST_5
+    assert list(islice(ref.scalar_stream(SPLITMIX64_SEED), 5)) == SPLITMIX64_FIRST_5
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 1, 12345, 2**63, 2**64 - 1, 2**64 - 5000, -1, 2**64 + 7]
+)
+def test_splitmix64_matches_scalar_stepping(seed):
+    """The block-computed stream is the scalar recurrence, across two block
+    boundaries, for seeds whose first steps wrap past 2**64, and for seeds
+    outside [0, 2**64), of which only the low 64 bits count."""
+    count = 2 * seeding._BLOCK + 3
+    draws = list(islice(splitmix64(seed), count))
+    assert draws == list(islice(ref.scalar_stream(seed), count))
+    assert all(type(value) is int for value in draws)
 
 
 def test_mix64_zero_is_nonzero():
@@ -68,18 +85,6 @@ def test_derive_seed_int_and_str_labels_agree():
 @given(st.integers(), st.lists(st.one_of(st.text(max_size=8), st.integers()), max_size=4))
 def test_derive_seed_in_range(root, labels):
     assert 0 <= derive_seed(root, *labels) <= _MASK64
-
-
-@given(st.integers(min_value=1, max_value=2**63), st.integers(min_value=1, max_value=1000))
-def test_randbelow_in_range(seed, bound):
-    rng = SplitMix64(seed)
-    for _ in range(10):
-        assert 0 <= rng.randbelow(bound) < bound
-
-
-def test_randbelow_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        SplitMix64(1).randbelow(0)
 
 
 def test_generator_from_reproducible_and_distinct():
