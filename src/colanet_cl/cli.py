@@ -22,6 +22,8 @@ Subcommands
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Keys not
 recognized are rejected so typos cannot silently change an experiment.
+``data_dir`` is required, and ``alpha_grid``/``ns_grid`` are read by
+``sweep`` only; every config rule is checked before anything is written.
 Every run writes ``manifest.json`` echoing the resolved configuration, the
 seeds, a content hash of each input data file (git blob SHA-1), and the
 Python, NumPy and BLAS versions, so two runs with identical manifests
@@ -82,42 +84,66 @@ EXIT_INTERNAL = 3
 
 MODELS = ("colanet", "mlp")
 SCENARIOS = ("permuted", "two-task-forward", "two-task-reverse")
-#: The ExperimentConfig fields a colanet run copies into its ColaNetConfig.
-NETWORK_KEYS = ("microcolumns", "alpha", "ns", "eta_plus", "eta_minus", "init_high",
-                "u_const", "leak")
 
 
 class UsageError(Exception):
     """Bad arguments or config contents; maps to exit code 1."""
 
 
+def _finite_float(raw: str) -> float:
+    """A float value; NaN and infinities would make the manifest invalid JSON."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
+
+
+def _parse_bool_none(raw: str) -> float | None:
+    """An ``ns`` value; ``none``, ``off`` and ``inf`` all mean off (None)."""
+    if raw.lower() in ("none", "off") or float(raw) == math.inf:
+        return None
+    return _finite_float(raw)
+
+
+def _listed(parse):
+    """The parser of a comma-separated list of ``parse`` values."""
+    return lambda raw: tuple(parse(s.strip()) for s in raw.split(",") if s.strip())
+
+
+def _key(default, parse, network: bool = False):
+    """A config key: its default, its text parser, and whether ColaNetConfig takes it."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "network": network})
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment, fully resolved.
+    """One experiment, fully resolved; each field declares one config key.
 
     Every field is echoed into the run manifest for provenance, so a field
     the chosen model does not read must keep its default: the colanet keys
-    and grids for ``mlp``, ``batch_size`` for ``colanet``.
+    and grids for ``mlp``, ``batch_size`` for ``colanet``. The rules on
+    ``data_dir`` and the grids are checked on loading and in ``main``.
     """
 
-    model: str = "colanet"
-    scenario: str = "permuted"
-    n_tasks: int = 3
-    alpha: float = ColaNetConfig.alpha
-    ns: float | None = None
-    microcolumns: int = ColaNetConfig.microcolumns
-    eta_plus: float = ColaNetConfig.eta_plus
-    eta_minus: float = ColaNetConfig.eta_minus
-    init_high: float = ColaNetConfig.init_high
-    u_const: float = ColaNetConfig.u_const
-    leak: float = ColaNetConfig.leak
-    batch_size: int = 32
-    train_count: int | None = None
-    seeds: tuple[int, ...] = (1,)
-    data_dir: str | None = None
-    out_dir: str = "out"
-    alpha_grid: tuple[float, ...] = ()
-    ns_grid: tuple[float | None, ...] = ()
+    model: str = _key("colanet", str)
+    scenario: str = _key("permuted", str)
+    n_tasks: int = _key(3, int)
+    alpha: float = _key(ColaNetConfig.alpha, _finite_float, network=True)
+    ns: float | None = _key(None, _parse_bool_none, network=True)
+    microcolumns: int = _key(ColaNetConfig.microcolumns, int, network=True)
+    eta_plus: float = _key(ColaNetConfig.eta_plus, _finite_float, network=True)
+    eta_minus: float = _key(ColaNetConfig.eta_minus, _finite_float, network=True)
+    init_high: float = _key(ColaNetConfig.init_high, _finite_float, network=True)
+    u_const: float = _key(ColaNetConfig.u_const, _finite_float, network=True)
+    leak: float = _key(ColaNetConfig.leak, _finite_float, network=True)
+    batch_size: int = _key(32, int)
+    train_count: int | None = _key(
+        None, lambda raw: None if raw.lower() == "none" else int(raw))
+    seeds: tuple[int, ...] = _key((1,), _listed(int))
+    data_dir: str | None = _key(None, str)
+    out_dir: str = _key("out", str)
+    alpha_grid: tuple[float, ...] = _key((), _listed(_finite_float))
+    ns_grid: tuple[float | None, ...] = _key((), _listed(_parse_bool_none))
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -154,50 +180,15 @@ class ExperimentConfig:
                              f"leave these {other} keys at their defaults")
 
 
+_KEY_PARSERS = {f.name: f.metadata["parse"] for f in dataclasses.fields(ExperimentConfig)}
+#: The ExperimentConfig fields a colanet run copies into its ColaNetConfig.
+NETWORK_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                     if f.metadata["network"])
+
+
 # ---------------------------------------------------------------------------
 # Config-file parsing
 # ---------------------------------------------------------------------------
-
-
-def _finite_float(raw: str) -> float:
-    """A float value; NaN and infinities would make the manifest invalid JSON."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw} is not a finite number")
-    return value
-
-
-def _parse_bool_none(raw: str) -> float | None:
-    """An ``ns`` value; ``none``, ``off`` and ``inf`` all mean off (None)."""
-    if raw.lower() in ("none", "off") or float(raw) == math.inf:
-        return None
-    return _finite_float(raw)
-
-
-_KEY_PARSERS = {
-    "model": str,
-    "scenario": str,
-    "n_tasks": int,
-    "alpha": _finite_float,
-    "ns": _parse_bool_none,
-    "microcolumns": int,
-    "eta_plus": _finite_float,
-    "eta_minus": _finite_float,
-    "init_high": _finite_float,
-    "u_const": _finite_float,
-    "leak": _finite_float,
-    "batch_size": int,
-    "train_count": lambda raw: None if raw.lower() == "none" else int(raw),
-    "seeds": lambda raw: tuple(int(s.strip()) for s in raw.split(",") if s.strip()),
-    "data_dir": str,
-    "out_dir": str,
-    "alpha_grid": lambda raw: tuple(
-        _finite_float(s.strip()) for s in raw.split(",") if s.strip()
-    ),
-    "ns_grid": lambda raw: tuple(
-        _parse_bool_none(s.strip()) for s in raw.split(",") if s.strip()
-    ),
-}
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -243,7 +234,7 @@ def load_experiment_config(
     out_dir: str | None = None,
     seed: int | None = None,
 ) -> ExperimentConfig:
-    """Read a config file and apply command-line overrides."""
+    """Read a config file and apply command-line overrides; ``data_dir`` is required."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
@@ -256,10 +247,9 @@ def load_experiment_config(
         values["out_dir"] = out_dir
     if seed is not None:
         values["seeds"] = (seed,)
-    try:
-        cfg = ExperimentConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = ExperimentConfig(**values)
+    if cfg.data_dir is None:
+        raise UsageError("data_dir is required (config key or --data-dir)")
     if cfg.model == "colanet":
         try:
             for point in grid_points(cfg):
@@ -294,8 +284,6 @@ def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
     unpermuted); the two-task scenarios pair truncated MNIST (24k/4k) with
     the EMNIST letters task in the stated order.
     """
-    if cfg.data_dir is None:
-        raise UsageError("data_dir is required (config key or --data-dir)")
     if cfg.scenario == "permuted":
         return make_permuted_stream(
             cfg.n_tasks, seed, cfg.data_dir, train_count=cfg.train_count
@@ -359,11 +347,8 @@ def write_manifest(cfg: ExperimentConfig, command: str) -> None:
     runtime versions."""
     manifest = {
         "command": command,
-        "config": {
-            key: (list(value) if isinstance(value, tuple) else value)
-            for key, value in dataclasses.asdict(cfg).items()
-        },
-        "seeds": list(cfg.seeds),
+        "config": dataclasses.asdict(cfg),
+        "seeds": cfg.seeds,
         "input_hashes": input_hashes(cfg),
         "versions": runtime_versions(),
     }
@@ -427,14 +412,11 @@ def cmd_metrics(
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Run the first seed per grid point; tabulate final AA and FM.
 
-    The points are ``grid_points(cfg)``; at least one of ``alpha_grid`` and
-    ``ns_grid`` must be non-empty. Point NNN is one ``run_unit`` whose files
-    land in ``point_NNN/`` under the output directory. Each point's AA and
-    FM cells are the last row of its metrics table; ``sweep.csv`` holds one
-    row per point, and the same rows are printed.
+    The points are ``grid_points(cfg)``. Point NNN is one ``run_unit``
+    whose files land in ``point_NNN/`` under the output directory. Each
+    point's AA and FM cells are the last row of its metrics table;
+    ``sweep.csv`` holds one row per point, and the same rows are printed.
     """
-    if not cfg.alpha_grid and not cfg.ns_grid:
-        raise UsageError("sweep requires alpha_grid and/or ns_grid")
     seed = cfg.seeds[0]
     write_manifest(cfg, "sweep")
     rows = [["alpha", "ns", "AA", "FM"]]
@@ -513,6 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "baseline-acc": cmd_baseline_acc}
+
 _DATA_ERRORS = (
     DataError,
     IdxFormatError,
@@ -540,13 +524,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_experiment_config(
             args.config, data_dir=args.data_dir, out_dir=args.out, seed=args.seed
         )
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "baseline-acc":
-            return cmd_baseline_acc(cfg)
-        raise AssertionError(f"unreachable command {args.command!r}")
+        grids = [key for key in ("alpha_grid", "ns_grid") if getattr(cfg, key)]
+        if args.command == "sweep" and not grids:
+            raise UsageError("sweep requires alpha_grid and/or ns_grid")
+        if args.command != "sweep" and grids:
+            raise UsageError(f"{args.command} does not read {', '.join(grids)}; sweep does")
+        return _CONFIG_COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -283,6 +283,15 @@ def load_mnist(data_dir: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return tuple(arrays)
 
 
+def _first_rows(split: str, images: np.ndarray, labels: np.ndarray, count: int):
+    """The first ``count`` rows of a split, copied so that they do not keep the
+    whole file's payload alive; DataError if the split holds fewer."""
+    if count > len(images):
+        raise DataError(f"insufficient source data: requested {count} {split} images, "
+                        f"available {len(images)}")
+    return images[:count].copy(), labels[:count].copy()
+
+
 def make_mnist_truncated(data_dir: str) -> TaskSpec:
     """Build the truncated-MNIST task: the first images in file order.
 
@@ -297,25 +306,13 @@ def make_mnist_truncated(data_dir: str) -> TaskSpec:
         The TaskSpec, labels 0-9.
 
     Raises:
-        DataError: Source has fewer images than the task keeps.
+        DataError: A split has fewer images than the task keeps.
     """
     train_count, test_count = MNIST_TRUNCATED_COUNTS
     train_images, train_labels, test_images, test_labels = load_mnist(data_dir)
-    if train_count > len(train_images) or test_count > len(test_images):
-        raise DataError(
-            f"insufficient source data: requested {train_count}/{test_count}, "
-            f"available {len(train_images)}/{len(test_images)}"
-        )
-    return TaskSpec(
-        task_id=1,
-        # Copies, so the split does not keep the whole file's payload alive.
-        train=LabeledDataset(
-            train_images[:train_count].copy(), train_labels[:train_count].copy()
-        ),
-        test=LabeledDataset(
-            test_images[:test_count].copy(), test_labels[:test_count].copy()
-        ),
-    )
+    train = _first_rows("training", train_images, train_labels, train_count)
+    test = _first_rows("test", test_images, test_labels, test_count)
+    return TaskSpec(task_id=1, train=LabeledDataset(*train), test=LabeledDataset(*test))
 
 
 def make_emnist_letters(data_dir: str) -> TaskSpec:
@@ -437,14 +434,8 @@ def make_permuted_stream(
         raise ValueError("n_tasks must be >= 1")
     train_images, train_labels, test_images, test_labels = load_mnist(data_dir)
     if train_count is not None:
-        if train_count > len(train_images):
-            raise DataError(
-                f"insufficient source data: requested {train_count} training "
-                f"images, available {len(train_images)}"
-            )
-        # Copies, so the stream does not keep the whole file's payload alive.
-        train_images = train_images[:train_count].copy()
-        train_labels = train_labels[:train_count].copy()
+        train_images, train_labels = _first_rows("training", train_images, train_labels,
+                                                 train_count)
     tasks = []
     for t in range(1, n_tasks + 1):
         # Task 1 is plain; a derived seed of 0, the identity, is replaced by 1.

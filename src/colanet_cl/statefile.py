@@ -26,15 +26,18 @@ class StateFormatError(Exception):
 def replacing(path: str, mode: str = "w"):
     """Write ``path`` (mode ``"w"``, UTF-8, or ``"wb"``) through a temporary
     file in its directory, moved into place by ``os.replace`` when the block
-    ends; if the block raises, ``path`` keeps its previous bytes."""
+    ends; if the block raises, ``path`` keeps its previous bytes. An OSError
+    about the temporary file is raised again naming ``path``."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -23,6 +23,7 @@ from colanet_cl.cli import (
     EXIT_USAGE,
     ExperimentConfig,
     UsageError,
+    build_adapter,
     build_tasks,
     load_experiment_config,
     main,
@@ -202,9 +203,32 @@ def test_load_experiment_config_missing_file():
         load_experiment_config("/nonexistent/exp.cfg")
 
 
-def test_build_tasks_requires_data_dir():
-    with pytest.raises(UsageError, match="data_dir"):
-        build_tasks(ExperimentConfig(), seed=1)
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
+def test_config_without_data_dir_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    """A config with no ``data_dir`` and no ``--data-dir`` exits 1 before
+    anything is written, not with a traceback from hashing the inputs."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "exp.cfg"
+    path.write_text("alpha_grid = 0.1, 0.2\n" if command == "sweep" else "n_tasks = 2\n")
+    assert main([command, "--config", str(path), "--out", "out"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: data_dir is required" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_every_network_key_reaches_the_network_config(tmp_path):
+    """Each network key a config sets, at a valid value other than its
+    default, reaches the ColaNetConfig that ``build_adapter`` builds."""
+    settings = dict(microcolumns=3, alpha=1.5, ns=100.0, eta_plus=0.05, eta_minus=0.2,
+                    init_high=0.002, u_const=2.0, leak=0.1)
+    defaults = ColaNetConfig()
+    assert all(value != getattr(defaults, key) for key, value in settings.items())
+    path = tmp_path / "exp.cfg"
+    lines = [f"{key} = {value}\n" for key, value in settings.items()]
+    path.write_text("".join(lines) + "data_dir = d\n")
+    config = build_adapter(load_experiment_config(str(path)), seed=7).net.config
+    assert {key: getattr(config, key) for key in settings} == settings
+    assert config.seed == 7
 
 
 # ------------------------------------------------------------- baseline CSV
@@ -403,11 +427,26 @@ def test_empty_out_dir_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("command", ["run", "baseline-acc"])
+@pytest.mark.parametrize("key", ["alpha_grid", "ns_grid"])
+def test_grid_outside_sweep_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
+                                           command, key):
+    """Only ``sweep`` reads the grids: ``run`` or ``baseline-acc`` given one
+    exits 1 naming it before the manifest is written, rather than running
+    the configured point alone."""
+    grid = {"alpha_grid": "0.5, 1", "ns_grid": "0, 100"}[key]
+    cfg = run_config(tmp_path, synthetic_mnist_dir, **{key: grid})
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
+    assert f"error: {command} does not read {key}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_without_grids_is_usage_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("model = colanet\ndata_dir = /tmp\n")
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
-    assert "alpha_grid" in capsys.readouterr().err
+    assert "sweep requires alpha_grid" in capsys.readouterr().err
 
 
 def test_sweep_rejects_mlp_grid(tmp_path, capsys):
@@ -445,6 +484,18 @@ def test_heatmap_command(tmp_path, capsys):
     assert main(["heatmap", state, "--out", out]) == EXIT_OK
     with open(out, "rb") as fh:
         assert fh.readline() == b"P6\n"
+
+
+def test_heatmap_write_failure_names_the_requested_path(tmp_path, capsys):
+    """A heatmap that cannot be written exits 2 naming the ``--out`` path,
+    not the temporary file it is written through."""
+    state = str(tmp_path / "net.bin")
+    save_state(Network(ColaNetConfig(class_count=2, microcolumns=2)), state)
+    out = str(tmp_path / "nodir" / "x.ppm")
+    assert main(["heatmap", state, "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: [Errno 2] No such file or directory: {out!r}" in err
+    assert ".tmp" not in err
 
 
 def test_heatmap_bad_state_is_data_error(tmp_path, capsys):
@@ -534,7 +585,8 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
         values = load_idx(str(labels)).copy()
         values[5] = 12
         write_idx(str(labels), values)
-    cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", alpha_grid="0.01, 0.02")
+    grid = {"alpha_grid": "0.01, 0.02"} if command == "sweep" else {}
+    cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", **grid)
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
     err = capsys.readouterr().err

@@ -400,6 +400,16 @@ def test_make_permuted_stream_rejects_train_count_beyond_the_split(synthetic_mni
         make_permuted_stream(1, 1, synthetic_mnist_dir, train_count=301)
 
 
+def test_make_mnist_truncated_rejects_short_splits(synthetic_mnist_dir, monkeypatch):
+    """The fixture holds 300/100 images, fewer than the 24000/4000 the task
+    keeps: a data error naming the split that is short."""
+    with pytest.raises(DataError, match="requested 24000 training images, available 300"):
+        make_mnist_truncated(synthetic_mnist_dir)
+    monkeypatch.setattr(dataset, "MNIST_TRUNCATED_COUNTS", (300, 101))
+    with pytest.raises(DataError, match="requested 101 test images, available 100"):
+        make_mnist_truncated(synthetic_mnist_dir)
+
+
 def test_make_permuted_stream_rejects_zero_tasks(synthetic_mnist_dir):
     with pytest.raises(ValueError):
         make_permuted_stream(0, base_seed=1, data_dir=synthetic_mnist_dir)
