@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -465,6 +466,7 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colanet-cl",

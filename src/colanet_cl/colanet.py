@@ -17,25 +17,36 @@ smallest positive weight sum), which recruits fresh capacity early on and
 for novel tasks. Evaluation reads out the race winner's column (class 0
 when nothing fires).
 
-The race integrates each weight rounded to the grid 2^-k through a
-pixel-major view kept beside the stored weights, and gathers only the pixels
-its caller passes: an image's nonzero pixels in training, a batch's in
-evaluation. k = 52 - ceil(log2(steps_active * 784 * max|w|)), where max|w|
-is the largest of |w_min|, |w_max| and init_high; k is 39 at the defaults,
-and configs that would give k < 30 are rejected. No potential exceeds
-steps_active * 784 * max|w| <= 2^(52-k) in magnitude, so every partial sum
-is a multiple of 2^-k with at most 53 significant bits, exact in float64:
-winners do not depend on summation order, BLAS threads, batch size or which
-pixels were gathered. The stored weights, plasticity and thresholds stay
-unrounded; each race weight differs from its stored weight by at most
-2^-(k+1). No potential can reach its threshold before the step at which
-steps * (positive grid mass) first does, so without leak the race starts
-there (the third of 10 steps for networks trained at alpha = 2.5), and a
-network that cannot cross at all is raced without a product. Most
-presentations cross early, so the race runs the first half of the remaining
-steps first and the rest only for presentations with no crossing yet; their
-potentials are exact too. Training races one image at a time
-(``_race_image``), evaluation batches of 64 (``Network.race``).
+The race's winners are those of an exact race on the weights rounded to the
+grid 2^-k, k = 52 - ceil(log2(steps_active * 784 * max|w|)), max|w| being
+the largest of |w_min|, |w_max| and init_high (k = 39 at the defaults; k < 30
+is rejected). Every partial sum of a potential is then a multiple of 2^-k
+below 2^(52-k), exact in float64: winners do not depend on summation order,
+BLAS, batch size or gathered pixels. Stored weights, plasticity and
+thresholds stay unrounded. Without leak the race starts at the first step at
+which steps * (positive grid mass) can reach a threshold, runs half the
+remaining steps, and the rest only for presentations with no crossing yet:
+one image at a time in training (``_race_image``), 64 in evaluation.
+
+The race sums in float32, over a pixel-major float32 copy of the grid
+weights, and settles exactly only what those sums cannot decide. Let
+T = steps_active, u = 2^-24 and A_n the sum of |grid weight| of neuron n
+(2 * positive grid mass - signed grid sum, both exact). Without leak a
+potential sums U <= 784 products of a count 0 <= c <= T and a float32
+weight; conversion, product and U - 1 additions, in any order, fused or not,
+give each term a relative error of at most (1 + u)^(U+1) - 1 <= (U + 2) u:
+(U + 2) u T A_n in all. Below float32's normal range each conversion (times
+c) and product errs by at most 2^-150 instead, and additions are exact:
+(T + 1) U 2^-150 < 2^-124 more. With leak each step's drive (counts 0 or 1)
+errs by (U + 2) u A_n + 2^-139 at most, the float64 recursion decays errors
+by 1 - leak <= 1, and its roundings in the screen and the exact race add at
+most 2^-34 T A_n (T <= 2^16, |potential| <= 1.01 T A_n): 786 u T A_n +
+2^-123 + 2^-34 T A_n in all. So m_n = 2^-14 T A_n + 2^-120 bounds the error.
+Each neuron keeps lo <= theta - m_n and hi >= theta + m_n, rounded outward,
+and the race compares in float64. The earliest candidate (>= lo; lowest
+index at its step) wins if it reaches hi, as no earlier one crossed; with
+none, nothing crossed; else each neuron with a candidate below hi is raced
+on its exact float64 sums.
 
 The network state (config, weights, training RNG) serializes to a binary
 file that round-trips bit-exactly, so sequential-task checkpointing
@@ -213,10 +224,12 @@ class Network:
             raise ValueError("weights shape does not match config grid")
         self.rng = rng if rng is not None else generator_from(config.seed, "colanet-train")
         self._grid_bits = config.race_grid_bits
-        # The race's view: pixel-major, each weight rounded to the grid.
-        self._drive_w = np.empty((N_INPUTS, config.neuron_count))
+        # The race's screen: pixel-major grid weights in float32.
+        self._drive_w = np.empty((N_INPUTS, config.neuron_count), dtype=np.float32)
         self._pos_sum = np.empty(config.neuron_count)
         self._thresholds = np.empty(config.neuron_count)
+        self._lows = np.empty(config.neuron_count)
+        self._highs = np.empty(config.neuron_count)
         self._first_steps = np.empty(config.neuron_count, dtype=np.int64)
         self._refresh()
 
@@ -227,19 +240,17 @@ class Network:
 
     def _refresh(self) -> None:
         """Derive the race's cached state of every neuron from its weights:
-        grid weights, positive mass, adaptive threshold
-        u_const + alpha * positive mass, and earliest step that can cross
-        (``_first_step``). ``_learn`` re-derives one row the same way."""
+        float32 grid weights, positive mass, adaptive threshold
+        u_const + alpha * positive mass, earliest step that can cross
+        (``_first_step``) and screen bounds. ``_learn`` re-derives one row."""
         cfg = self.config
         weights = self.weights
         grid = np.maximum(weights, 0.0)
         masses = grid.sum(axis=1)
         self._pos_sum[:] = masses
-        # Weights rounded to the nearest multiple of 2^-k (ties to even).
-        np.ldexp(weights, self._grid_bits, out=grid)
-        np.rint(grid, out=grid)
-        np.ldexp(grid, -self._grid_bits, out=grid)
+        _snap(weights, self._grid_bits, out=grid)
         self._drive_w[:] = grid.T
+        signed = grid.sum(axis=1)
         peaks = np.maximum(grid, 0.0, out=grid).sum(axis=1)
         thresholds = [cfg.u_const + cfg.alpha * mass for mass in masses.tolist()]
         self._thresholds[:] = thresholds
@@ -247,6 +258,10 @@ class Network:
             _first_step(theta, peak, cfg.steps_active)
             for theta, peak in zip(thresholds, peaks.tolist())
         ]
+        margins = np.ldexp(cfg.steps_active * (2.0 * peaks - signed), -14)
+        margins = np.nextafter(margins + 2.0**-120, np.inf)
+        np.nextafter(self._thresholds - margins, -np.inf, out=self._lows)
+        np.nextafter(self._thresholds + margins, np.inf, out=self._highs)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -259,22 +274,17 @@ class Network:
         index. Only first crossings matter, so neither inhibition nor the
         winner's own reset is simulated.
 
-        Drives use the weights rounded to the grid 2^-k
+        Winners are those of the exact race on the grid weights
         (``config.race_grid_bits``) of the given pixels only; a pixel that
-        never spikes adds exact zeros. After step s no potential exceeds
-        s + 1 times its neuron's positive grid mass, so no neuron crosses
-        before the earliest step ``_first_step`` gives any of them; when
-        that is past the window, every row is -1 and nothing is multiplied.
-        Without leak no earlier step is multiplied either: steps [t0, T) are
+        never spikes adds exact zeros. Nothing is multiplied when the
+        earliest ``_first_step`` of any neuron is past the window (every row
+        is -1), and without leak no step before it. The remaining steps are
         raced in two parts, the first half for the whole batch and the rest
-        only for rows with no crossing yet, and each part's potentials are
-        one product of spike counts cumulated from step 0 and weight rows.
-        No such sum exceeds steps_active * 784 * max|w| <= 2^(52-k) in
-        magnitude, so each is exact: the start, the split, batching, pixel
-        order and BLAS change no winner. With leak the decayed potential
-        needs every step's drive, so the parts split [0, T) and the second
-        carries the first's potentials; the decay products are rounded as
-        usual, but the drives are still exact.
+        only for rows with no crossing yet; each part's potentials are one
+        float32 product of spike counts cumulated from step 0 and weight
+        rows or, with leak, of each step's counts, decayed in float64 from
+        the first part's. A row whose first candidate lies within its margin
+        is settled on exact sums.
 
         Args:
             spikes: (B, T, U) boolean active-window rasters over ``pixels``.
@@ -289,42 +299,59 @@ class Network:
         first = int(self._first_steps.min())
         if first >= steps:
             return np.full(len(spikes), -1, dtype=np.int64)
-        start = first if self.config.leak == 0.0 else 0
+        leak = self.config.leak
+        start = first if leak == 0.0 else 0
         split = (start + steps + 1) // 2
         weights = self._drive_w[pixels]
-        counts = spikes[:, start:split].astype(np.float64)
+        counts = spikes[:, start:split].astype(np.float32)
         head = spikes[:, : start + 1]  # step start and those that cannot cross
-        np.add.reduce(head, axis=1, dtype=np.float64, out=counts[:, 0])
+        np.add.reduce(head, axis=1, dtype=np.float32, out=counts[:, 0])
         u = self._potentials(counts, weights, 0.0)
-        winners, pending = _first_crossings(u >= self._thresholds)
+        winners = self._screen(u, counts, pixels, 0)
+        pending = np.flatnonzero(winners < 0)
         if pending.size and split < steps:
-            rest = spikes[pending, split:].astype(np.float64)
-            if self.config.leak == 0.0:
+            rest = spikes[pending, split:].astype(np.float32)
+            if leak == 0.0:
                 rest[:, 0] += counts[pending, -1]
             u = self._potentials(rest, weights, u[pending, -1:])
-            winners[pending] = _first_crossings(u >= self._thresholds)[0]
+            source, skip = (rest, 0) if leak == 0.0 else (spikes[pending], split)
+            winners[pending] = self._screen(u, source, pixels, skip)
         return winners
 
     def _potentials(self, counts, weights, carried) -> np.ndarray:
         """(b, t, C*M) potentials of t consecutive steps from their (b, t, U)
-        float64 spike ``counts`` over the race's pixels and the (U, C*M)
-        weight rows of those pixels. Without leak the counts are made
-        cumulative in place, so their first step must already hold every
-        earlier spike; with leak each step's drive decays into the
-        potentials ``carried`` from the step before ((b, 1, C*M), or 0.0
-        before step 0)."""
+        spike ``counts`` over the race's pixels and the (U, C*M) weight rows
+        of those pixels. Without leak the counts are made cumulative in
+        place, so their first step must already hold every earlier spike;
+        with leak each step's drive decays (``_decay``) into the potentials
+        ``carried`` from the step before."""
         leak = self.config.leak
         if leak == 0.0:
             for t in range(1, counts.shape[1]):
                 counts[:, t] += counts[:, t - 1]
         rows, steps, width = counts.shape
         out = (counts.reshape(rows * steps, width) @ weights).reshape(rows, steps, -1)
-        if leak != 0.0:
-            u = carried
-            for t in range(steps):
-                u = (1.0 - leak) * u + out[:, t : t + 1]
-                out[:, t : t + 1] = u
-        return out
+        return out if leak == 0.0 else _decay(out.astype(np.float64), carried, leak)
+
+    def _screen(self, u, counts, pixels, skip) -> np.ndarray:
+        """``race``'s winners of (b, t, C*M) screened potentials; a row whose
+        first candidate is below its upper bound goes to ``_first_crossing``."""
+        winners, _ = _first_crossings(u >= self._lows)
+        rows = np.flatnonzero(winners >= 0)
+        firsts = winners[rows]
+        paths = u[rows, :, firsts]
+        at = (paths >= self._lows[firsts, None]).argmax(axis=1)
+        for row in rows[paths[np.arange(rows.size), at] < self._highs[firsts]]:
+            winners[row] = self._first_crossing(u[row], counts[row], pixels, skip)
+        return winners
+
+    def _exact(self, counts, pixels, neurons) -> np.ndarray:
+        """Exact float64 potentials of ``neurons`` from one presentation's
+        ``counts`` (from step 0 with leak), on weights rounded as the grid."""
+        grid = _snap(self.weights[np.ix_(neurons, pixels)], self._grid_bits)
+        exact = counts.astype(np.float64) @ grid.T
+        leak = self.config.leak
+        return exact if leak == 0.0 else _decay(exact[None], 0.0, leak)[0]
 
     def designated_microcolumn(self, column: int) -> int:
         """The index within ``column`` of its least-committed microcolumn
@@ -355,7 +382,7 @@ class Network:
         spikes = encode_active_batch(
             img[None, pixels], self.config.steps_active, self.rng
         )
-        counts = spikes[0].astype(np.float64)
+        counts = spikes[0].astype(np.float32)
         for t in range(1, len(counts)):
             counts[t] += counts[t - 1]
         winner = self._race_image(counts, pixels)
@@ -378,20 +405,33 @@ class Network:
             return -1
         weights = self._drive_w[pixels]
         if self.config.leak != 0.0:
-            drives = np.diff(counts, axis=0, prepend=0.0)[None]
-            return self._first_crossing(self._potentials(drives, weights, 0.0)[0])
+            drives = np.diff(counts, axis=0, prepend=np.float32(0.0))
+            u = self._potentials(drives[None], weights, 0.0)[0]
+            return self._first_crossing(u, drives, pixels)
         split = (start + steps + 1) // 2
-        winner = self._first_crossing(counts[start:split] @ weights)
+        window = counts[start:split]
+        winner = self._first_crossing(window @ weights, window, pixels)
         if winner < 0 and split < steps:
-            winner = self._first_crossing(counts[split:] @ weights)
+            window = counts[split:]
+            winner = self._first_crossing(window @ weights, window, pixels)
         return winner
 
-    def _first_crossing(self, potentials: np.ndarray) -> int:
-        """The first crossing among (t, C*M) potentials of consecutive steps:
-        the earliest step's lowest flat index, or -1 when none crosses."""
-        crossed = (potentials >= self._thresholds).ravel()
+    def _first_crossing(self, u, counts, pixels, skip=0) -> int:
+        """The first crossing among one presentation's (t, C*M) screened
+        potentials of consecutive steps (earliest step, lowest index), or -1.
+        If the first candidate is below its upper bound, each neuron with a
+        candidate below it is raced on ``_exact`` sums past ``skip`` steps."""
+        crossed = u >= self._lows
         first = int(crossed.argmax())
-        return first % len(self._thresholds) if crossed[first] else -1
+        if not crossed.flat[first]:
+            return -1
+        if u.flat[first] >= self._highs[first % len(self._lows)]:
+            return first % len(self._lows)
+        neurons = (crossed & (u < self._highs)).any(axis=0).nonzero()[0]
+        exact = self._exact(counts, pixels, neurons)[skip:]
+        crossed[:, neurons] = exact >= self._thresholds[neurons]
+        first = int(crossed.argmax())
+        return first % len(self._lows) if crossed.flat[first] else -1
 
     # -- plasticity --------------------------------------------------------
 
@@ -404,14 +444,32 @@ class Network:
         grid = np.maximum(weights, 0.0)
         mass = float(grid.sum())
         self._pos_sum[flat] = mass
-        np.ldexp(weights, self._grid_bits, out=grid)
-        np.rint(grid, out=grid)
-        np.ldexp(grid, -self._grid_bits, out=grid)
+        _snap(weights, self._grid_bits, out=grid)
         self._drive_w[:, flat] = grid
+        signed = float(grid.sum())
         peak = float(np.maximum(grid, 0.0, out=grid).sum())
         threshold = cfg.u_const + cfg.alpha * mass
         self._thresholds[flat] = threshold
         self._first_steps[flat] = _first_step(threshold, peak, cfg.steps_active)
+        margin = math.ldexp(cfg.steps_active * (2.0 * peak - signed), -14)
+        margin = math.nextafter(margin + 2.0**-120, math.inf)
+        self._lows[flat] = math.nextafter(threshold - margin, -math.inf)
+        self._highs[flat] = math.nextafter(threshold + margin, math.inf)
+
+
+def _snap(weights: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``weights`` rounded to the nearest multiple of 2^-bits (ties to even)."""
+    grid = np.ldexp(weights, bits, out=out)
+    np.rint(grid, out=grid)
+    return np.ldexp(grid, -bits, out=grid)
+
+
+def _decay(drives: np.ndarray, carried, leak: float) -> np.ndarray:
+    """Leaky potentials of (b, t, n) float64 drives, in place, from the
+    potentials ``carried`` before their first step ((b, 1, n), or 0.0)."""
+    for t in range(drives.shape[1]):
+        carried = drives[:, t : t + 1] = (1.0 - leak) * carried + drives[:, t : t + 1]
+    return drives
 
 
 def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -379,6 +379,22 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert main(["run"]) == EXIT_USAGE
 
 
+def test_one_parser_serves_every_call(tmp_path, synthetic_mnist_dir, capsys):
+    """``main`` builds its parser once: a usage error, then a valid run, in
+    one process exit and print as they do with a freshly built parser."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
+    calls = [["run", "--seed", "x"], ["run", "--config", cfg, "--out", str(tmp_path)]]
+    results = {}
+    for fresh in (False, True):
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.setdefault(fresh, []).append((main(argv), *capsys.readouterr()))
+    assert [code for code, _, _ in results[False]] == [EXIT_USAGE, EXIT_OK]
+    assert "invalid int value: 'x'" in results[False][0][2]
+    assert results[False] == results[True]
+
+
 def test_bad_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("modle = mlp\n")

@@ -9,6 +9,7 @@ import itertools
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,6 +228,53 @@ def snapped(weights: np.ndarray, cfg: ColaNetConfig) -> np.ndarray:
     return np.rint(weights * 2.0**k) / 2.0**k
 
 
+def screen_margins(net: Network) -> np.ndarray:
+    """Each neuron's screen margin 2^-14 * T * A_n + 2^-120, A_n being the
+    sum of its |grid weight|, computed apart from the network."""
+    absums = np.abs(snapped(net.weights, net.config)).sum(axis=1)
+    return 2.0**-14 * net.config.steps_active * absums + 2.0**-120
+
+
+def exact_calls(net: Network) -> list:
+    """Record each exact settle of ``net`` as (counts, pixels, neurons,
+    potentials)."""
+    calls = []
+    helper = net._exact
+
+    def spy(counts, pixels, neurons):
+        potentials = helper(counts, pixels, neurons)
+        calls.append((np.array(counts), pixels, neurons, potentials.copy()))
+        return potentials
+
+    net._exact = spy
+    return calls
+
+
+def assert_settles_exact(settles, expected, net):
+    """Every settled potential is bit-identical to the exact race's: each
+    exact settle returns the dense float64 sums of its counts over the
+    snapped weights, and those are the ``expected`` (B, T, N) potentials of
+    one row over a window ending at the split or at T (from step 0 with
+    leak)."""
+    cfg = net.config
+    steps = expected.shape[1]
+    split = (race_start(net) + steps + 1) // 2
+    for counts, pixels, neurons, potentials in settles:
+        grid = snapped(net.weights, cfg)[np.ix_(neurons, pixels)]
+        if cfg.leak:
+            dense = ref.whole_window_potentials(counts[None] > 0, grid.T, cfg.leak)[0]
+        else:
+            dense = counts.astype(np.float64) @ grid.T
+        assert np.array_equal(potentials, dense)
+        # With leak the sums run from step 0, so the window must start there.
+        stops = [stop for stop in (split, steps) if not cfg.leak or stop == len(dense)]
+        assert any(
+            np.array_equal(potentials, expected[b, stop - len(dense) : stop][:, neurons])
+            for b in range(len(expected))
+            for stop in stops
+        )
+
+
 def race_windows(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
     """Race ``spikes``, recording each call of the per-window helper as
     (counts as passed, carried, potentials)."""
@@ -259,7 +307,7 @@ def race_image(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
     """The one-image race of a (T, U) raster, given its counts cumulated
     from step 0 as ``present_full`` gives them: the winner, and the row
     slices of the counts it read."""
-    counts = np.cumsum(spikes, axis=0, dtype=np.float64).view(ReadRows)
+    counts = np.cumsum(spikes, axis=0, dtype=np.float32).view(ReadRows)
     counts.reads = []
     return net._race_image(counts, pixels), counts.reads
 
@@ -278,15 +326,18 @@ def race_start(net: Network) -> int:
 
 
 def assert_windows_equal(calls, expected, net):
-    """The race's windows hold exactly the (B, T, N) ``expected`` potentials.
+    """The race's windows hold the (B, T, N) ``expected`` potentials, each
+    within its neuron's screen margin (``screen_margins``).
 
     The first covers steps [t0, split) of every row, t0 being
     ``race_start`` and split the midpoint of [t0, T) rounded up: no earlier
     step is multiplied, and no neuron could have crossed in one. The second,
     called only when some row has not crossed, covers the remaining steps of
     those rows, carrying their potentials at the last step of the first.
+    With leak the potentials are float64, decayed over float32 drives.
     """
     thresholds = net._thresholds
+    margins = screen_margins(net)
     steps = expected.shape[1]
     start = race_start(net)
     if start == steps:
@@ -297,17 +348,19 @@ def assert_windows_equal(calls, expected, net):
     counts, carried, potential = calls[0]
     assert counts.shape[1] == split - start
     assert not np.any(carried)
-    assert np.array_equal(potential, expected[:, start:split])
+    assert potential.dtype == (np.float64 if net.config.leak else np.float32)
+    assert (np.abs(potential - expected[:, start:split]) <= margins).all()
     crossed = (expected[:, start:split] >= thresholds).any(axis=(1, 2))
     pending = np.flatnonzero(~crossed)
     if not pending.size or split == steps:
         assert len(calls) == 1
         return
     assert len(calls) == 2
+    first = potential
     counts, carried, potential = calls[1]
     assert counts.shape[:2] == (pending.size, steps - split)
-    assert np.array_equal(carried, expected[pending, split - 1 : split])
-    assert np.array_equal(potential, expected[pending, split:])
+    assert np.array_equal(carried, first[pending, -1:])
+    assert (np.abs(potential - expected[pending, split:]) <= margins).all()
 
 
 #: Adaptive-threshold coefficients the race is checked at: none, the
@@ -340,9 +393,10 @@ def race_spikes(rng, batch: int, steps: int) -> np.ndarray:
     st.sampled_from(["uniform", "template"]),
 )
 def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
-    """Every potential the race compares, in both windows and carried between
-    them, equals a dense float64 product over the rounded weights, bit for
-    bit; permuting pixels or racing rows alone changes no winner."""
+    """Every potential the race screens, in both windows and carried between
+    them, lies within its neuron's margin of a dense float64 product over
+    the rounded weights, and every potential it settles equals that product
+    bit for bit; permuting pixels or racing rows alone changes no winner."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, leak=leak)
     weights = race_weights(rng, cfg, family)
@@ -351,19 +405,29 @@ def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
 
     grid = snapped(weights, cfg)
     assert np.abs(grid - weights).max() <= 2.0 ** -(cfg.race_grid_bits + 1)
+    # The screen's bounds enclose theta -+ m_n, m_n = 2^-14 T A_n + 2^-120.
+    absums = np.abs(grid).sum(axis=1)  # exact: sums on the grid
+    for lo, hi, theta, absum in zip(net._lows, net._highs, net._thresholds, absums):
+        margin = Fraction(cfg.steps_active, 2**14) * Fraction(absum) + Fraction(1, 2**120)
+        assert Fraction(lo) <= Fraction(theta) - margin
+        assert Fraction(hi) >= Fraction(theta) + margin
     drive = spikes.astype(np.float64) @ grid.T
     expected = np.empty_like(drive)
     u = np.zeros_like(drive[:, 0, :])
     for t in range(cfg.steps_active):
         u = (1.0 - leak) * u + drive[:, t, :]
         expected[:, t, :] = u
+    settles = exact_calls(net)
     winners, calls = race_windows(net, spikes)
     assert_windows_equal(calls, expected, net)
+    assert_settles_exact(settles, expected, net)
 
     perm = rng.permutation(784)
     shuffled = Network(cfg, weights=weights[:, perm])
+    settles = exact_calls(shuffled)
     shuffled_winners, calls = race_windows(shuffled, spikes[:, :, perm])
     assert_windows_equal(calls, expected, shuffled)
+    assert_settles_exact(settles, expected, shuffled)
     assert np.array_equal(shuffled_winners, winners)
     for b in range(batch):
         alone = net.race(spikes[b : b + 1], ALL_PIXELS)
@@ -442,11 +506,93 @@ def two_window_batch() -> tuple[Network, np.ndarray]:
 
 def test_race_winner_crossing_in_second_half_matches_oracle():
     net, spikes = two_window_batch()
-    potentials = ref.whole_window_potentials(spikes, net._drive_w, 0.0)
+    potentials = ref.whole_window_potentials(spikes, snapped(net.weights, net.config).T, 0.0)
     expected = ref.first_crossing_winners(potentials, net._thresholds)
     assert expected.tolist() == [0, -1, 0, 1]
     assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
     assert [race_image(net, raster)[0] for raster in spikes] == expected.tolist()
+
+
+#: Near ties between a threshold and an exact grid sum whose float32 sum
+#: falls on the other side of it: (threshold, pixel weights, exact winner).
+#: Four weights 0.25 - 2^-39 sum to 1 - 2^-37 but round to 0.25 each, so
+#: float32 reaches 1; 0.5 + 2^-30 and 0.25 reach their threshold exactly,
+#: but 0.5 + 2^-30 rounds to 0.5.
+NEAR_TIES = {
+    "float32 over": (1.0, [0.25 - 2.0**-39] * 4, -1),
+    "float32 under": (0.75 + 2.0**-30, [0.5 + 2.0**-30, 0.25], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_TIES))
+@pytest.mark.parametrize("leak", [0.0, 0.1])
+@pytest.mark.parametrize("step", [0, 7])
+def test_near_ties_the_float32_sums_get_wrong_are_settled_exactly(case, leak, step):
+    """One neuron whose pixels all spike once, at ``step``: its float32 sum
+    and its exact sum lie on opposite sides of the threshold. Both race
+    shapes settle it on the exact sum and pick the oracle's winner."""
+    threshold, pixel_weights, winner = NEAR_TIES[case]
+    cfg = ColaNetConfig(
+        class_count=1, microcolumns=1, alpha=0.0, u_const=threshold, leak=leak
+    )
+    weights = np.zeros((1, 784))
+    weights[0, : len(pixel_weights)] = pixel_weights
+    net = Network(cfg, weights=weights)
+    spikes = np.zeros((1, cfg.steps_active, 784), dtype=bool)
+    spikes[0, step, : len(pixel_weights)] = True
+    exact = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
+    assert ref.first_crossing_winners(exact, net._thresholds).tolist() == [winner]
+    # A Python float beside a float32 scalar compares in float32: widen it.
+    screened = float(np.float32(pixel_weights).sum(dtype=np.float32))
+    assert (screened >= threshold) != (exact[0, step, 0] >= threshold)
+
+    settles = exact_calls(net)
+    assert net.race(spikes, ALL_PIXELS).tolist() == [winner]
+    assert settles
+    settles.clear()
+    assert race_image(net, spikes[0])[0] == winner
+    assert settles
+
+
+def test_screened_leaky_potentials_decay_in_float64():
+    """With weights whose float32 sums are exact (multiples of 2^-6), the
+    screened potentials with leak equal the exact race's bit for bit: the
+    decay runs in float64, as the exact race's does."""
+    rng = np.random.default_rng(3)
+    cfg = small_config(alpha=0.0, leak=0.1, u_const=50.0)
+    weights = rng.integers(0, 64, (cfg.neuron_count, 784)) / 64.0
+    net = Network(cfg, weights=weights)
+    spikes = rng.random((4, cfg.steps_active, 784)) < 0.01
+    expected = ref.whole_window_potentials(spikes, weights.T, cfg.leak)
+    winners, calls = race_windows(net, spikes)
+    assert winners.tolist() == ref.first_crossing_winners(expected, 50.0).tolist()
+    split = (cfg.steps_active + 1) // 2
+    assert np.array_equal(calls[0][2], expected[:, :split])
+    if len(calls) > 1:
+        pending = np.flatnonzero(winners < 0)
+        assert np.array_equal(calls[1][2], expected[pending, split:])
+
+
+@pytest.mark.parametrize("leak", [0.0, 0.1])
+def test_race_is_exact_below_float32_normal_range(leak):
+    """At u_const = 1e-29 and weights within 1e-30 (grid 2^-138), weights
+    and products fall below float32's normal range, some of them deep into
+    its subnormals; both race shapes still pick the exact race's winners."""
+    cfg = small_config(
+        alpha=0.5, leak=leak, u_const=1e-29, w_min=-1e-30, w_max=1e-30, init_high=1e-30
+    )
+    assert cfg.race_grid_bits == 138
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        weights = race_weights(rng, cfg, "template") * 1e-30
+        tiny = rng.random(weights.shape) < 0.02
+        weights[tiny] = rng.choice([2.0**-130, -(2.0**-135), 3 * 2.0**-138], tiny.sum())
+        net = Network(cfg, weights=weights)
+        spikes = race_spikes(rng, 8, cfg.steps_active)
+        potentials = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
+        expected = ref.first_crossing_winners(potentials, net._thresholds)
+        assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
+        assert [race_image(net, raster)[0] for raster in spikes] == expected.tolist()
 
 
 def test_second_window_races_only_rows_that_did_not_cross():
@@ -682,10 +828,10 @@ def test_renormalization_conserves_row_mass():
 
 
 def test_cached_positive_sums_stay_consistent(tmp_path):
-    """The positive mass, race view, thresholds and earliest steps follow
-    every depression and potentiation bit for bit, with and without
-    renormalization and leak, as a network built from the same weights
-    derives them; load rebuilds them."""
+    """The positive mass, float32 race view, thresholds, earliest steps and
+    screen bounds follow every depression and potentiation bit for bit,
+    with and without renormalization and leak, as a network built from the
+    same weights derives them; load rebuilds them."""
     for ns in (None, 0, 100):
         for leak in (0.0, 0.1):
             net = fixed_net(alpha=0.25, ns=ns, leak=leak)
@@ -697,13 +843,19 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
             assert np.array_equal(net._pos_sum, fresh._pos_sum)
             positive = np.maximum(net.weights, 0.0).sum(axis=1)
             assert np.array_equal(net._pos_sum, positive)
-            assert np.array_equal(net._drive_w, snapped(net.weights, net.config).T)
+            view = np.float32(snapped(net.weights, net.config)).T
+            assert net._drive_w.dtype == np.float32
+            assert np.array_equal(net._drive_w, view)
             assert np.array_equal(net._thresholds, fresh._thresholds)
             assert np.array_equal(net._first_steps, fresh._first_steps)
+            assert np.array_equal(net._lows, fresh._lows)
+            assert np.array_equal(net._highs, fresh._highs)
             path = str(tmp_path / f"net_{ns}_{leak}.bin")
             save_state(net, path)
             loaded = load_state(path)
-            assert np.array_equal(loaded._drive_w, snapped(net.weights, net.config).T)
+            assert np.array_equal(loaded._drive_w, view)
+            assert np.array_equal(loaded._lows, fresh._lows)
+            assert np.array_equal(loaded._highs, fresh._highs)
 
 
 # ------------------------------------------------------------------ inference
