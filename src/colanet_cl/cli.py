@@ -10,10 +10,10 @@ Subcommands
     Recompute metrics from an existing profile CSV (optionally with a
     fresh-model baseline-accuracy CSV enabling forward transfer).
 ``sweep``
-    Run the first seed once per point of an ``alpha`` and/or ``ns`` grid,
-    each point writing the files of a ``run`` under ``point_NNN/``, and
-    tabulate (alpha, ns, AA, FM) per point in ``sweep.csv``, printing the same
-    rows.
+    Run every seed at every point of an ``alpha`` and/or ``ns`` grid, each
+    point's seeds writing the files of a ``run`` under ``point_NNN/``, and
+    tabulate (alpha, ns, seed, AA, FM) per unit in ``sweep.csv``, printing
+    the same rows.
 ``heatmap``
     Render the receptive fields of a saved network state as a PPM image.
 ``baseline-acc``
@@ -24,6 +24,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment. Keys not
 recognized are rejected so typos cannot silently change an experiment.
 ``data_dir`` is required, and ``alpha_grid``/``ns_grid`` are read by
 ``sweep`` only; every config rule is checked before anything is written.
+``run`` and ``sweep`` share one loop over (grid point, seed) units.
 Every run writes ``manifest.json`` echoing the resolved configuration, the
 seeds, a content hash of each input data file (git blob SHA-1), and the
 Python, NumPy and BLAS versions, so two runs with identical manifests
@@ -84,7 +85,8 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 MODELS = ("colanet", "mlp")
-SCENARIOS = ("permuted", "two-task-forward", "two-task-reverse")
+#: Each scenario and the task count it runs when ``n_tasks`` is not set.
+SCENARIOS = {"permuted": 3, "two-task-forward": 2, "two-task-reverse": 2}
 
 
 class UsageError(Exception):
@@ -122,13 +124,15 @@ class ExperimentConfig:
 
     Every field is echoed into the run manifest for provenance, so a field
     the chosen model does not read must keep its default: the colanet keys
-    and grids for ``mlp``, ``batch_size`` for ``colanet``. The rules on
-    ``data_dir`` and the grids are checked on loading and in ``main``.
+    and grids for ``mlp``, ``batch_size`` for ``colanet``. ``n_tasks`` left
+    unset is the scenario's own task count, the only one a two-task scenario
+    takes. The rules on ``data_dir`` and the grids are checked on loading
+    and in ``main``.
     """
 
     model: str = _key("colanet", str)
     scenario: str = _key("permuted", str)
-    n_tasks: int = _key(3, int)
+    n_tasks: int | None = _key(None, int)
     alpha: float = _key(ColaNetConfig.alpha, _finite_float, network=True)
     ns: float | None = _key(None, _parse_bool_none, network=True)
     microcolumns: int = _key(ColaNetConfig.microcolumns, int, network=True)
@@ -151,10 +155,15 @@ class ExperimentConfig:
             raise UsageError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.scenario not in SCENARIOS:
             raise UsageError(
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"
+                f"scenario must be one of {tuple(SCENARIOS)}, got {self.scenario!r}"
             )
+        tasks = SCENARIOS[self.scenario]
+        self.n_tasks = tasks if self.n_tasks is None else self.n_tasks
         if self.n_tasks < 1:
             raise UsageError("n_tasks must be >= 1")
+        if self.scenario != "permuted" and self.n_tasks != tasks:
+            raise UsageError(f"the {self.scenario} scenario runs {tasks} tasks; "
+                             f"n_tasks must be {tasks}, got {self.n_tasks}")
         if not self.seeds:
             raise UsageError("seeds must list at least one seed")
         if not all(0 <= seed < 2**64 for seed in self.seeds):
@@ -229,12 +238,9 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return values
 
 
-def load_experiment_config(
-    path: str,
-    data_dir: str | None = None,
-    out_dir: str | None = None,
-    seed: int | None = None,
-) -> ExperimentConfig:
+def load_experiment_config(path: str, data_dir: str | None = None,
+                           out_dir: str | None = None,
+                           seed: int | None = None) -> ExperimentConfig:
     """Read a config file and apply command-line overrides; ``data_dir`` is required."""
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -325,12 +331,9 @@ def input_hashes(cfg: ExperimentConfig) -> dict[str, str]:
     """Hash every data file the scenario reads, keyed by resolved path."""
     names = list(MNIST_FILES.values())
     if cfg.scenario != "permuted":
-        names += list(EMNIST_FILES.values())
-    hashes = {}
-    for name in names:
-        path = dataset._resolve(cfg.data_dir, name)
-        hashes[path] = _git_blob_sha1(path)
-    return hashes
+        names += EMNIST_FILES.values()
+    paths = [dataset._resolve(cfg.data_dir, name) for name in names]
+    return {path: _git_blob_sha1(path) for path in paths}
 
 
 def runtime_versions() -> dict[str, str]:
@@ -386,19 +389,31 @@ def run_unit(cfg: ExperimentConfig, seed: int, out_dir: str) -> MetricsReport:
     return report
 
 
+def run_units(cfg: ExperimentConfig, command: str):
+    """Write the manifest, then run each (grid point, seed) unit in order.
+
+    The units are ``grid_points(cfg)`` × ``cfg.seeds``, points outermost.
+    Without a grid the one point's files go to the output directory; with
+    one, point NNN's go to ``point_NNN/``. Yields ``(point, seed, report)``
+    as each unit finishes.
+    """
+    write_manifest(cfg, command)
+    gridded = bool(cfg.alpha_grid or cfg.ns_grid)
+    for index, point in enumerate(grid_points(cfg)):
+        out_dir = os.path.join(cfg.out_dir, f"point_{index:03d}") if gridded else cfg.out_dir
+        for seed in cfg.seeds:
+            yield point, seed, run_unit(point, seed, out_dir)
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     """Run the experiment once per seed; print each seed's summary."""
-    write_manifest(cfg, "run")
-    for seed in cfg.seeds:
-        report = run_unit(cfg, seed, cfg.out_dir)
+    for _, seed, report in run_units(cfg, "run"):
         print(f"seed {seed}:")
         print(render_summary(report))
     return EXIT_OK
 
 
-def cmd_metrics(
-    profile_path: str, baseline_path: str | None, out_dir: str | None
-) -> int:
+def cmd_metrics(profile_path: str, baseline_path: str | None, out_dir: str | None) -> int:
     """Compute metrics for an existing profile CSV; print the summary."""
     profile = read_profile_csv(profile_path)
     baseline = read_baseline_csv(baseline_path) if baseline_path else None
@@ -411,30 +426,27 @@ def cmd_metrics(
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    """Run the first seed per grid point; tabulate final AA and FM.
+    """Run every seed at every grid point; tabulate final AA and FM.
 
-    The points are ``grid_points(cfg)``. Point NNN is one ``run_unit``
-    whose files land in ``point_NNN/`` under the output directory. Each
-    point's AA and FM cells are the last row of its metrics table;
-    ``sweep.csv`` holds one row per point, and the same rows are printed.
+    The units are those of ``run_units``: point NNN's seeds write their
+    files to ``point_NNN/`` under the output directory. ``sweep.csv`` holds
+    one row per unit, in unit order, and the same rows are printed. The
+    alpha and ns cells are ``repr(float)``, the shortest digits that read
+    back as the same float (ns off is empty); the AA and FM cells are the
+    last row of the unit's metrics table.
     """
-    seed = cfg.seeds[0]
-    write_manifest(cfg, "sweep")
-    rows = [["alpha", "ns", "AA", "FM"]]
-    for index, point in enumerate(grid_points(cfg)):
-        report = run_unit(point, seed, os.path.join(cfg.out_dir, f"point_{index:03d}"))
+    rows = [["alpha", "ns", "seed", "AA", "FM"]]
+    for point, seed, report in run_units(cfg, "sweep"):
         header, *_, last = metrics_table(report)
         final = dict(zip(header, last))
-        ns = None if point.ns is None else f"{point.ns:g}"
-        rows.append([f"{point.alpha:g}", ns, final["AA"], final["FM"]])
+        rows.append([point.alpha, point.ns, seed, final["AA"], final["FM"]])
     print(write_table(os.path.join(cfg.out_dir, "sweep.csv"), rows), end="")
     return EXIT_OK
 
 
 def cmd_heatmap(state_path: str, out_path: str) -> int:
     """Render a saved network state's receptive fields as a PPM file."""
-    net = load_state(state_path)
-    export_heatmaps(net, out_path)
+    export_heatmaps(load_state(state_path), out_path)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -449,9 +461,8 @@ def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
     """
     seed = cfg.seeds[0]
     write_manifest(cfg, "baseline-acc")
-    tasks = build_tasks(cfg, seed)
     accuracies = []
-    for task in tasks:
+    for task in build_tasks(cfg, seed):
         adapter = build_adapter(cfg, derive_seed(seed, "fwt-baseline", task.task_id))
         adapter.train_task(task)
         accuracies.append(adapter.evaluate_task(task))
@@ -483,29 +494,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_flags(sub.add_parser("run", help="run one experiment"))
     p_metrics = sub.add_parser("metrics", help="metrics from a profile CSV")
     p_metrics.add_argument("profile", help="degradation-profile CSV")
-    p_metrics.add_argument(
-        "baseline", nargs="?", help="optional baseline-accuracy CSV (for FWT)"
-    )
+    p_metrics.add_argument("baseline", nargs="?",
+                           help="optional baseline-accuracy CSV (for FWT)")
     p_metrics.add_argument("--out", help="directory for metrics.csv")
     add_config_flags(sub.add_parser("sweep", help="grid sweep over alpha/ns"))
     p_heatmap = sub.add_parser("heatmap", help="render receptive fields")
     p_heatmap.add_argument("state", help="saved network state file")
     p_heatmap.add_argument("--out", required=True, help="output PPM path")
-    add_config_flags(
-        sub.add_parser("baseline-acc", help="fresh-model accuracy series")
-    )
+    add_config_flags(sub.add_parser("baseline-acc", help="fresh-model accuracy series"))
     return parser
 
 
 _CONFIG_COMMANDS = {"run": cmd_run, "sweep": cmd_sweep, "baseline-acc": cmd_baseline_acc}
 
-_DATA_ERRORS = (
-    DataError,
-    IdxFormatError,
-    ProfileFormatError,
-    StateFormatError,
-    OSError,
-)
+_DATA_ERRORS = (DataError, IdxFormatError, ProfileFormatError, StateFormatError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -535,16 +537,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except (SequenceError, *_DATA_ERRORS) as exc:
+        # A data or I/O failure inside a run is still a data error.
+        if isinstance(exc, SequenceError) and not isinstance(exc.__cause__, _DATA_ERRORS):
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SequenceError as exc:
-        # A data or I/O failure inside a run is still a data error.
-        if isinstance(exc.__cause__, _DATA_ERRORS):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -336,7 +336,7 @@ class Network:
     def _screen(self, u, counts, pixels, skip) -> np.ndarray:
         """``race``'s winners of (b, t, C*M) screened potentials; a row whose
         first candidate is below its upper bound goes to ``_first_crossing``."""
-        winners, _ = _first_crossings(u >= self._lows)
+        winners = _first_crossings(u >= self._lows)
         rows = np.flatnonzero(winners >= 0)
         firsts = winners[rows]
         paths = u[rows, :, firsts]
@@ -472,15 +472,15 @@ def _decay(drives: np.ndarray, carried, leak: float) -> np.ndarray:
     return drives
 
 
-def _first_crossings(crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of (b, t, C*M) crossings: the race winner or -1; rows with none.
+def _first_crossings(crossed: np.ndarray) -> np.ndarray:
+    """Per row of (b, t, C*M) crossings: the race winner, or -1 if it has none.
     A row's first True in C order is the earliest step's lowest index."""
     flat = crossed.reshape(len(crossed), -1)
     first = flat.argmax(axis=1)
-    pending = (~flat[np.arange(len(flat)), first]).nonzero()[0]
+    uncrossed = ~flat[np.arange(len(flat)), first]
     first %= crossed.shape[2]
-    first[pending] = -1
-    return first, pending
+    first[uncrossed] = -1
+    return first
 
 
 def _first_step(threshold: float, peak: float, steps: int) -> int:

@@ -153,6 +153,37 @@ def test_experiment_config_validation():
         ExperimentConfig(train_count=0)
 
 
+@pytest.mark.parametrize("scenario", ["two-task-forward", "two-task-reverse"])
+def test_two_task_scenarios_run_two_tasks(tmp_path, synthetic_mnist_dir, emnist_corpus,
+                                          capsys, scenario):
+    """``n_tasks`` left unset is the scenario's own count: 3 permuted tasks,
+    2 in a two-task scenario, which is what its manifest records. A two-task
+    config setting any other count exits 1 before anything is written."""
+    assert ExperimentConfig().n_tasks == 3
+    assert ExperimentConfig(scenario=scenario).n_tasks == 2
+    assert ExperimentConfig(scenario=scenario, n_tasks=2).n_tasks == 2
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for source, names in ((synthetic_mnist_dir, MNIST_FILES),
+                          (emnist_corpus["dir"], EMNIST_FILES)):
+        for name in names.values():
+            os.symlink(os.path.join(source, name), data_dir / name)
+    path = tmp_path / "two.cfg"
+    text = f"scenario = {scenario}\ndata_dir = {data_dir}\n"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    cli.write_manifest(load_experiment_config(str(path), out_dir=str(out_dir)), "run")
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["n_tasks"] == 2
+    assert len(manifest["input_hashes"]) == len(MNIST_FILES) + len(EMNIST_FILES)
+    for n_tasks in (1, 3, 7):
+        path.write_text(f"{text}n_tasks = {n_tasks}\n")
+        out_dir = tmp_path / f"out{n_tasks}"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == EXIT_USAGE
+        assert f"n_tasks must be 2, got {n_tasks}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_keys_the_model_does_not_read_are_usage_errors(tmp_path, capsys):
     """The manifest echoes every field, so one the model never reads must
     keep its default: each that differs is named, and ``run`` exits 1."""
@@ -554,6 +585,10 @@ def test_run_seeds_together_match_seeds_alone(tmp_path, synthetic_mnist_dir, cap
                      microcolumns=3, train_count=150, seeds="1, 2")
     together = tmp_path / "together"
     assert main(["run", "--config", cfg, "--out", str(together)]) == EXIT_OK
+    # Each unit prints its seed, then the summary it wrote, in seed order.
+    assert capsys.readouterr().out == "".join(
+        f"seed {seed}:\n" + (together / f"summary_seed{seed}.txt").read_text()
+        for seed in (1, 2))
     for seed in (1, 2):
         alone = tmp_path / f"alone{seed}"
         assert main(["run", "--config", cfg, "--out", str(alone),
@@ -775,23 +810,26 @@ def test_seed_flag_overrides_config(tmp_path, synthetic_mnist_dir, capsys):
 
 
 def test_sweep_command(tmp_path, synthetic_mnist_dir, capsys):
-    cfg = run_config(
-        tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=60,
-        alpha_grid="0.01, 0.02",
-    )
-    out_dir = str(tmp_path / "sweep")
-    assert main(["sweep", "--config", cfg, "--out", out_dir]) == EXIT_OK
-    with open(os.path.join(out_dir, "sweep.csv")) as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "alpha,ns,AA,FM"
-    assert len(lines) == 3
-    # Single-task points have no forgetting value: the FM cell is empty.
-    assert lines[1].startswith("0.01,,") and lines[1].endswith(",")
-    assert lines[2].startswith("0.02,,")
-    for point in ("point_000", "point_001"):
-        assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
-    # Sweep prints the rows sweep.csv holds.
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    """Each row labels its point exactly: alpha values that agree to six
+    digits still read back as the values the grid lists."""
+    for grid in (("0.01", "0.02"), ("2.5000001", "2.5000002")):
+        cfg = run_config(
+            tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=60,
+            alpha_grid=", ".join(grid),
+        )
+        out_dir = str(tmp_path / f"sweep{grid[0]}")
+        assert main(["sweep", "--config", cfg, "--out", out_dir]) == EXIT_OK
+        with open(os.path.join(out_dir, "sweep.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "alpha,ns,seed,AA,FM"
+        assert len(lines) == 3
+        # Single-task points have no forgetting value: the FM cell is empty.
+        assert lines[1].startswith(f"{grid[0]},,5,") and lines[1].endswith(",")
+        assert lines[2].startswith(f"{grid[1]},,5,")
+        for point in ("point_000", "point_001"):
+            assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
+        # Sweep prints the rows sweep.csv holds.
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
@@ -813,6 +851,12 @@ def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
     assert parse_config_text("ns_grid = inf, 0")["ns_grid"] == (None, 0.0)
 
 
+def files(root) -> dict[str, bytes]:
+    """Every file under ``root``, by its path relative to ``root``."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
     """A sweep point writes exactly the files ``run`` writes at its alpha."""
     cfg = run_config(tmp_path, synthetic_mnist_dir, alpha_grid="0.01, 0.02")
@@ -821,14 +865,6 @@ def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
     run_cfg = run_config(tmp_path, synthetic_mnist_dir, alpha="0.02")
     run_dir = tmp_path / "run"
     assert main(["run", "--config", run_cfg, "--out", str(run_dir)]) == EXIT_OK
-
-    def files(root):
-        return {
-            str(path.relative_to(root)): path.read_bytes()
-            for path in sorted(root.rglob("*"))
-            if path.is_file() and path.name != "manifest.json"
-        }
-
     point = files(sweep_dir / "point_001")
     assert sorted(point) == [
         "metrics_seed5.csv",
@@ -837,12 +873,51 @@ def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
         os.path.join("states_seed5", "state_002.bin"),
         "summary_seed5.txt",
     ]
-    assert point == files(run_dir)
+    ran = files(run_dir)
+    del ran["manifest.json"]
+    assert point == ran
     # The point's AA and FM cells are the last row of its metrics table.
     metrics = point["metrics_seed5.csv"].decode().splitlines()
     final = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
     sweep_rows = (sweep_dir / "sweep.csv").read_text().splitlines()
-    assert sweep_rows[2] == f"0.02,,{final['AA']},{final['FM']}"
+    assert sweep_rows[2] == f"0.02,,5,{final['AA']},{final['FM']}"
+
+
+def test_sweep_runs_every_seed_at_every_point(tmp_path, synthetic_mnist_dir, capsys):
+    """A 2x2 grid at three seeds is twelve units, grid point outermost: each
+    point's directory holds every seed's files, and a unit's files are those
+    ``run --seed S`` writes at its point."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, train_count=60, seeds="1, 2, 3",
+                     alpha_grid="0.01, 2.5", ns_grid="off, 0")
+    sweep_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
+    assert json.loads((sweep_dir / "manifest.json").read_text())["seeds"] == [1, 2, 3]
+    rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+    assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
+    points = [("0.01", ""), ("0.01", "0.0"), ("2.5", ""), ("2.5", "0.0")]
+    assert rows[0] == "alpha,ns,seed,AA,FM"
+    assert [row.split(",")[:3] for row in rows[1:]] == [
+        [alpha, ns, seed] for alpha, ns in points for seed in ("1", "2", "3")]
+    assert sorted(path.name for path in sweep_dir.iterdir()) == [
+        "manifest.json", "point_000", "point_001", "point_002", "point_003", "sweep.csv"]
+    for index in range(4):
+        point = sweep_dir / f"point_{index:03d}"
+        assert sorted(path.name for path in point.iterdir()) == sorted(
+            f"{kind}_seed{seed}{ext}" for seed in (1, 2, 3)
+            for kind, ext in (("metrics", ".csv"), ("profile", ".csv"),
+                              ("summary", ".txt"), ("states", "")))
+    for index, seed in ((1, 1), (2, 3)):
+        alpha, ns = points[index]
+        run_cfg = run_config(tmp_path, synthetic_mnist_dir, train_count=60,
+                             seeds="1, 2, 3", alpha=alpha, ns=ns or "off")
+        run_dir = tmp_path / f"run{index}"
+        assert main(["run", "--config", run_cfg, "--out", str(run_dir),
+                     "--seed", str(seed)]) == EXIT_OK
+        point = files(sweep_dir / f"point_{index:03d}")
+        unit = {name: data for name, data in point.items() if f"_seed{seed}" in name}
+        ran = files(run_dir)
+        del ran["manifest.json"]
+        assert len(unit) == 5 and unit == ran
 
 
 def test_baseline_acc_feeds_forward_transfer(tmp_path, synthetic_mnist_dir, capsys):

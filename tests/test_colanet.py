@@ -470,18 +470,18 @@ def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, famil
 def test_first_crossings_match_the_reference_readout(
     batch, steps, neurons, density, seed
 ):
-    """The readout picks the earliest step's lowest crossing index and lists
-    the rows with none, on crossings dense enough to tie at every step, rows
-    with no crossing and rows whose crossings all sit in the last step."""
+    """The readout picks the earliest step's lowest crossing index and marks
+    the rows with none -1, on crossings dense enough to tie at every step,
+    rows with no crossing and rows whose crossings all sit in the last step."""
     rng = np.random.default_rng(seed)
     crossed = rng.random((batch, steps, neurons)) < density
     crossed[::3] = False
     crossed[1::3, :-1] = False
-    winners, pending = _first_crossings(crossed)
+    winners = _first_crossings(crossed)
     expected = ref.first_crossing_winners(crossed.astype(np.float64), 0.5)
     assert winners.dtype == np.int64
     assert np.array_equal(winners, expected)
-    assert np.array_equal(pending, np.flatnonzero(expected < 0))
+    assert (winners[::3] == -1).all()
 
 
 def two_window_batch() -> tuple[Network, np.ndarray]:
