@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,9 +219,7 @@ def truncate_percent(fraction: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_sequence(
-    adapter, tasks: list[TaskSpec], state_dir: str | None = None
-) -> DegradationProfile:
+def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationProfile:
     """Train sequentially and evaluate on every task seen so far.
 
     For k = 1..n: load the checkpoint of iteration k-1 (when k > 1), train
@@ -235,8 +232,8 @@ def run_sequence(
             ``evaluate_task(task) -> float``, ``save(path)`` and
             ``load(path)``.
         tasks: The task stream (at least one task).
-        state_dir: Directory for per-iteration checkpoints; when omitted, a
-            temporary directory is used and removed before returning.
+        state_dir: Directory for the per-iteration checkpoints, created if
+            missing; they are left in it.
 
     Returns:
         DegradationProfile of shape n x n.
@@ -246,9 +243,6 @@ def run_sequence(
     """
     if not tasks:
         raise ValueError("run_sequence requires at least one task")
-    if state_dir is None:
-        with tempfile.TemporaryDirectory(prefix="clbench-state-") as tmp:
-            return run_sequence(adapter, tasks, tmp)
     os.makedirs(state_dir, exist_ok=True)
     n = len(tasks)
     a = np.full((n, n), np.nan)

@@ -17,14 +17,14 @@ Subcommands
 ``heatmap``
     Render the receptive fields of a saved network state as a PPM image.
 ``baseline-acc``
-    Train a fresh model per task (one epoch, that task only) and record the
-    accuracy series used as the forward-transfer baseline.
+    Train a fresh model per task (one epoch, that task only) and record, per
+    seed, the accuracy series used as the forward-transfer baseline.
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Keys not
 recognized are rejected so typos cannot silently change an experiment.
 ``data_dir`` is required, and ``alpha_grid``/``ns_grid`` are read by
 ``sweep`` only; every config rule is checked before anything is written.
-``run`` and ``sweep`` share one loop over (grid point, seed) units.
+``run``, ``sweep`` and ``baseline-acc`` share one loop over their units.
 Every run writes ``manifest.json`` echoing the resolved configuration, the
 seeds, a content hash of each input data file (git blob SHA-1), and the
 Python, NumPy and BLAS versions, so two runs with identical manifests
@@ -389,20 +389,20 @@ def run_unit(cfg: ExperimentConfig, seed: int, out_dir: str) -> MetricsReport:
     return report
 
 
-def run_units(cfg: ExperimentConfig, command: str):
+def run_units(cfg: ExperimentConfig, command: str, unit=run_unit):
     """Write the manifest, then run each (grid point, seed) unit in order.
 
-    The units are ``grid_points(cfg)`` × ``cfg.seeds``, points outermost.
-    Without a grid the one point's files go to the output directory; with
-    one, point NNN's go to ``point_NNN/``. Yields ``(point, seed, report)``
-    as each unit finishes.
+    The units are ``grid_points(cfg)`` × ``cfg.seeds``, points outermost,
+    each run as ``unit(point, seed, out_dir)``. Without a grid the one
+    point's files go to the output directory; with one, point NNN's go to
+    ``point_NNN/``. Yields ``(point, seed, result)`` as each unit finishes.
     """
     write_manifest(cfg, command)
     gridded = bool(cfg.alpha_grid or cfg.ns_grid)
     for index, point in enumerate(grid_points(cfg)):
         out_dir = os.path.join(cfg.out_dir, f"point_{index:03d}") if gridded else cfg.out_dir
         for seed in cfg.seeds:
-            yield point, seed, run_unit(point, seed, out_dir)
+            yield point, seed, unit(point, seed, out_dir)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -451,24 +451,25 @@ def cmd_heatmap(state_path: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
-    """Train a fresh model per task and record its single-task accuracy.
-
-    Writes ``baseline_acc.csv`` (columns task, accuracy in percent): the
-    ã_j series that ``metrics`` consumes for forward transfer. Fresh-model
-    seeds derive from the first configured seed and the task index so no
-    two tasks share initialization or noise streams.
-    """
-    seed = cfg.seeds[0]
-    write_manifest(cfg, "baseline-acc")
+def baseline_unit(cfg: ExperimentConfig, seed: int, out_dir: str) -> str:
+    """Train a fresh model on each task of one seed's stream alone, write its
+    accuracies to ``baseline_acc_seed<S>.csv`` (the ã_j series of forward
+    transfer) and return that path. Fresh-model seeds derive from the seed and
+    the task index, so no two tasks share initialization or noise streams."""
     accuracies = []
     for task in build_tasks(cfg, seed):
         adapter = build_adapter(cfg, derive_seed(seed, "fwt-baseline", task.task_id))
         adapter.train_task(task)
         accuracies.append(adapter.evaluate_task(task))
-    path = os.path.join(cfg.out_dir, "baseline_acc.csv")
+    path = os.path.join(out_dir, f"baseline_acc_seed{seed}.csv")
     write_baseline_csv(accuracies, path)
-    print(f"wrote {path}")
+    return path
+
+
+def cmd_baseline_acc(cfg: ExperimentConfig) -> int:
+    """Record the fresh-model accuracy series of every seed."""
+    for _, _, path in run_units(cfg, "baseline-acc", baseline_unit):
+        print(f"wrote {path}")
     return EXIT_OK
 
 

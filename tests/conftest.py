@@ -11,6 +11,7 @@ directory so ingest can be checked byte-for-byte.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import struct
 import tempfile
@@ -100,28 +101,23 @@ def write_idx(path: str, array: np.ndarray) -> None:
         fh.write(array.tobytes())
 
 
+def _load_glyphs():
+    """``perfbench/glyphs.py``, loaded from its path so that no other module
+    of ``perfbench`` (its ``run``, say) becomes importable by name."""
+    path = os.path.join(os.path.dirname(SRC_DIR), "perfbench", "glyphs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_glyphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def synthetic_mnist_dir(tmp_path_factory) -> str:
-    """A small directory of the four MNIST IDX files, always available.
-
-    Each class is a fixed random sparse template (~20% lit pixels) with a
-    tenth of its pixels dropped per image, so the tasks are learnable; 300
-    training and 100 test images.
-    """
-    data_dir = tmp_path_factory.mktemp("synthetic-mnist")
-    rng = np.random.default_rng(20)
-    templates = (rng.random((10, 28, 28)) < 0.2) * rng.integers(128, 256, (10, 28, 28))
-
-    def split(n: int) -> tuple[np.ndarray, np.ndarray]:
-        labels = rng.integers(0, 10, size=n)
-        images = templates[labels] * (rng.random((n, 28, 28)) < 0.9)
-        return images.astype(np.uint8), labels.astype(np.uint8)
-
-    for prefix, n in (("train", 300), ("test", 100)):
-        images, labels = split(n)
-        write_idx(str(data_dir / MNIST_FILES[f"{prefix}_images"]), images)
-        write_idx(str(data_dir / MNIST_FILES[f"{prefix}_labels"]), labels)
-    return str(data_dir)
+    """A small directory of the four MNIST IDX files, always available:
+    300 training and 100 test glyphs from the benchmark's generator."""
+    data_dir = str(tmp_path_factory.mktemp("synthetic-mnist"))
+    _load_glyphs().write_mnist_dir(data_dir, 300, 100, seed=20)
+    return data_dir
 
 
 def letter_glyph(balanced_id: int) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_criterion_2_mlp_single_epoch_accuracy(mnist_dir):
 
 @requires_mnist
 @pytest.mark.slow
-def test_criterion_3_mlp_forgetting_trend(mnist_dir):
+def test_criterion_3_mlp_forgetting_trend(mnist_dir, tmp_path):
     """Full-scale protocol: one epoch over all 60k training images per task.
 
     A reduced-scale variant (10k images/task) was measured first but does
@@ -200,7 +200,7 @@ def test_criterion_3_mlp_forgetting_trend(mnist_dir):
     65.4%, FM_10 at 12.98pt), so the gate runs the full protocol.
     """
     tasks = make_permuted_stream(10, base_seed=1, data_dir=mnist_dir)
-    profile = run_sequence(MlpAdapter(seed=1), tasks)
+    profile = run_sequence(MlpAdapter(seed=1), tasks, str(tmp_path))
     task1_final = profile.a[9, 0] * 100.0
     fm10 = compute_report(profile).fm[9] * 100.0
     ok = task1_final < 60.0 and fm10 >= 15.0
@@ -234,7 +234,7 @@ def permuted_3task_stream(mnist_dir):
     "no drive/weight rescaling can change the ratio, so neither the < 1pt "
     "task-1 stability nor the >= 8pt fresh-task drop can arise at this scale",
 )
-def test_criterion_4_zero_forgetting_regime(permuted_3task_stream):
+def test_criterion_4_zero_forgetting_regime(permuted_3task_stream, tmp_path):
     """Pinned operating point M=15, alpha=0.023817, run faithfully.
 
     The criterion asks this configuration to hold old-task accuracy within
@@ -247,7 +247,9 @@ def test_criterion_4_zero_forgetting_regime(permuted_3task_stream):
     flags any future change that closes it).
     """
     config = ColaNetConfig(ns=0, seed=1)  # M=15, alpha=0.023817 defaults
-    profile = run_sequence(ColaNetAdapter(config), permuted_3task_stream)
+    profile = run_sequence(
+        ColaNetAdapter(config), permuted_3task_stream, str(tmp_path)
+    )
     a = profile.a * 100.0
     drift = max(abs(a[1, 0] - a[0, 0]), abs(a[2, 0] - a[0, 0]))
     drop21 = a[0, 0] - a[1, 1]
@@ -266,10 +268,12 @@ def test_criterion_4_zero_forgetting_regime(permuted_3task_stream):
 
 @requires_mnist
 @pytest.mark.slow
-def test_criterion_5_plasticity_regime(permuted_3task_stream):
+def test_criterion_5_plasticity_regime(permuted_3task_stream, tmp_path):
     """M=45 with the swept alpha=2.5 and ns=0 renormalization."""
     config = ColaNetConfig(microcolumns=45, alpha=2.5, ns=0, seed=1)
-    profile = run_sequence(ColaNetAdapter(config), permuted_3task_stream)
+    profile = run_sequence(
+        ColaNetAdapter(config), permuted_3task_stream, str(tmp_path)
+    )
     a = profile.a * 100.0
     cells = a[np.tril_indices(3)]
     fm3 = compute_report(profile).fm[2] * 100.0
@@ -378,7 +382,7 @@ def check_weight_bounds_under_random_plasticity():
             assert w.min() >= -1.0 - 1e-12, "w_min bound"
 
 
-def check_evaluation_count():
+def check_evaluation_count(state_dir):
     class CountingAdapter:
         def __init__(self):
             self.evaluations = 0
@@ -403,7 +407,7 @@ def check_evaluation_count():
     tasks = [
         dataclasses.replace(tiny_task(), task_id=i) for i in range(1, 5)
     ]
-    run_sequence(adapter, tasks)
+    run_sequence(adapter, tasks, state_dir)
     assert adapter.evaluations == 4 * 5 // 2, "n(n+1)/2 evaluation count"
 
 
@@ -465,7 +469,7 @@ def test_criterion_6_property_suite(tmp_path):
         ("threshold arithmetic", check_threshold_arithmetic),
         ("renormalization conservation", check_renormalization_conservation),
         ("weight bounds", check_weight_bounds_under_random_plasticity),
-        ("evaluation count", check_evaluation_count),
+        ("evaluation count", lambda: check_evaluation_count(str(tmp_path / "states"))),
         (
             "serialization probe equality",
             lambda: check_serialization_probe_equality(tmp_path),

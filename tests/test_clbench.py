@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from colanet_cl.clbench import (
 )
 
 import metrics_reference as ref
-from conftest import FIXTURES_DIR, python_env
+from conftest import FIXTURES_DIR
 
 NAN = float("nan")
 
@@ -314,25 +312,9 @@ def test_run_sequence_call_order_and_eval_count(tmp_path):
         assert (tmp_path / name).exists()
 
 
-def test_run_sequence_creates_temp_state_dir():
-    profile = run_sequence(FakeAdapter(), fake_tasks(2))
-    assert profile.k == 2
-
-
-def test_run_sequence_removes_its_temp_state_dir(tmp_path, monkeypatch):
-    import tempfile
-
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    run_sequence(FakeAdapter(), fake_tasks(2))
-    assert not list(tmp_path.glob("clbench-state-*"))
-    with pytest.raises(SequenceError):
-        run_sequence(FakeAdapter(fail_on=("eval", 2)), fake_tasks(3))
-    assert not list(tmp_path.glob("clbench-state-*"))
-
-
-def test_run_sequence_rejects_empty_stream():
+def test_run_sequence_rejects_empty_stream(tmp_path):
     with pytest.raises(ValueError):
-        run_sequence(FakeAdapter(), [])
+        run_sequence(FakeAdapter(), [], state_dir=str(tmp_path))
 
 
 def test_run_sequence_wraps_adapter_failures(tmp_path):
@@ -340,6 +322,14 @@ def test_run_sequence_wraps_adapter_failures(tmp_path):
     with pytest.raises(SequenceError) as excinfo:
         run_sequence(adapter, fake_tasks(3), state_dir=str(tmp_path))
     assert str(excinfo.value) == "task 2 (train): scripted failure"
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+def test_run_sequence_wraps_evaluation_failures(tmp_path):
+    adapter = FakeAdapter(fail_on=("eval", 2))
+    with pytest.raises(SequenceError) as excinfo:
+        run_sequence(adapter, fake_tasks(3), state_dir=str(tmp_path))
+    assert str(excinfo.value) == "task 2 (evaluate task 2): scripted failure"
     assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
@@ -479,18 +469,3 @@ def test_profile_and_baseline_readers_share_row_width_rule(tmp_path, row):
     baseline.write_text(f"task,accuracy\n1,90.00\n{row.replace('80.00', '2', 1)}\n")
     with pytest.raises(ProfileFormatError, match=f"row 3: expected 2 cells, got {cells}"):
         read_baseline_csv(str(baseline))
-
-
-def test_quickstart_demo_runs():
-    """The data-free demo the README points to still runs end to end."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    result = subprocess.run(
-        [sys.executable, os.path.join("demos", "quickstart_metrics.py")],
-        capture_output=True,
-        text=True,
-        cwd=root,
-        env=python_env(),
-    )
-    assert result.returncode == 0, result.stderr
-    assert "after task 4:" in result.stdout
-    assert "metric" in result.stdout

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -645,7 +646,7 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
     assert (out_dir / "manifest.json").exists() == (damage != "missing")
     assert not list(out_dir.glob("**/profile_seed*.csv"))
     assert not list(out_dir.glob("**/states_seed*"))
-    assert not list(out_dir.glob("**/baseline_acc.csv"))
+    assert not list(out_dir.glob("**/baseline_acc*.csv"))
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
@@ -921,22 +922,105 @@ def test_sweep_runs_every_seed_at_every_point(tmp_path, synthetic_mnist_dir, cap
 
 
 def test_baseline_acc_feeds_forward_transfer(tmp_path, synthetic_mnist_dir, capsys):
+    """``baseline-acc`` writes one series per configured seed, each the same
+    as running that seed alone, and ``metrics`` reads it for FWT."""
     cfg = run_config(tmp_path, synthetic_mnist_dir, model="mlp", n_tasks=2,
-                     train_count=256)
+                     train_count=256, seeds="5, 6")
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out_dir]) == EXIT_OK
+    capsys.readouterr()
     assert main(["baseline-acc", "--config", cfg, "--out", out_dir]) == EXIT_OK
-    base_path = os.path.join(out_dir, "baseline_acc.csv")
-    with open(base_path) as fh:
+    paths = [os.path.join(out_dir, f"baseline_acc_seed{seed}.csv") for seed in (5, 6)]
+    assert capsys.readouterr().out == "".join(f"wrote {path}\n" for path in paths)
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        assert json.load(fh)["seeds"] == [5, 6]
+    alone = tmp_path / "alone"
+    assert main(["baseline-acc", "--config", cfg, "--out", str(alone),
+                 "--seed", "6"]) == EXIT_OK
+    with open(paths[1], "rb") as fh:
+        assert fh.read() == (alone / "baseline_acc_seed6.csv").read_bytes()
+    with open(paths[0]) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "task,accuracy"
     assert len(lines) == 3
-    capsys.readouterr()
     assert (
-        main(["metrics", os.path.join(out_dir, "profile_seed5.csv"), base_path])
+        main(["metrics", os.path.join(out_dir, "profile_seed5.csv"), paths[0]])
         == EXIT_OK
     )
     assert "FWT" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------- demos
+
+DEMOS_DIR = os.path.join(os.path.dirname(os.path.dirname(FIXTURES_DIR)), "demos")
+
+#: Each demo config and the values it sets.
+DEMO_CONFIGS = {
+    "columnar_2task.cfg": dict(model="colanet", n_tasks=2, microcolumns=45, alpha=2.5,
+                               ns=0.0, seeds=(1,), train_count=20000),
+    "mlp_forgetting.cfg": dict(model="mlp", n_tasks=4, seeds=(1,), train_count=10000),
+}
+
+#: ``colanet-cl metrics demos/quickstart_profile.csv``: the summary it prints
+#: and the metrics.csv it writes. The AA, AIA, FM and BWT columns are the
+#: per-task values of the hand-written 4-task profile.
+QUICKSTART_SUMMARY = """\
+metric         avg       max       std
+AA           83.77     96.00      8.88
+AIA          37.54     49.87      9.65
+FM           16.54     28.66     10.70
+BWT         -16.54    -28.66     10.70
+
+"""
+QUICKSTART_METRICS = """\
+k,AA,AIA,AIA_padded,FM,BWT
+1,96.00,96.00,24.00,,
+2,87.50,91.75,33.88,15.00,-15.00
+3,79.33,87.61,42.42,22.50,-22.50
+4,72.25,83.77,49.88,28.67,-28.67
+"""
+
+
+def test_demos_are_configs_and_a_profile():
+    expected = [*DEMO_CONFIGS, "quickstart_profile.csv"]
+    assert sorted(os.listdir(DEMOS_DIR)) == sorted(expected)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+def test_demo_config_loads(tmp_path, name):
+    cfg = load_experiment_config(os.path.join(DEMOS_DIR, name), data_dir=str(tmp_path))
+    assert cfg.scenario == "permuted" and cfg.data_dir == str(tmp_path)
+    assert {key: getattr(cfg, key) for key in DEMO_CONFIGS[name]} == DEMO_CONFIGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+def test_demo_config_runs(tmp_path, synthetic_mnist_dir, capsys, name):
+    """Each demo config, cut to 60 training images per task, runs end to end;
+    the colanet demo's last checkpoint renders as a heatmap."""
+    with open(os.path.join(DEMOS_DIR, name), encoding="utf-8") as fh:
+        text, cuts = re.subn(r"(?m)^train_count\s*=.*$", "train_count = 60", fh.read())
+    assert cuts == 1
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--data-dir", synthetic_mnist_dir,
+                 "--out", str(out_dir)]) == EXIT_OK
+    n_tasks = DEMO_CONFIGS[name]["n_tasks"]
+    assert read_profile_csv(str(out_dir / "profile_seed1.csv")).k == n_tasks
+    if DEMO_CONFIGS[name]["model"] == "colanet":
+        state = out_dir / "states_seed1" / f"state_{n_tasks:03d}.bin"
+        heatmap = tmp_path / "receptive_fields.ppm"
+        assert main(["heatmap", str(state), "--out", str(heatmap)]) == EXIT_OK
+        assert heatmap.read_bytes().startswith(b"P6\n")
+
+
+def test_quickstart_profile_metrics(tmp_path, capsys):
+    """``metrics`` on the data-free demo profile prints its summary and
+    writes its metric series exactly."""
+    profile = os.path.join(DEMOS_DIR, "quickstart_profile.csv")
+    assert main(["metrics", profile, "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out == QUICKSTART_SUMMARY
+    assert (tmp_path / "metrics.csv").read_text() == QUICKSTART_METRICS
 
 
 # -------------------------------------------------------- two-task scenarios

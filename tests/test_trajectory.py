@@ -35,9 +35,9 @@ LEAK_WINNERS_SHA256 = "2191291e7e8e09e98dcd29e281eec337570aa2f54a2a543827d599db7
 
 #: SHA-256 over ``RUN_FILES`` of ``colanet-cl run`` on the synthetic IDX
 #: corpus (each file as its name, a NUL, its length as little-endian uint64
-#: and its bytes), taken when the encoder began drawing for nonzero pixels
-#: only.
-RUN_SHA256 = "a314dd4fc06125fe4dc91b73fa3f493a9ea2cee3bb84f62b3d6f149bd36d6eed"
+#: and its bytes), taken when that corpus became 300/100 ``perfbench``
+#: glyphs at seed 20, from code that gave the previous digest on the old one.
+RUN_SHA256 = "de521a621c700863500623cc23852eaddd1fb77263f1944141dbdddbf0c18ac2"
 RUN_FILES = (
     "profile_seed1.csv",
     "metrics_seed1.csv",
