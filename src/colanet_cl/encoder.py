@@ -27,7 +27,9 @@ def encode_active_batch(
     draw for a batch of B images consumes the generator exactly as B
     single-image draws would, and passing only some pixel columns gives the
     same spikes as passing all of them, as long as the columns left out are
-    zero in every image.
+    zero in every image. The batch takes one generator call: with no zero
+    entry (training) as a (B, steps, U) block, else as one run of uniforms
+    that is cut into each image's (step, nonzero pixel) block.
 
     Args:
         images: uint8 array of shape (B, U): B images over any U pixel
@@ -43,12 +45,19 @@ def encode_active_batch(
         # No zero entry: the draw order is C order over (image, step, pixel).
         uniforms = rng.random((batch, steps_active, width))
         return uniforms < images[:, None, :] / 255.0
-    # Row (image, step) of ``repeated`` is that image; its nonzero entries,
-    # read in C order, are the draw order.
-    repeated = np.repeat(images, steps_active, axis=0)
-    spikes = repeated != 0
-    intensity = repeated[spikes]
-    # The mask becomes the raster: its False entries already are, and each
-    # True entry is overwritten with its own draw's outcome.
-    spikes[spikes] = rng.random(len(intensity)) < intensity / 255.0
-    return spikes.reshape(batch, steps_active, width)
+    # flatnonzero walks the images in C order, so one batch draw, cut into
+    # (step, nonzero pixel) blocks image by image, keeps the draw order.
+    lit = images != 0
+    flat = np.flatnonzero(lit)
+    cols = flat % width
+    probs = images.reshape(-1)[flat] / 255.0
+    uniforms = rng.random(steps_active * len(flat))
+    ends = np.cumsum(np.count_nonzero(lit, axis=1))
+    spikes = np.zeros((batch, steps_active, width), dtype=bool)
+    start = 0
+    for i, end in enumerate(ends.tolist()):
+        block = uniforms[steps_active * start : steps_active * end]
+        block = block.reshape(steps_active, end - start) < probs[start:end]
+        spikes[i][:, cols[start:end]] = block
+        start = end
+    return spikes

@@ -107,13 +107,6 @@ def test_encode_draws_through_the_batch_encoder():
         assert np.array_equal(encode_one(images[i], rng), batch[i])
 
 
-def test_zero_length_draw_leaves_the_stream_untouched():
-    rng = np.random.default_rng(4)
-    before = rng.bit_generator.state
-    encode_one(np.full(784, 255, dtype=np.uint8), rng, steps_active=0)
-    assert rng.bit_generator.state == before
-
-
 def sparse_images(seed: int, count: int, width: int = 784) -> np.ndarray:
     """Random intensities with ~80% of pixels black, like glyphs."""
     rng = np.random.default_rng(seed)
@@ -129,11 +122,27 @@ def lit_images(seed: int, count: int) -> np.ndarray:
 
 
 def draw_batches(seed: int) -> list[np.ndarray]:
-    """Sparse images with an all-black one (the masked draw), and one or
-    three images with no zero entry (the dense draw)."""
+    """Batches for the masked draw (some entry is zero) and the dense draw
+    (none is).
+
+    Masked: sparse images with an all-black one in the middle, and with the
+    last two all black; an all-black batch; an image with one lit pixel.
+    Dense: one or three images with no zero entry.
+    """
     sparse = sparse_images(seed, 3)
     sparse[1] = 0  # an all-black image draws nothing
-    return [sparse, lit_images(seed, 1), lit_images(seed, 3)]
+    black_tail = sparse_images(seed + 1, 4)
+    black_tail[2:] = 0
+    single = np.zeros((1, 784), dtype=np.uint8)
+    single[0, 400] = 200
+    return [
+        sparse,
+        black_tail,
+        np.zeros((3, 784), dtype=np.uint8),
+        single,
+        lit_images(seed, 1),
+        lit_images(seed, 3),
+    ]
 
 
 def test_encode_draws_per_nonzero_pixel_in_image_step_pixel_order():
@@ -159,6 +168,15 @@ def test_encode_advances_the_generator_by_steps_times_nonzero_pixels(steps):
         encode_active_batch(images, steps, rng)
         clone.bit_generator.advance(steps * int(np.count_nonzero(images)))
         assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_zero_length_draw_leaves_the_stream_untouched():
+    for images in draw_batches(16):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        spikes = encode_active_batch(images, 0, rng)
+        assert spikes.shape == (len(images), 0, 784)
+        assert rng.bit_generator.state == before
 
 
 def test_encode_column_subset_gives_the_full_width_spikes():

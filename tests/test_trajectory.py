@@ -1,4 +1,5 @@
-"""Trajectory guards: training winners and a whole run's output bytes are pinned.
+"""Trajectory guards: training and evaluation winners and a whole run's
+output bytes are pinned.
 
 A change that claims to keep training bit-identical (a faster race, a
 different GEMM layout, a new encoder path) must reproduce these digests. A
@@ -17,21 +18,29 @@ import hashlib
 import numpy as np
 
 from colanet_cl.cli import EXIT_OK, main
-from colanet_cl.colanet import ColaNetConfig, Network, train_sample
+from colanet_cl.colanet import ColaNetConfig, Network, evaluate_task, train_sample
+from colanet_cl.dataset import LabeledDataset, TaskSpec
 
 #: SHA-256 of the raw winners (flat index, -1 when silent) as little-endian
-#: int64, from ``stable_setting_winners()``. Taken when the encoder began
+#: int64, from ``stable_setting_pass()``. Taken when the encoder began
 #: drawing uniforms for nonzero pixels only, which moved the stream-to-pixel
 #: map; the race's weight grid and its start bound each left every winner
 #: unchanged.
 WINNERS_SHA256 = "284bd7e392d8624089f5dd558565be9b8072e621448c24f234f8e9541c17091e"
 
 #: SHA-256 of the raw winners, as for ``WINNERS_SHA256``, from
-#: ``stable_setting_winners(leak=0.1)``: the race's leak branch, whose
+#: ``stable_setting_pass(leak=0.1)``: the race's leak branch, whose
 #: potentials decay step by step and which shares the first-crossing
 #: readout. Taken before the readout became one argmax over each row's
 #: flattened crossings and before plasticity ran through a scratch row.
 LEAK_WINNERS_SHA256 = "2191291e7e8e09e98dcd29e281eec337570aa2f54a2a543827d599db7b34c513"
+
+#: SHA-256 of the ``Network.race`` winners (flat index, -1 when silent) as
+#: little-endian int64, over ``evaluate_task``'s 64-image batches of
+#: ``sparse_glyph_stream()`` on the network ``stable_setting_pass()`` leaves.
+#: It pins evaluation's batched draw and race, which the other digests do
+#: not reach. Taken before the batched draw stopped masking a repeated raster.
+EVAL_WINNERS_SHA256 = "17f7449afb639b1a940a508f749533fac1959a58baab6adcf11013c9bd692ef7"
 
 #: SHA-256 over ``RUN_FILES`` of ``colanet-cl run`` on the synthetic IDX
 #: corpus (each file as its name, a NUL, its length as little-endian uint64
@@ -77,15 +86,16 @@ def sparse_glyph_stream(count: int = 300, seed: int = 2024):
     return np.rint(images).astype(np.uint8), labels.astype(np.int64)
 
 
-def stable_setting_winners(leak: float = 0.0) -> np.ndarray:
-    """Raw winners of one online pass at M=45, alpha=2.5, ns=0 and ``leak``."""
+def stable_setting_pass(leak: float = 0.0) -> tuple[Network, np.ndarray]:
+    """The network after one online pass at M=45, alpha=2.5, ns=0 and
+    ``leak``, and the raw winners of that pass."""
     net = Network(ColaNetConfig(microcolumns=45, alpha=2.5, ns=0, seed=7, leak=leak))
     images, labels = sparse_glyph_stream()
     winners = []
     for img, label in zip(images, labels):
         raw = train_sample(net, img, int(label)).raw_winner
         winners.append(-1 if raw is None else net._flat(*raw))
-    return np.array(winners, dtype="<i8")
+    return net, np.array(winners, dtype="<i8")
 
 
 def test_stream_is_sparse_and_covers_every_class():
@@ -96,7 +106,7 @@ def test_stream_is_sparse_and_covers_every_class():
 
 
 def test_training_winner_trajectory_is_pinned():
-    winners = stable_setting_winners()
+    _, winners = stable_setting_pass()
     # Guard against a degenerate digest: many neurons win, some races miss.
     assert len(set(winners.tolist())) > 100
     assert (winners < 0).any()
@@ -105,11 +115,33 @@ def test_training_winner_trajectory_is_pinned():
 
 
 def test_leak_winner_trajectory_is_pinned():
-    winners = stable_setting_winners(leak=0.1)
+    _, winners = stable_setting_pass(leak=0.1)
     assert len(set(winners.tolist())) > 100
     assert (winners < 0).any()
     digest = hashlib.sha256(winners.tobytes()).hexdigest()
     assert digest == LEAK_WINNERS_SHA256
+
+
+def test_evaluation_winners_are_pinned():
+    net, _ = stable_setting_pass()
+    images, labels = sparse_glyph_stream()
+    test = LabeledDataset(images, labels)
+    race, batches = net.race, []
+
+    def recording_race(spikes, pixels):
+        batches.append(race(spikes, pixels))
+        return batches[-1]
+
+    net.race = recording_race
+    accuracy = evaluate_task(net, TaskSpec(task_id=1, train=test, test=test))
+    winners = np.concatenate(batches).astype("<i8")
+    assert [len(b) for b in batches] == [64, 64, 64, 64, 44]
+    # Guard against a degenerate digest: many neurons win, some races miss.
+    assert len(set(winners.tolist())) > 30
+    assert (winners < 0).any()
+    assert 0.1 < accuracy < 1.0
+    digest = hashlib.sha256(winners.tobytes()).hexdigest()
+    assert digest == EVAL_WINNERS_SHA256
 
 
 def test_run_output_bytes_are_pinned(tmp_path, synthetic_mnist_dir, capsys):
