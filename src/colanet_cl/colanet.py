@@ -26,7 +26,8 @@ BLAS, batch size or gathered pixels. Stored weights, plasticity and
 thresholds stay unrounded. Without leak the race starts at the first step at
 which steps * (positive grid mass) can reach a threshold, runs half the
 remaining steps, and the rest only for presentations with no crossing yet:
-one image at a time in training (``_race_image``), 64 in evaluation.
+one image at a time in training (``_race_image``, on spikes drawn a block
+of images at a time by ``presentations``), 64 at a time in evaluation.
 
 The race sums in float32, over a pixel-major float32 copy of the grid
 weights, and settles exactly only what those sums cannot decide. Let
@@ -58,6 +59,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +71,9 @@ from .statefile import StateReader, replacing, write_header
 STATE_MAGIC = b"CLNT"
 STATE_FORMAT_VERSION = 1
 
-#: Training images permuted per read of a split (affects speed only).
-_TRAIN_BATCH = 1024
+#: Training draws blocks of at most this many images and 2^20 uniforms, but of
+#: one image at least: a block's arrays stay small at any ``steps_active``.
+_TRAIN_BATCH = 64
 
 #: Float fields that must be finite (``ns`` may be None).
 _FINITE_FIELDS = (
@@ -195,6 +198,14 @@ class PresentationOutcome:
 
     raw_winner: tuple[int, int] | None
     effective_winner: tuple[int, int] | None
+
+
+class Presentation(NamedTuple):
+    """One drawn training image, as ``presentations`` yields it."""
+
+    pixels: np.ndarray
+    counts: np.ndarray
+    eligibility: np.ndarray
 
 
 class Network:
@@ -360,39 +371,15 @@ class Network:
         sums = self._pos_sum[column * m : (column + 1) * m]
         return int(sums.argmin())
 
-    def present_full(
-        self, img: np.ndarray, label: int
-    ) -> tuple[PresentationOutcome, np.ndarray]:
-        """Race one training image and pick the microcolumn to reward.
-
-        The spikes are drawn from the network's training stream, for the
-        image's nonzero pixels only; their counts, cumulated over the
-        window, are raced by ``_race_image``.
-
-        Args:
-            img: uint8 image of shape (784,).
-            label: The true class.
-
-        Returns:
-            (outcome, eligibility) where eligibility is the per-pixel input
-            spike count over the active window.
-        """
-        img = np.asarray(img)
-        pixels = img.nonzero()[0]
-        spikes = encode_active_batch(
-            img[None, pixels], self.config.steps_active, self.rng
-        )
-        counts = spikes[0].astype(np.float32)
-        for t in range(1, len(counts)):
-            counts[t] += counts[t - 1]
-        winner = self._race_image(counts, pixels)
+    def present_full(self, drawn: Presentation, label: int) -> PresentationOutcome:
+        """Race one drawn training image (``_race_image``) and pick the
+        microcolumn to reward."""
+        winner = self._race_image(drawn.counts, drawn.pixels)
         raw = divmod(winner, self.config.microcolumns) if winner >= 0 else None
         effective = raw
         if raw is None or raw[0] != label:
             effective = (label, self.designated_microcolumn(label))
-        eligibility = np.zeros(N_INPUTS)
-        eligibility[pixels] = counts[-1]
-        return PresentationOutcome(raw, effective), eligibility
+        return PresentationOutcome(raw, effective)
 
     def _race_image(self, counts: np.ndarray, pixels: np.ndarray) -> int:
         """``race``'s winner for one presentation, from its (T, U) spike
@@ -500,7 +487,7 @@ def _first_step(threshold: float, peak: float, steps: int) -> int:
     return max(math.ceil(threshold / peak) - 1, 0)
 
 
-def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutcome:
+def train_sample(net: Network, drawn: Presentation, label: int) -> PresentationOutcome:
     """Train on one labeled image: race, then reward/punish once.
 
     ``present_full`` picks the effective winner: the raw winner when it sits
@@ -511,7 +498,7 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
 
     Args:
         net: The network (mutated).
-        img: uint8 image of shape (784,).
+        drawn: The image, drawn by ``presentations``.
         label: True class in [0, class_count).
 
     Returns:
@@ -519,12 +506,28 @@ def train_sample(net: Network, img: np.ndarray, label: int) -> PresentationOutco
     """
     if not 0 <= label < net.config.class_count:
         raise ValueError(f"label {label} outside class range")
-    outcome, eligibility = net.present_full(img, label)
+    outcome = net.present_full(drawn, label)
     raw, effective = outcome.raw_winner, outcome.effective_winner
     if raw is not None and raw != effective:
-        net._learn(depress, net._flat(*raw), eligibility)
-    net._learn(potentiate, net._flat(*effective), eligibility)
+        net._learn(depress, net._flat(*raw), drawn.eligibility)
+    net._learn(potentiate, net._flat(*effective), drawn.eligibility)
     return outcome
+
+
+def presentations(images: np.ndarray, steps_active: int, rng: np.random.Generator):
+    """Yield each of a (B, 784) block's images, from one draw: its nonzero
+    ``pixels`` (ascending), a (T, n) view of the block's float32 spike
+    ``counts`` cumulated from step 0 with T - 1 row adds, and its row of the
+    block's float64 per-pixel spike counts, the ``eligibility``."""
+    rows, pixels = np.divmod(np.flatnonzero(images != 0), N_INPUTS)
+    counts = encode_active_batch(images, steps_active, rng).astype(np.float32)
+    for t in range(1, steps_active):
+        counts[t] += counts[t - 1]
+    eligibility = np.zeros(images.shape)
+    eligibility[rows, pixels] = counts[-1]
+    ends = np.cumsum(np.bincount(rows, minlength=len(images))).tolist()
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        yield Presentation(pixels[start:end], counts[:, start:end], eligibility[i])
 
 
 def train_task(net: Network, task) -> None:
@@ -534,9 +537,11 @@ def train_task(net: Network, task) -> None:
         net: The network (mutated).
         task: TaskSpec whose train split is streamed in order.
     """
-    for images, labels in task.train.batches(_TRAIN_BATCH):
-        for img, label in zip(images, labels):
-            train_sample(net, img, int(label))
+    steps = net.config.steps_active
+    block = max(1, min(_TRAIN_BATCH, 2**20 // (steps * N_INPUTS)))
+    for images, labels in task.train.batches(block):
+        for drawn, label in zip(presentations(images, steps, net.rng), labels.tolist()):
+            train_sample(net, drawn, label)
 
 
 def evaluate_task(
@@ -570,8 +575,11 @@ def evaluate_task(
     silent = 0
     for images, labels in task.test.batches(batch_size):
         pixels = np.flatnonzero(images.any(axis=0))
-        spikes = encode_active_batch(images[:, pixels], net.config.steps_active, rng)
-        winners = net.race(spikes, pixels)
+        images = images[:, pixels]
+        spikes = encode_active_batch(images, net.config.steps_active, rng)
+        raster = np.zeros((len(spikes), *images.shape), dtype=bool)
+        raster.reshape(len(spikes), -1)[:, np.flatnonzero(images != 0)] = spikes
+        winners = net.race(raster.transpose(1, 0, 2), pixels)
         quiet = winners < 0
         predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())

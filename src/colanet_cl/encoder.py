@@ -19,17 +19,14 @@ import numpy as np
 def encode_active_batch(
     images: np.ndarray, steps_active: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Encode a batch of images, active window only.
+    """Encode a batch of images, active window only, step-major.
 
     The one Bernoulli draw behind every presentation, in training and in
-    evaluation. It draws ``steps_active`` uniforms per nonzero pixel, in
-    (image, step, ascending pixel) order, and none for a zero pixel. So one
-    draw for a batch of B images consumes the generator exactly as B
-    single-image draws would, and passing only some pixel columns gives the
-    same spikes as passing all of them, as long as the columns left out are
-    zero in every image. The batch takes one generator call: with no zero
-    entry (training) as a (B, steps, U) block, else as one run of uniforms
-    that is cut into each image's (step, nonzero pixel) block.
+    evaluation: one generator call draws ``steps_active`` uniforms per
+    nonzero pixel, in (image, step, ascending pixel) order, and none for a
+    zero pixel. So a batch consumes the generator as its images would one at
+    a time, and columns that are zero in every image change no spike. One
+    index over the nonzero pixels, advanced each step, gathers step-major.
 
     Args:
         images: uint8 array of shape (B, U): B images over any U pixel
@@ -38,26 +35,20 @@ def encode_active_batch(
         rng: Source of randomness.
 
     Returns:
-        Boolean array of shape (B, steps_active, U).
+        Boolean array of shape (steps_active, nnz) whose column j holds the
+        spikes of the j-th entry of ``np.flatnonzero(images)``.
     """
-    batch, width = images.shape
-    if images.all():
-        # No zero entry: the draw order is C order over (image, step, pixel).
-        uniforms = rng.random((batch, steps_active, width))
-        return uniforms < images[:, None, :] / 255.0
-    # flatnonzero walks the images in C order, so one batch draw, cut into
-    # (step, nonzero pixel) blocks image by image, keeps the draw order.
-    lit = images != 0
-    flat = np.flatnonzero(lit)
-    cols = flat % width
+    flat = np.flatnonzero(images != 0)
+    sizes = np.count_nonzero(images, axis=1)
     probs = images.reshape(-1)[flat] / 255.0
-    uniforms = rng.random(steps_active * len(flat))
-    ends = np.cumsum(np.count_nonzero(lit, axis=1))
-    spikes = np.zeros((batch, steps_active, width), dtype=bool)
-    start = 0
-    for i, end in enumerate(ends.tolist()):
-        block = uniforms[steps_active * start : steps_active * end]
-        block = block.reshape(steps_active, end - start) < probs[start:end]
-        spikes[i][:, cols[start:end]] = block
-        start = end
+    uniforms = rng.random((steps_active, flat.size))
+    # Image i (n_i nonzero pixels, from column s_i on) drew its (step, pixel)
+    # block from uniform steps * s_i on: (t, j) is steps*s_i + t*n_i + j - s_i.
+    strides = np.repeat(sizes, sizes)
+    index = np.repeat((steps_active - 1) * (np.cumsum(sizes) - sizes), sizes)
+    index += np.arange(flat.size)
+    spikes = np.empty(uniforms.shape, dtype=bool)
+    for step in spikes:
+        np.less(np.take(uniforms, index), probs, out=step)
+        index += strides
     return spikes

@@ -20,7 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from colanet_cl.colanet import presentations
 from colanet_cl.dataset import EMNIST_FILES, MNIST_FILES, load_mnist
+from colanet_cl.encoder import encode_active_batch
 
 FIXTURES_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -181,6 +183,21 @@ def tiny_task(seed: int = 0, n_train: int = 40, n_test: int = 20, classes: int =
         )
 
     return TaskSpec(task_id=1, train=split(n_train), test=split(n_test))
+
+
+def encode_raster(images: np.ndarray, steps_active: int, rng) -> np.ndarray:
+    """``encode_active_batch``'s step-major spikes placed in the (B, T, U)
+    raster of the images they were drawn for."""
+    spikes = encode_active_batch(images, steps_active, rng)
+    raster = np.zeros((steps_active, *images.shape), dtype=bool)
+    raster.reshape(steps_active, images.size)[:, np.flatnonzero(images)] = spikes
+    return raster.transpose(1, 0, 2)
+
+
+def presentation(net, img: np.ndarray):
+    """The presentation ``train_task`` makes of one image: drawn from the
+    network's training stream, as the next image of a block."""
+    return next(presentations(img[None], net.config.steps_active, net.rng))
 
 
 def traced_peak(fn, *args) -> int:

@@ -66,7 +66,13 @@ from colanet_cl.encoder import encode_active_batch
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
-from conftest import FIXTURES_DIR, record_acceptance, requires_mnist
+from conftest import (
+    FIXTURES_DIR,
+    encode_raster,
+    presentation,
+    record_acceptance,
+    requires_mnist,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -418,7 +424,7 @@ def _stripes_trained_net(microcolumns: int = 2) -> Network:
     net = Network(ColaNetConfig(microcolumns=microcolumns, ns=0, seed=2))
     for _ in range(2):
         for c in range(10):
-            train_sample(net, templates[c], c)
+            train_sample(net, presentation(net, templates[c]), c)
     return net
 
 
@@ -430,7 +436,7 @@ def check_serialization_probe_equality(tmp_path):
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(5).integers(0, 256, (1000, 784), dtype=np.uint8)
     spikes = np.concatenate([
-        encode_active_batch(img[None], 10, generator_from(6, "probe", i))
+        encode_raster(img[None], 10, generator_from(6, "probe", i))
         for i, img in enumerate(probes)
     ])
     assert np.array_equal(
@@ -514,7 +520,7 @@ def test_criterion_7_heatmap_structure(tmp_path):
     # Force one erroneous win so depression writes negative weights.
     img = np.zeros(784, dtype=np.uint8)
     img[:70] = 255
-    train_sample(net, img, label=1)
+    train_sample(net, presentation(net, img), label=1)
 
     path = str(tmp_path / "trained.ppm")
     export_heatmaps(net, path)

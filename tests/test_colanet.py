@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colanet_cl import colanet
 from colanet_cl.colanet import (
     _CONFIG_FIELDS as CONFIG_FIELDS,
     _CONFIG_PACK as CONFIG_PACK,
@@ -32,12 +33,19 @@ from colanet_cl.colanet import (
     train_task,
 )
 from colanet_cl.dataset import LabeledDataset, TaskSpec, gen_permutation
-from colanet_cl.encoder import encode_active_batch
 from colanet_cl.statefile import StateFormatError
 from colanet_cl.seeding import generator_from
 
 import neuron_reference as ref
-from conftest import bit_flips, flip, saved_bytes, traced_peak, truncation_cuts
+from conftest import (
+    bit_flips,
+    encode_raster,
+    flip,
+    presentation,
+    saved_bytes,
+    traced_peak,
+    truncation_cuts,
+)
 from test_trajectory import sparse_glyph_stream
 
 NO_FIRE = np.iinfo(np.int64).max
@@ -695,7 +703,7 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
     weights = np.stack([np.full(784, 0.01), np.full(784, 0.02)])
     net = Network(cfg, weights=weights)
     img = np.full((1, 784), 255, dtype=np.uint8)
-    spikes = encode_active_batch(img, cfg.steps_active, np.random.default_rng(0))
+    spikes = encode_raster(img, cfg.steps_active, np.random.default_rng(0))
     assert net.race(spikes, ALL_PIXELS).tolist() == [0]
     assert race_image(net, spikes[0])[0] == 0
 
@@ -734,7 +742,7 @@ def test_designated_microcolumn_tie_goes_low():
 def test_correct_winner_is_potentiated_only():
     net = fixed_net()
     before = net.weights.copy()
-    outcome = train_sample(net, probe_img(), label=0)
+    outcome = train_sample(net, presentation(net, probe_img()), label=0)
     assert outcome.raw_winner == (0, 0)
     assert outcome.effective_winner == (0, 0)
     assert (net.weights[0, :10] > before[0, :10]).all()
@@ -744,7 +752,7 @@ def test_correct_winner_is_potentiated_only():
 def test_wrong_winner_depressed_and_designated_potentiated():
     net = fixed_net()
     before = net.weights.copy()
-    outcome = train_sample(net, probe_img(), label=1)
+    outcome = train_sample(net, presentation(net, probe_img()), label=1)
     assert outcome.raw_winner == (0, 0)
     assert outcome.effective_winner == (1, 1)
     # Raw winner loses mass on the active pixels.
@@ -760,7 +768,7 @@ def test_silent_presentation_potentiates_designated_only():
     cfg = ColaNetConfig(class_count=2, microcolumns=2, alpha=0.0, u_const=1e9)
     net = Network(cfg, weights=np.zeros((4, 784)))
     before = net.weights.copy()
-    outcome = train_sample(net, probe_img(), label=1)
+    outcome = train_sample(net, presentation(net, probe_img()), label=1)
     assert outcome.raw_winner is None
     assert outcome.effective_winner == (1, 0)
     assert (net.weights[2, :10] > before[2, :10]).all()
@@ -782,9 +790,10 @@ def test_present_full_eligibility_is_the_float_spike_count():
         cfg = small_config(alpha=0.0, steps_active=steps, leak=leak, init_high=init_high)
         net = Network(cfg)
         for img in images:
-            draw = copy.deepcopy(net.rng)  # the draw present_full is about to make
-            spikes = encode_active_batch(img[None], steps, draw)
-            outcome, eligibility = net.present_full(img, 0)
+            draw = copy.deepcopy(net.rng)  # the draw presentation() is to make
+            spikes = encode_raster(img[None], steps, draw)
+            drawn = presentation(net, img)
+            outcome, eligibility = net.present_full(drawn, 0), drawn.eligibility
             assert eligibility.dtype == np.float64
             assert np.array_equal(eligibility, spikes[0].sum(axis=0))
             winner = int(net.race(spikes, ALL_PIXELS)[0])
@@ -795,7 +804,7 @@ def test_present_full_eligibility_is_the_float_spike_count():
 def test_train_sample_rejects_bad_label():
     net = fixed_net()
     with pytest.raises(ValueError):
-        train_sample(net, probe_img(), label=2)
+        train_sample(net, presentation(net, probe_img()), label=2)
 
 
 @settings(max_examples=15, deadline=None)
@@ -806,7 +815,8 @@ def test_plasticity_touches_at_most_two_neurons(seed):
     net = Network(cfg, weights=rng.uniform(-0.2, 0.4, (cfg.neuron_count, 784)))
     img = rng.integers(0, 256, 784, dtype=np.uint8)
     before = net.weights.copy()
-    train_sample(net, img, label=int(rng.integers(0, cfg.class_count)))
+    label = int(rng.integers(0, cfg.class_count))
+    train_sample(net, presentation(net, img), label=label)
     changed = [
         i
         for i in range(cfg.neuron_count)
@@ -822,7 +832,7 @@ def test_renormalization_conserves_row_mass():
     rng = np.random.default_rng(0)
     net = Network(cfg, weights=rng.uniform(0.1, 0.2, (2, 784)))
     before = net.weights[1].sum()
-    train_sample(net, probe_img(), label=1)
+    train_sample(net, presentation(net, probe_img()), label=1)
     assert not np.array_equal(net.weights[1], Network(cfg).weights[1])
     assert net.weights[1].sum() == pytest.approx(before, rel=1e-9)
 
@@ -836,7 +846,10 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
         for leak in (0.0, 0.1):
             net = fixed_net(alpha=0.25, ns=ns, leak=leak)
             img = probe_img()
-            outcomes = [train_sample(net, img, label) for label in (0, 1, 0, 1)]
+            outcomes = [
+                train_sample(net, presentation(net, img), label)
+                for label in (0, 1, 0, 1)
+            ]
             # A wrong-column winner was depressed, and others potentiated.
             assert any(o.raw_winner not in (None, o.effective_winner) for o in outcomes)
             fresh = Network(net.config, weights=net.weights.copy())
@@ -858,6 +871,41 @@ def test_cached_positive_sums_stay_consistent(tmp_path):
             assert np.array_equal(loaded._highs, fresh._highs)
 
 
+@pytest.mark.parametrize("steps", [10, 700])
+def test_block_boundaries_do_not_move_training(steps, monkeypatch):
+    """Training draws a block of images at a time; blocks of 1, 7 and the
+    default size leave identical weight bytes and generator state, over a
+    split with an all-black image, an all-lit one and glyphs. At 700 steps
+    the cap of 2^20 uniforms per block makes every block one image."""
+    images, labels = sparse_glyph_stream(150, seed=3)
+    images[5] = 0
+    images[20] = np.random.default_rng(4).integers(1, 256, 784)
+    split = LabeledDataset(images, labels)
+    task = TaskSpec(task_id=1, train=split, test=split)
+    encode, sizes, states = colanet.encode_active_batch, {}, set()
+    for block in (None, 1, 7):
+        if block is not None:
+            monkeypatch.setattr(colanet, "_TRAIN_BATCH", block)
+        drawn = sizes.setdefault(block, [])
+
+        def recording_encode(images, steps_active, rng):
+            drawn.append(len(images))
+            return encode(images, steps_active, rng)
+
+        monkeypatch.setattr(colanet, "encode_active_batch", recording_encode)
+        cfg = ColaNetConfig(microcolumns=5, alpha=2.5, ns=0, steps_active=steps, seed=4)
+        net = Network(cfg)
+        train_task(net, task)
+        states.add((net.weights.tobytes(), repr(net.rng.bit_generator.state)))
+    assert len(states) == 1
+    assert sizes[1] == [1] * 150
+    if steps == 700:
+        assert sizes[None] == sizes[7] == [1] * 150
+    else:
+        assert sizes[None] == [64, 64, 22]
+        assert sizes[7] == [7] * 21 + [3]
+
+
 # ------------------------------------------------------------------ inference
 
 
@@ -873,8 +921,8 @@ def test_single_image_imprint_predicts_its_class():
     net = Network(ColaNetConfig(microcolumns=2, seed=0))
     img = task.train.images[3]
     label = int(task.train.labels[3])
-    train_sample(net, img, label)
-    train_sample(net, img, label)
+    train_sample(net, presentation(net, img), label)
+    train_sample(net, presentation(net, img), label)
     only = LabeledDataset(img[None].copy(), np.array([label]))
     assert evaluate_task(net, dataclasses.replace(task, test=only), seed=1) == 1.0
 
@@ -911,7 +959,7 @@ def test_evaluate_task_matches_reference_reimplementation():
     got = evaluate_task(net, task, seed=77)
 
     eval_rng = generator_from(77, "eval", task.task_id)
-    spikes = encode_active_batch(images, cfg.steps_active, eval_rng)
+    spikes = encode_raster(images, cfg.steps_active, eval_rng)
     thresholds = net._thresholds
     correct = 0
     for i in range(len(images)):
@@ -960,7 +1008,7 @@ def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
     images, labels = sparse_glyph_stream(300, seed=8)
     net = Network(ColaNetConfig(microcolumns=5, alpha=2.5, ns=0, seed=2))
     for img, label in zip(images, labels):
-        train_sample(net, img, int(label))
+        train_sample(net, presentation(net, img), int(label))
     assert min(net._first_steps) == 2
     assert_batch_size_free(net, images, labels)
 
@@ -1012,7 +1060,7 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)
     spikes = np.concatenate([
-        encode_active_batch(img[None], 10, generator_from(1, "probe", i))
+        encode_raster(img[None], 10, generator_from(1, "probe", i))
         for i, img in enumerate(probes)
     ])
     assert np.array_equal(
@@ -1031,8 +1079,8 @@ def test_save_load_preserves_training_stream(tmp_path):
     for i in range(6):
         img = task.train.images[i]
         label = int(task.train.labels[i])
-        train_sample(net, img, label)
-        train_sample(loaded, img, label)
+        train_sample(net, presentation(net, img), label)
+        train_sample(loaded, presentation(loaded, img), label)
     assert np.array_equal(net.weights, loaded.weights)
 
 
@@ -1204,7 +1252,7 @@ def test_load_checks_weights_against_the_weight_bound(tmp_path):
 def _trained_2x1() -> Network:
     net = Network(ColaNetConfig(class_count=2, microcolumns=1, ns=0, seed=3))
     for label in (0, 1, 1):
-        train_sample(net, np.full(784, 200, dtype=np.uint8), label)
+        train_sample(net, presentation(net, np.full(784, 200, dtype=np.uint8)), label)
     return net
 
 

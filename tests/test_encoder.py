@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 
 from colanet_cl.encoder import encode_active_batch
 
+from conftest import encode_raster
+
 
 def encode_one(img: np.ndarray, rng: np.random.Generator, steps_active: int = 10):
     """The (steps_active, 784) raster of one image."""
-    return encode_active_batch(img[None], steps_active, rng)[0]
+    return encode_raster(img[None], steps_active, rng)[0]
 
 
 def test_encode_shape_and_silent_tail():
     """Only the active window is drawn; the silent tail is never materialized."""
     img = np.full(784, 128, dtype=np.uint8)
-    spikes = encode_active_batch(img[None], 10, np.random.default_rng(0))
+    spikes = encode_raster(img[None], 10, np.random.default_rng(0))
     assert spikes.shape == (1, 10, 784)
     assert spikes.dtype == bool
 
@@ -81,7 +83,7 @@ def test_encode_active_batch_shape_and_extremes():
     images = np.stack(
         [np.zeros(784, dtype=np.uint8), np.full(784, 255, dtype=np.uint8)]
     )
-    spikes = encode_active_batch(images, 10, np.random.default_rng(0))
+    spikes = encode_raster(images, 10, np.random.default_rng(0))
     assert spikes.shape == (2, 10, 784)
     assert not spikes[0].any()
     assert spikes[1].all()
@@ -89,7 +91,7 @@ def test_encode_active_batch_shape_and_extremes():
 
 def test_encode_active_batch_rate():
     images = np.full((4, 784), 128, dtype=np.uint8)
-    spikes = encode_active_batch(images, 10, np.random.default_rng(7))
+    spikes = encode_raster(images, 10, np.random.default_rng(7))
     n = 4 * 10 * 784
     p = 128 / 255.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -101,7 +103,7 @@ def test_encode_draws_through_the_batch_encoder():
     so training (one image per draw) and evaluation (batches) share one
     encoder."""
     images = np.random.default_rng(8).integers(0, 256, (3, 784), dtype=np.uint8)
-    batch = encode_active_batch(images, 10, np.random.default_rng(9))
+    batch = encode_raster(images, 10, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     for i in range(3):
         assert np.array_equal(encode_one(images[i], rng), batch[i])
@@ -122,12 +124,11 @@ def lit_images(seed: int, count: int) -> np.ndarray:
 
 
 def draw_batches(seed: int) -> list[np.ndarray]:
-    """Batches for the masked draw (some entry is zero) and the dense draw
-    (none is).
+    """Batches with zero entries and without.
 
-    Masked: sparse images with an all-black one in the middle, and with the
-    last two all black; an all-black batch; an image with one lit pixel.
-    Dense: one or three images with no zero entry.
+    Sparse images with an all-black one in the middle, and with the last two
+    all black; an all-black batch; an image with one lit pixel; one or three
+    images with no zero entry.
     """
     sparse = sparse_images(seed, 3)
     sparse[1] = 0  # an all-black image draws nothing
@@ -150,7 +151,7 @@ def test_encode_draws_per_nonzero_pixel_in_image_step_pixel_order():
     cell in that order, against ``uniform < intensity / 255``, whether or
     not some entry is zero."""
     for images in draw_batches(10):
-        spikes = encode_active_batch(images, 4, np.random.default_rng(11))
+        spikes = encode_raster(images, 4, np.random.default_rng(11))
         uniforms = iter(np.random.default_rng(11).random(4 * np.count_nonzero(images)))
         expected = np.zeros((len(images), 4, 784), dtype=bool)
         for i, img in enumerate(images):
@@ -174,7 +175,7 @@ def test_zero_length_draw_leaves_the_stream_untouched():
     for images in draw_batches(16):
         rng = np.random.default_rng(4)
         before = rng.bit_generator.state
-        spikes = encode_active_batch(images, 0, rng)
+        spikes = encode_raster(images, 0, rng)
         assert spikes.shape == (len(images), 0, 784)
         assert rng.bit_generator.state == before
 
@@ -184,9 +185,51 @@ def test_encode_column_subset_gives_the_full_width_spikes():
     columns passed, and the stream after them, are those of the full width."""
     images = sparse_images(14, 6)
     full_rng, subset_rng = np.random.default_rng(15), np.random.default_rng(15)
-    full = encode_active_batch(images, 10, full_rng)
+    full = encode_raster(images, 10, full_rng)
     columns = np.flatnonzero(images.any(axis=0))
-    subset = encode_active_batch(images[:, columns], 10, subset_rng)
+    subset = encode_raster(images[:, columns], 10, subset_rng)
     assert np.array_equal(subset, full[:, :, columns])
     assert not np.delete(full, columns, axis=2).any()
     assert full_rng.bit_generator.state == subset_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_encode_is_step_major_over_the_flatnonzero_columns(steps):
+    """The result is (steps, nnz): column j holds the spikes of the j-th
+    entry of ``np.flatnonzero(images)``, and uniform k of the stream decides
+    the k-th (image, step, nonzero pixel) cell in that order."""
+    for images in draw_batches(20):
+        spikes = encode_active_batch(images, steps, np.random.default_rng(21))
+        flat = np.flatnonzero(images)
+        assert spikes.shape == (steps, flat.size)
+        assert spikes.dtype == bool
+        uniforms = iter(np.random.default_rng(21).random(steps * flat.size))
+        expected = np.zeros((steps, flat.size), dtype=bool)
+        for i in range(len(images)):
+            columns = np.flatnonzero(flat // images.shape[1] == i)
+            for t in range(steps):
+                for j in columns:
+                    expected[t, j] = next(uniforms) < images.flat[flat[j]] / 255.0
+        assert np.array_equal(spikes, expected)
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+def test_encode_draws_exactly_steps_times_nonzero_doubles(steps):
+    """After a draw the generator gives what a reference generator gives
+    after ``random(steps * nnz)``."""
+    for images in draw_batches(22):
+        rng, reference = np.random.default_rng(23), np.random.default_rng(23)
+        encode_active_batch(images, steps, rng)
+        reference.random(steps * np.count_nonzero(images))
+        assert np.array_equal(rng.random(8), reference.random(8))
+
+
+def test_encode_draws_nothing_without_steps_or_lit_pixels():
+    """``steps = 0`` and an all-zero batch give empty results and leave the
+    generator where it was."""
+    cases = [(sparse_images(24, 3), 0), (np.zeros((3, 784), dtype=np.uint8), 10)]
+    for images, steps in cases:
+        rng = np.random.default_rng(25)
+        spikes = encode_active_batch(images, steps, rng)
+        assert spikes.shape == (steps, np.count_nonzero(images))
+        assert rng.random() == np.random.default_rng(25).random()

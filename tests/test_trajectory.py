@@ -14,11 +14,13 @@ renormalization off: plasticity is then elementwise, with no row sum.
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 
+from colanet_cl import colanet
 from colanet_cl.cli import EXIT_OK, main
-from colanet_cl.colanet import ColaNetConfig, Network, evaluate_task, train_sample
+from colanet_cl.colanet import ColaNetConfig, Network, evaluate_task, train_task
 from colanet_cl.dataset import LabeledDataset, TaskSpec
 
 #: SHA-256 of the raw winners (flat index, -1 when silent) as little-endian
@@ -88,13 +90,19 @@ def sparse_glyph_stream(count: int = 300, seed: int = 2024):
 
 def stable_setting_pass(leak: float = 0.0) -> tuple[Network, np.ndarray]:
     """The network after one online pass at M=45, alpha=2.5, ns=0 and
-    ``leak``, and the raw winners of that pass."""
+    ``leak``, trained by ``train_task``, and the raw winners of that pass."""
     net = Network(ColaNetConfig(microcolumns=45, alpha=2.5, ns=0, seed=7, leak=leak))
-    images, labels = sparse_glyph_stream()
-    winners = []
-    for img, label in zip(images, labels):
-        raw = train_sample(net, img, int(label)).raw_winner
+    split = LabeledDataset(*sparse_glyph_stream())
+    train_sample, winners = colanet.train_sample, []
+
+    def recording_train_sample(net, drawn, label):
+        outcome = train_sample(net, drawn, label)
+        raw = outcome.raw_winner
         winners.append(-1 if raw is None else net._flat(*raw))
+        return outcome
+
+    with mock.patch.object(colanet, "train_sample", recording_train_sample):
+        train_task(net, TaskSpec(task_id=1, train=split, test=split))
     return net, np.array(winners, dtype="<i8")
 
 
