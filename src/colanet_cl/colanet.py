@@ -23,11 +23,10 @@ the largest of |w_min|, |w_max| and init_high (k = 39 at the defaults; k < 30
 is rejected). Every partial sum of a potential is then a multiple of 2^-k
 below 2^(52-k), exact in float64: winners do not depend on summation order,
 BLAS, batch size or gathered pixels. Stored weights, plasticity and
-thresholds stay unrounded. Without leak the race starts at the first step at
-which steps * (positive grid mass) can reach a threshold, runs half the
-remaining steps, and the rest only for presentations with no crossing yet:
-one image at a time in training (``_race_image``, on spikes drawn a block
-of images at a time by ``presentations``), 64 at a time in evaluation.
+thresholds stay unrounded. Both race shapes take float32 spike counts
+cumulated from step 0 (``_spike_counts``) and race the windows ``_windows``
+picks: one image at a time in training (``_race_image``, on blocks drawn by
+``presentations``), 64 at a time in evaluation (``race``).
 
 The race sums in float32, over a pixel-major float32 copy of the grid
 weights, and settles exactly only what those sums cannot decide. Let
@@ -276,7 +275,7 @@ class Network:
 
     # -- dynamics ----------------------------------------------------------
 
-    def race(self, spikes: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    def race(self, counts: np.ndarray, pixels: np.ndarray) -> np.ndarray:
         """Run the winner-take-all race for a batch of presentations.
 
         Each neuron integrates its summed synaptic drive step by step (with
@@ -287,82 +286,81 @@ class Network:
 
         Winners are those of the exact race on the grid weights
         (``config.race_grid_bits``) of the given pixels only; a pixel that
-        never spikes adds exact zeros. Nothing is multiplied when the
-        earliest ``_first_step`` of any neuron is past the window (every row
-        is -1), and without leak no step before it. The remaining steps are
-        raced in two parts, the first half for the whole batch and the rest
-        only for rows with no crossing yet; each part's potentials are one
-        float32 product of spike counts cumulated from step 0 and weight
-        rows or, with leak, of each step's counts, decayed in float64 from
-        the first part's. A row whose first candidate lies within its margin
-        is settled on exact sums.
+        never spikes adds exact zeros. The first of ``_windows`` is raced
+        for the whole batch and the second only for rows with no crossing
+        yet; with none, nothing is multiplied and every row is -1. Each
+        window's potentials are one float32 product of its counts and the
+        pixels' weight rows (``_potentials``); a row whose first candidate
+        lies within its margin is settled on exact sums.
 
         Args:
-            spikes: (B, T, U) boolean active-window rasters over ``pixels``.
-            pixels: (U,) indices of the input pixels the rasters cover; they
+            counts: (T, B, U) float32 spike counts over ``pixels``, cumulated
+                from step 0 (step-major).
+            pixels: (U,) indices of the input pixels the counts cover; they
                 must include every pixel that spikes.
 
         Returns:
             (B,) int64 flat index of each presentation's winner, or -1 when
             no neuron fired within the active window.
         """
-        steps = spikes.shape[1]
-        first = int(self._first_steps.min())
-        if first >= steps:
-            return np.full(len(spikes), -1, dtype=np.int64)
-        leak = self.config.leak
-        start = first if leak == 0.0 else 0
-        split = (start + steps + 1) // 2
+        winners = np.full(counts.shape[1], -1, dtype=np.int64)
         weights = self._drive_w[pixels]
-        counts = spikes[:, start:split].astype(np.float32)
-        head = spikes[:, : start + 1]  # step start and those that cannot cross
-        np.add.reduce(head, axis=1, dtype=np.float32, out=counts[:, 0])
-        u = self._potentials(counts, weights, 0.0)
-        winners = self._screen(u, counts, pixels, 0)
-        pending = np.flatnonzero(winners < 0)
-        if pending.size and split < steps:
-            rest = spikes[pending, split:].astype(np.float32)
-            if leak == 0.0:
-                rest[:, 0] += counts[pending, -1]
-            u = self._potentials(rest, weights, u[pending, -1:])
-            source, skip = (rest, 0) if leak == 0.0 else (spikes[pending], split)
-            winners[pending] = self._screen(u, source, pixels, skip)
+        rows = slice(None)
+        for start, stop in self._windows(len(counts)):
+            window = counts[start:stop, rows]
+            winners[rows] = self._screen(self._potentials(window, weights), window, pixels)
+            rows = np.flatnonzero(winners < 0)
+            if not rows.size:
+                break
         return winners
 
-    def _potentials(self, counts, weights, carried) -> np.ndarray:
-        """(b, t, C*M) potentials of t consecutive steps from their (b, t, U)
-        spike ``counts`` over the race's pixels and the (U, C*M) weight rows
-        of those pixels. Without leak the counts are made cumulative in
-        place, so their first step must already hold every earlier spike;
-        with leak each step's drive decays (``_decay``) into the potentials
-        ``carried`` from the step before."""
-        leak = self.config.leak
-        if leak == 0.0:
-            for t in range(1, counts.shape[1]):
-                counts[:, t] += counts[:, t - 1]
-        rows, steps, width = counts.shape
-        out = (counts.reshape(rows * steps, width) @ weights).reshape(rows, steps, -1)
-        return out if leak == 0.0 else _decay(out.astype(np.float64), carried, leak)
+    def _windows(self, steps: int) -> list[tuple[int, int]]:
+        """The steps [start, stop) both races multiply, the second window only
+        where the first has no crossing; none if t0, the least ``_first_step``,
+        is past the window. Without leak no neuron crosses before t0: the
+        halves of [t0, T), the first rounded up. With leak the first half of
+        [0, T), then [0, T) again: a leaky potential needs every step's drive."""
+        first = int(self._first_steps.min())
+        if first >= steps:
+            return []
+        leak = self.config.leak != 0.0
+        start = 0 if leak else first
+        split = (start + steps + 1) // 2
+        second = [(start if leak else split, steps)] if split < steps else []
+        return [(start, split)] + second
 
-    def _screen(self, u, counts, pixels, skip) -> np.ndarray:
-        """``race``'s winners of (b, t, C*M) screened potentials; a row whose
-        first candidate is below its upper bound goes to ``_first_crossing``."""
-        winners = _first_crossings(u >= self._lows)
+    def _potentials(self, counts, weights) -> np.ndarray:
+        """(t, b, C*M) potentials of a window's (t, b, U) counts, cumulated
+        from step 0, and the (U, C*M) weight rows of the race's pixels; with
+        leak each step's drive decays in float64 (``_decay``)."""
+        leak = self.config.leak
+        if leak != 0.0:
+            counts = np.diff(counts, axis=0, prepend=np.float32(0.0))
+        steps, rows, width = counts.shape
+        out = (counts.reshape(steps * rows, width) @ weights).reshape(steps, rows, -1)
+        return out if leak == 0.0 else _decay(out.astype(np.float64), leak)
+
+    def _screen(self, u, counts, pixels) -> np.ndarray:
+        """``race``'s winners of a window's (t, b, C*M) screened potentials;
+        a row whose first candidate is below its upper bound goes to
+        ``_first_crossing`` with its (t, U) ``counts``."""
+        winners = _first_crossings((u >= self._lows).transpose(1, 0, 2))
         rows = np.flatnonzero(winners >= 0)
         firsts = winners[rows]
-        paths = u[rows, :, firsts]
+        paths = u[:, rows, firsts].T
         at = (paths >= self._lows[firsts, None]).argmax(axis=1)
         for row in rows[paths[np.arange(rows.size), at] < self._highs[firsts]]:
-            winners[row] = self._first_crossing(u[row], counts[row], pixels, skip)
+            winners[row] = self._first_crossing(u[:, row], counts[:, row], pixels)
         return winners
 
     def _exact(self, counts, pixels, neurons) -> np.ndarray:
-        """Exact float64 potentials of ``neurons`` from one presentation's
-        ``counts`` (from step 0 with leak), on weights rounded as the grid."""
+        """Exact float64 potentials of ``neurons`` from a window of one
+        presentation's ``counts``, on weights rounded as the grid; with leak
+        the exact sums' steps differ by exactly each step's drive."""
         grid = _snap(self.weights[np.ix_(neurons, pixels)], self._grid_bits)
         exact = counts.astype(np.float64) @ grid.T
         leak = self.config.leak
-        return exact if leak == 0.0 else _decay(exact[None], 0.0, leak)[0]
+        return exact if leak == 0.0 else _decay(np.diff(exact, axis=0, prepend=0.0), leak)
 
     def designated_microcolumn(self, column: int) -> int:
         """The index within ``column`` of its least-committed microcolumn
@@ -383,31 +381,25 @@ class Network:
 
     def _race_image(self, counts: np.ndarray, pixels: np.ndarray) -> int:
         """``race``'s winner for one presentation, from its (T, U) spike
-        counts over ``pixels`` cumulated from step 0, with ``race``'s sums:
-        without leak each half of [t0, T) is one product, the second made
-        only when nothing crossed; with leak the whole window decays."""
-        steps = len(counts)
-        start = int(self._first_steps.min())
-        if start >= steps:
-            return -1
+        counts over ``pixels`` cumulated from step 0, on the same ``_windows``;
+        without leak each window is one 2-D product."""
         weights = self._drive_w[pixels]
-        if self.config.leak != 0.0:
-            drives = np.diff(counts, axis=0, prepend=np.float32(0.0))
-            u = self._potentials(drives[None], weights, 0.0)[0]
-            return self._first_crossing(u, drives, pixels)
-        split = (start + steps + 1) // 2
-        window = counts[start:split]
-        winner = self._first_crossing(window @ weights, window, pixels)
-        if winner < 0 and split < steps:
-            window = counts[split:]
-            winner = self._first_crossing(window @ weights, window, pixels)
-        return winner
+        for start, stop in self._windows(len(counts)):
+            window = counts[start:stop]
+            if self.config.leak == 0.0:
+                u = window @ weights
+            else:
+                u = self._potentials(window[:, None], weights)[:, 0]
+            winner = self._first_crossing(u, window, pixels)
+            if winner >= 0:
+                return winner
+        return -1
 
-    def _first_crossing(self, u, counts, pixels, skip=0) -> int:
+    def _first_crossing(self, u, counts, pixels) -> int:
         """The first crossing among one presentation's (t, C*M) screened
-        potentials of consecutive steps (earliest step, lowest index), or -1.
-        If the first candidate is below its upper bound, each neuron with a
-        candidate below it is raced on ``_exact`` sums past ``skip`` steps."""
+        potentials of a window (earliest step, lowest index), or -1. If the
+        first candidate is below its upper bound, each neuron with a
+        candidate below it is raced on ``_exact`` sums of the window."""
         crossed = u >= self._lows
         first = int(crossed.argmax())
         if not crossed.flat[first]:
@@ -415,7 +407,7 @@ class Network:
         if u.flat[first] >= self._highs[first % len(self._lows)]:
             return first % len(self._lows)
         neurons = (crossed & (u < self._highs)).any(axis=0).nonzero()[0]
-        exact = self._exact(counts, pixels, neurons)[skip:]
+        exact = self._exact(counts, pixels, neurons)
         crossed[:, neurons] = exact >= self._thresholds[neurons]
         first = int(crossed.argmax())
         return first % len(self._lows) if crossed.flat[first] else -1
@@ -451,11 +443,11 @@ def _snap(weights: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.n
     return np.ldexp(grid, -bits, out=grid)
 
 
-def _decay(drives: np.ndarray, carried, leak: float) -> np.ndarray:
-    """Leaky potentials of (b, t, n) float64 drives, in place, from the
-    potentials ``carried`` before their first step ((b, 1, n), or 0.0)."""
-    for t in range(drives.shape[1]):
-        carried = drives[:, t : t + 1] = (1.0 - leak) * carried + drives[:, t : t + 1]
+def _decay(drives: np.ndarray, leak: float) -> np.ndarray:
+    """Leaky potentials of float64 drives whose axis 0 runs from step 0, in
+    place: u_t = d_t + (1 - leak) * u_(t-1)."""
+    for t in range(1, len(drives)):
+        drives[t] += (1.0 - leak) * drives[t - 1]
     return drives
 
 
@@ -514,15 +506,21 @@ def train_sample(net: Network, drawn: Presentation, label: int) -> PresentationO
     return outcome
 
 
+def _spike_counts(images: np.ndarray, steps: int, rng) -> np.ndarray:
+    """``encode_active_batch``'s (T, nnz) draw over ``images`` as the races'
+    input: float32 spike counts cumulated from step 0 with T - 1 row adds."""
+    counts = encode_active_batch(images, steps, rng).astype(np.float32)
+    for t in range(1, steps):
+        counts[t] += counts[t - 1]
+    return counts
+
+
 def presentations(images: np.ndarray, steps_active: int, rng: np.random.Generator):
     """Yield each of a (B, 784) block's images, from one draw: its nonzero
-    ``pixels`` (ascending), a (T, n) view of the block's float32 spike
-    ``counts`` cumulated from step 0 with T - 1 row adds, and its row of the
-    block's float64 per-pixel spike counts, the ``eligibility``."""
+    ``pixels`` (ascending), a (T, n) view of the block's ``_spike_counts``,
+    and its row of the block's float64 per-pixel counts, the ``eligibility``."""
     rows, pixels = np.divmod(np.flatnonzero(images != 0), N_INPUTS)
-    counts = encode_active_batch(images, steps_active, rng).astype(np.float32)
-    for t in range(1, steps_active):
-        counts[t] += counts[t - 1]
+    counts = _spike_counts(images, steps_active, rng)
     eligibility = np.zeros(images.shape)
     eligibility[rows, pixels] = counts[-1]
     ends = np.cumsum(np.bincount(rows, minlength=len(images))).tolist()
@@ -553,9 +551,10 @@ def evaluate_task(
 ) -> float:
     """Accuracy on a task's test split (batched, no mutation).
 
-    Each image is raced without plasticity and the race winner's column is
-    its prediction; a presentation in which nothing fires predicts class 0
-    and counts as silent. Encoding noise comes from a generator derived from
+    Each batch's ``_spike_counts``, placed in one step-major (T, B, U)
+    raster over its lit pixels, are raced without plasticity; an image's
+    prediction is its winner's column (class 0, counted as silent, when
+    nothing fires). Encoding noise comes from a generator derived from
     ``(seed or config.seed, "eval", task_id)``, so evaluating the same
     network on the same task twice yields identical accuracy.
 
@@ -576,10 +575,10 @@ def evaluate_task(
     for images, labels in task.test.batches(batch_size):
         pixels = np.flatnonzero(images.any(axis=0))
         images = images[:, pixels]
-        spikes = encode_active_batch(images, net.config.steps_active, rng)
-        raster = np.zeros((len(spikes), *images.shape), dtype=bool)
-        raster.reshape(len(spikes), -1)[:, np.flatnonzero(images != 0)] = spikes
-        winners = net.race(raster.transpose(1, 0, 2), pixels)
+        drawn = _spike_counts(images, net.config.steps_active, rng)
+        counts = np.zeros((len(drawn), *images.shape), dtype=np.float32)
+        counts.reshape(len(drawn), -1)[:, np.flatnonzero(images)] = drawn
+        winners = net.race(counts, pixels)
         quiet = winners < 0
         predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())

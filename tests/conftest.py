@@ -194,6 +194,13 @@ def encode_raster(images: np.ndarray, steps_active: int, rng) -> np.ndarray:
     return raster.transpose(1, 0, 2)
 
 
+def race_counts(spikes: np.ndarray) -> np.ndarray:
+    """A (B, T, U) bool raster as ``Network.race`` takes it: (T, B, U)
+    float32 spike counts cumulated from step 0."""
+    counts = np.cumsum(spikes.transpose(1, 0, 2), axis=0, dtype=np.float32)
+    return np.ascontiguousarray(counts)
+
+
 def presentation(net, img: np.ndarray):
     """The presentation ``train_task`` makes of one image: drawn from the
     network's training stream, as the next image of a block."""

@@ -70,6 +70,7 @@ from conftest import (
     FIXTURES_DIR,
     encode_raster,
     presentation,
+    race_counts,
     record_acceptance,
     requires_mnist,
 )
@@ -435,12 +436,12 @@ def check_serialization_probe_equality(tmp_path):
     loaded = load_state(path)
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(5).integers(0, 256, (1000, 784), dtype=np.uint8)
-    spikes = np.concatenate([
+    counts = race_counts(np.concatenate([
         encode_raster(img[None], 10, generator_from(6, "probe", i))
         for i, img in enumerate(probes)
-    ])
+    ]))
     assert np.array_equal(
-        net.race(spikes, np.arange(784)), loaded.race(spikes, np.arange(784))
+        net.race(counts, np.arange(784)), loaded.race(counts, np.arange(784))
     ), "probe race winners diverged after reload"
 
 

@@ -42,6 +42,7 @@ from conftest import (
     encode_raster,
     flip,
     presentation,
+    race_counts,
     saved_bytes,
     traced_peak,
     truncation_cuts,
@@ -212,7 +213,7 @@ def test_race_matches_per_neuron_simulation(seed, alpha, leak, batch):
     density = rng.choice([0.0, 0.02, 0.15], size=(batch, 1, 1))
     spikes = rng.random((batch, cfg.steps_active, 784)) < density
 
-    winners = net.race(spikes, ALL_PIXELS)
+    winners = net.race(race_counts(spikes), ALL_PIXELS)
     assert winners.shape == (batch,)
     for b in range(batch):
         firsts = []
@@ -270,7 +271,8 @@ def assert_settles_exact(settles, expected, net):
     for counts, pixels, neurons, potentials in settles:
         grid = snapped(net.weights, cfg)[np.ix_(neurons, pixels)]
         if cfg.leak:
-            dense = ref.whole_window_potentials(counts[None] > 0, grid.T, cfg.leak)[0]
+            drives = np.diff(counts, axis=0, prepend=0.0) > 0
+            dense = ref.whole_window_potentials(drives[None], grid.T, cfg.leak)[0]
         else:
             dense = counts.astype(np.float64) @ grid.T
         assert np.array_equal(potentials, dense)
@@ -283,21 +285,28 @@ def assert_settles_exact(settles, expected, net):
         )
 
 
-def race_windows(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
-    """Race ``spikes``, recording each call of the per-window helper as
-    (counts as passed, carried, potentials)."""
+def potential_calls(net: Network) -> list:
+    """Record each call of ``net``'s per-window product as (counts as
+    passed, potentials), both step-major."""
     calls = []
     helper = net._potentials
 
-    def spy(counts, weights, carried):
+    def spy(counts, weights):
         passed = counts.copy()
-        potential = helper(counts, weights, carried)
-        calls.append((passed, np.array(carried), potential.copy()))
+        potential = helper(counts, weights)
+        calls.append((passed, potential.copy()))
         return potential
 
     net._potentials = spy
+    return calls
+
+
+def race_windows(net: Network, spikes: np.ndarray, pixels=ALL_PIXELS):
+    """Race the (B, T, U) raster ``spikes``: the winners, and the
+    ``potential_calls`` record of the race."""
+    calls = potential_calls(net)
     try:
-        winners = net.race(spikes, pixels)
+        winners = net.race(race_counts(spikes), pixels)
     finally:
         del net._potentials
     return winners, calls
@@ -341,8 +350,8 @@ def assert_windows_equal(calls, expected, net):
     ``race_start`` and split the midpoint of [t0, T) rounded up: no earlier
     step is multiplied, and no neuron could have crossed in one. The second,
     called only when some row has not crossed, covers the remaining steps of
-    those rows, carrying their potentials at the last step of the first.
-    With leak the potentials are float64, decayed over float32 drives.
+    those rows, or with leak all of them again from step 0. With leak the
+    potentials are float64, decayed over float32 drives.
     """
     thresholds = net._thresholds
     margins = screen_margins(net)
@@ -353,22 +362,25 @@ def assert_windows_equal(calls, expected, net):
         return
     split = (start + steps + 1) // 2
     assert not (expected[:, :start] >= thresholds).any()
-    counts, carried, potential = calls[0]
-    assert counts.shape[1] == split - start
-    assert not np.any(carried)
+    counts, potential = calls[0]
+    assert counts.shape[:2] == (split - start, len(expected))
     assert potential.dtype == (np.float64 if net.config.leak else np.float32)
-    assert (np.abs(potential - expected[:, start:split]) <= margins).all()
+    assert (np.abs(potential - by_step(expected[:, start:split])) <= margins).all()
     crossed = (expected[:, start:split] >= thresholds).any(axis=(1, 2))
     pending = np.flatnonzero(~crossed)
     if not pending.size or split == steps:
         assert len(calls) == 1
         return
     assert len(calls) == 2
-    first = potential
-    counts, carried, potential = calls[1]
-    assert counts.shape[:2] == (pending.size, steps - split)
-    assert np.array_equal(carried, first[pending, -1:])
-    assert (np.abs(potential - expected[pending, split:]) <= margins).all()
+    rest = start if net.config.leak else split
+    counts, potential = calls[1]
+    assert counts.shape[:2] == (steps - rest, pending.size)
+    assert (np.abs(potential - by_step(expected[pending, rest:])) <= margins).all()
+
+
+def by_step(potentials: np.ndarray) -> np.ndarray:
+    """(B, T, N) potentials in the race's step-major (T, B, N) order."""
+    return potentials.transpose(1, 0, 2)
 
 
 #: Adaptive-threshold coefficients the race is checked at: none, the
@@ -401,10 +413,10 @@ def race_spikes(rng, batch: int, steps: int) -> np.ndarray:
     st.sampled_from(["uniform", "template"]),
 )
 def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
-    """Every potential the race screens, in both windows and carried between
-    them, lies within its neuron's margin of a dense float64 product over
-    the rounded weights, and every potential it settles equals that product
-    bit for bit; permuting pixels or racing rows alone changes no winner."""
+    """Every potential the race screens, in both windows, lies within its
+    neuron's margin of a dense float64 product over the rounded weights, and
+    every potential it settles equals that product bit for bit; permuting
+    pixels or racing rows alone changes no winner."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, leak=leak)
     weights = race_weights(rng, cfg, family)
@@ -438,7 +450,7 @@ def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
     assert_settles_exact(settles, expected, shuffled)
     assert np.array_equal(shuffled_winners, winners)
     for b in range(batch):
-        alone = net.race(spikes[b : b + 1], ALL_PIXELS)
+        alone = net.race(race_counts(spikes[b : b + 1]), ALL_PIXELS)
         assert np.array_equal(alone, winners[b : b + 1])
 
 
@@ -452,10 +464,12 @@ def test_race_is_exact_on_its_weight_grid(seed, alpha, leak, batch, family):
     st.sampled_from(["uniform", "template"]),
 )
 def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, family):
-    """The race, started at its bound and split in two, picks the winners of
-    the whole-window race from step 0, for odd windows, windows with no
-    second half, batches with silent rows, and a pixel set that holds, besides
-    every pixel that spikes, pixels that never do."""
+    """Both race shapes, started at their bound and split in two, pick the
+    winners of the whole-window race from step 0, for odd windows, windows
+    with no second half, batches with silent rows, and a pixel set that
+    holds, besides every pixel that spikes, pixels that never do: the batch
+    race on the whole batch, the one-image race on each row of the same
+    counts."""
     rng = np.random.default_rng(seed)
     cfg = small_config(alpha=alpha, leak=leak, steps_active=steps)
     weights = race_weights(rng, cfg, family)
@@ -464,7 +478,10 @@ def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, famil
     potentials = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
     expected = ref.first_crossing_winners(potentials, net._thresholds)
     pixels = np.flatnonzero(spikes.any(axis=(0, 1)) | (rng.random(784) < 0.1))
-    assert np.array_equal(net.race(spikes[:, :, pixels], pixels), expected)
+    counts = race_counts(spikes[:, :, pixels])
+    assert np.array_equal(net.race(counts, pixels), expected)
+    alone = [net._race_image(counts[:, b], pixels) for b in range(batch)]
+    assert alone == expected.tolist()
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -517,7 +534,7 @@ def test_race_winner_crossing_in_second_half_matches_oracle():
     potentials = ref.whole_window_potentials(spikes, snapped(net.weights, net.config).T, 0.0)
     expected = ref.first_crossing_winners(potentials, net._thresholds)
     assert expected.tolist() == [0, -1, 0, 1]
-    assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
+    assert np.array_equal(net.race(race_counts(spikes), ALL_PIXELS), expected)
     assert [race_image(net, raster)[0] for raster in spikes] == expected.tolist()
 
 
@@ -555,7 +572,7 @@ def test_near_ties_the_float32_sums_get_wrong_are_settled_exactly(case, leak, st
     assert (screened >= threshold) != (exact[0, step, 0] >= threshold)
 
     settles = exact_calls(net)
-    assert net.race(spikes, ALL_PIXELS).tolist() == [winner]
+    assert net.race(race_counts(spikes), ALL_PIXELS).tolist() == [winner]
     assert settles
     settles.clear()
     assert race_image(net, spikes[0])[0] == winner
@@ -565,7 +582,9 @@ def test_near_ties_the_float32_sums_get_wrong_are_settled_exactly(case, leak, st
 def test_screened_leaky_potentials_decay_in_float64():
     """With weights whose float32 sums are exact (multiples of 2^-6), the
     screened potentials with leak equal the exact race's bit for bit: the
-    decay runs in float64, as the exact race's does."""
+    decay runs in float64, as the exact race's does. Both windows are
+    pinned, in both race shapes: the first half of the window, then, for
+    rows with no crossing, the whole window again from step 0."""
     rng = np.random.default_rng(3)
     cfg = small_config(alpha=0.0, leak=0.1, u_const=50.0)
     weights = rng.integers(0, 64, (cfg.neuron_count, 784)) / 64.0
@@ -575,10 +594,18 @@ def test_screened_leaky_potentials_decay_in_float64():
     winners, calls = race_windows(net, spikes)
     assert winners.tolist() == ref.first_crossing_winners(expected, 50.0).tolist()
     split = (cfg.steps_active + 1) // 2
-    assert np.array_equal(calls[0][2], expected[:, :split])
-    if len(calls) > 1:
-        pending = np.flatnonzero(winners < 0)
-        assert np.array_equal(calls[1][2], expected[pending, split:])
+    pending = np.flatnonzero(winners < 0)
+    assert pending.size and len(calls) == 2
+    assert np.array_equal(calls[0][1], by_step(expected[:, :split]))
+    assert np.array_equal(calls[1][1], by_step(expected[pending]))
+    calls = potential_calls(net)
+    for row in pending:
+        calls.clear()
+        assert race_image(net, spikes[row])[0] == -1
+        windows = [potential[:, 0] for _, potential in calls]
+        assert len(windows) == 2
+        assert np.array_equal(windows[0], expected[row, :split])
+        assert np.array_equal(windows[1], expected[row])
 
 
 @pytest.mark.parametrize("leak", [0.0, 0.1])
@@ -599,25 +626,24 @@ def test_race_is_exact_below_float32_normal_range(leak):
         spikes = race_spikes(rng, 8, cfg.steps_active)
         potentials = ref.whole_window_potentials(spikes, snapped(weights, cfg).T, leak)
         expected = ref.first_crossing_winners(potentials, net._thresholds)
-        assert np.array_equal(net.race(spikes, ALL_PIXELS), expected)
+        assert np.array_equal(net.race(race_counts(spikes), ALL_PIXELS), expected)
         assert [race_image(net, raster)[0] for raster in spikes] == expected.tolist()
 
 
 def test_second_window_races_only_rows_that_did_not_cross():
     """The early exit: rows settled in the first window are not raced again,
     and no second window runs when every row crossed in the first. The
-    second window's counts start from the pending rows' cumulative counts."""
+    second window's counts are the pending rows' counts cumulated from
+    step 0."""
     net, spikes = two_window_batch()
     half = (net.config.steps_active + 1) // 2  # neuron 0 can cross at step 0
     winners, calls = race_windows(net, spikes)
     assert winners.tolist() == [0, -1, 0, 1]
     assert len(calls) == 2
-    counts, carried, _ = calls[1]
+    counts, _ = calls[1]
     pending = [1, 3]
-    later = spikes[pending, half:].astype(np.float64)
-    later[:, 0] += spikes[pending, :half].sum(axis=1)
-    assert np.array_equal(counts, later)
-    assert np.array_equal(carried, calls[0][2][pending, -1:])
+    later = np.cumsum(spikes[pending], axis=1)[:, half:]
+    assert np.array_equal(counts, by_step(later))
 
     winners, calls = race_windows(net, spikes[[0, 2]])
     assert winners.tolist() == [0, 0]
@@ -659,11 +685,11 @@ def test_race_starts_at_the_first_step_any_neuron_can_cross(seed, alpha, steps):
     if start == steps:
         assert calls == [] and winners.tolist() == [-1, -1] and reads == []
         return
-    counts, _, potential = calls[0]
-    assert counts.shape[1] == (start + steps + 1) // 2 - start
-    assert np.array_equal(counts[:, 0], np.full((2, 784), start + 1.0))
+    counts, potential = calls[0]
+    assert counts.shape[0] == (start + steps + 1) // 2 - start
+    assert np.array_equal(counts[0], np.full((2, 784), start + 1.0))
     # Saturated input drives each neuron by its whole (nonnegative) mass.
-    assert (potential[:, 0] >= thresholds).any(axis=1).all()
+    assert (potential[0] >= thresholds).any(axis=1).all()
     assert winners.tolist() == [int(np.argmax(net._first_steps == start))] * 2
 
 
@@ -704,7 +730,7 @@ def test_simultaneous_crossing_breaks_toward_lowest_flat_index():
     net = Network(cfg, weights=weights)
     img = np.full((1, 784), 255, dtype=np.uint8)
     spikes = encode_raster(img, cfg.steps_active, np.random.default_rng(0))
-    assert net.race(spikes, ALL_PIXELS).tolist() == [0]
+    assert net.race(race_counts(spikes), ALL_PIXELS).tolist() == [0]
     assert race_image(net, spikes[0])[0] == 0
 
 
@@ -796,7 +822,7 @@ def test_present_full_eligibility_is_the_float_spike_count():
             outcome, eligibility = net.present_full(drawn, 0), drawn.eligibility
             assert eligibility.dtype == np.float64
             assert np.array_equal(eligibility, spikes[0].sum(axis=0))
-            winner = int(net.race(spikes, ALL_PIXELS)[0])
+            winner = int(net.race(race_counts(spikes), ALL_PIXELS)[0])
             flat = -1 if outcome.raw_winner is None else net._flat(*outcome.raw_winner)
             assert flat == winner
 
@@ -1059,12 +1085,12 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.config == net.config
     assert np.array_equal(loaded.weights, net.weights)
     probes = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)
-    spikes = np.concatenate([
+    counts = race_counts(np.concatenate([
         encode_raster(img[None], 10, generator_from(1, "probe", i))
         for i, img in enumerate(probes)
-    ])
+    ]))
     assert np.array_equal(
-        net.race(spikes, ALL_PIXELS), loaded.race(spikes, ALL_PIXELS)
+        net.race(counts, ALL_PIXELS), loaded.race(counts, ALL_PIXELS)
     )
 
 
