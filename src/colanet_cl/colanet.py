@@ -74,6 +74,9 @@ STATE_FORMAT_VERSION = 1
 #: one image at least: a block's arrays stay small at any ``steps_active``.
 _TRAIN_BATCH = 64
 
+#: ``Network._refresh`` derives the race state of this many rows per pass.
+_REFRESH_ROWS = 64
+
 #: Float fields that must be finite (``ns`` may be None).
 _FINITE_FIELDS = (
     "alpha", "u_const", "eta_plus", "eta_minus", "leak", "w_min", "w_max", "init_high"
@@ -248,30 +251,40 @@ class Network:
     def _flat(self, column: int, micro: int) -> int:
         return column * self.config.microcolumns + micro
 
-    def _refresh(self) -> None:
-        """Derive the race's cached state of every neuron from its weights:
-        float32 grid weights, positive mass, adaptive threshold
-        u_const + alpha * positive mass, earliest step that can cross
-        (``_first_step``) and screen bounds. ``_learn`` re-derives one row."""
+    def _refresh(self, first: int = 0, stop: int | None = None) -> None:
+        """Derive the race's cached state of rows [first, stop) (every row by
+        default) from their weights: float32 grid weights, positive mass,
+        adaptive threshold u_const + alpha * positive mass, earliest step
+        that can cross (``_first_step``) and screen bounds. Construction (and
+        so ``load_state``) derives every row, ``_learn`` the row it changed.
+        Each pass of up to ``_REFRESH_ROWS`` rows fills one scratch array and
+        sums it with one reduction; the rest is scalar arithmetic per row, so
+        a one-row call does its per-row work in Python floats."""
         cfg = self.config
-        weights = self.weights
-        grid = np.maximum(weights, 0.0)
-        masses = grid.sum(axis=1)
-        self._pos_sum[:] = masses
-        _snap(weights, self._grid_bits, out=grid)
-        self._drive_w[:] = grid.T
-        signed = grid.sum(axis=1)
-        peaks = np.maximum(grid, 0.0, out=grid).sum(axis=1)
-        thresholds = [cfg.u_const + cfg.alpha * mass for mass in masses.tolist()]
-        self._thresholds[:] = thresholds
-        self._first_steps[:] = [
-            _first_step(theta, peak, cfg.steps_active)
-            for theta, peak in zip(thresholds, peaks.tolist())
-        ]
-        margins = np.ldexp(cfg.steps_active * (2.0 * peaks - signed), -14)
-        margins = np.nextafter(margins + 2.0**-120, np.inf)
-        np.nextafter(self._thresholds - margins, -np.inf, out=self._lows)
-        np.nextafter(self._thresholds + margins, np.inf, out=self._highs)
+        u_const, alpha, steps = cfg.u_const, cfg.alpha, cfg.steps_active
+        nextafter, inf = math.nextafter, math.inf
+        stop = len(self.weights) if stop is None else stop
+        scratch = np.empty((3, min(_REFRESH_ROWS, stop - first), N_INPUTS))
+        for start in range(first, stop, _REFRESH_ROWS):
+            end = min(start + _REFRESH_ROWS, stop)
+            rows = scratch[:, : end - start]
+            weights = self.weights[start:end]
+            np.maximum(weights, 0.0, out=rows[0])
+            grid = _snap(weights, self._grid_bits, out=rows[1])
+            np.maximum(grid, 0.0, out=rows[2])
+            self._drive_w[:, start:end] = grid.T
+            # Positive mass, signed grid sum and grid peak of each row; the
+            # axis goes by position, as the keyword costs ~1 us more a call.
+            sums = np.add.reduce(rows, 2).tolist()
+            for flat, mass, signed, peak in zip(range(start, end), *sums):
+                threshold = u_const + alpha * mass
+                margin = math.ldexp(steps * (2.0 * peak - signed), -14)
+                margin = nextafter(margin + 2.0**-120, inf)
+                self._pos_sum[flat] = mass
+                self._thresholds[flat] = threshold
+                self._first_steps[flat] = _first_step(threshold, peak, steps)
+                self._lows[flat] = nextafter(threshold - margin, -inf)
+                self._highs[flat] = nextafter(threshold + margin, inf)
 
     # -- dynamics ----------------------------------------------------------
 
@@ -416,24 +429,9 @@ class Network:
 
     def _learn(self, rule, flat: int, eligibility: np.ndarray) -> None:
         """Apply a plasticity rule to one neuron's row, then re-derive that
-        row's race state as ``_refresh`` does."""
-        cfg = self.config
-        weights = self.weights[flat]
-        rule(weights, eligibility, cfg)
-        grid = np.maximum(weights, 0.0)
-        mass = float(grid.sum())
-        self._pos_sum[flat] = mass
-        _snap(weights, self._grid_bits, out=grid)
-        self._drive_w[:, flat] = grid
-        signed = float(grid.sum())
-        peak = float(np.maximum(grid, 0.0, out=grid).sum())
-        threshold = cfg.u_const + cfg.alpha * mass
-        self._thresholds[flat] = threshold
-        self._first_steps[flat] = _first_step(threshold, peak, cfg.steps_active)
-        margin = math.ldexp(cfg.steps_active * (2.0 * peak - signed), -14)
-        margin = math.nextafter(margin + 2.0**-120, math.inf)
-        self._lows[flat] = math.nextafter(threshold - margin, -math.inf)
-        self._highs[flat] = math.nextafter(threshold + margin, math.inf)
+        row's race state (``_refresh``)."""
+        rule(self.weights[flat], eligibility, self.config)
+        self._refresh(flat, flat + 1)
 
 
 def _snap(weights: np.ndarray, bits: int, out: np.ndarray | None = None) -> np.ndarray:
