@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,13 +220,23 @@ def truncate_percent(fraction: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def stage_plan(n: int) -> Iterator[tuple[int, str, int]]:
+    """Yield an n-task run's stages in order as (task k, kind, j): for k = 1..n,
+    ``load`` checkpoint k-1 (k > 1), ``train`` task k, ``save`` checkpoint k,
+    then ``evaluate`` task j for j = 1..k."""
+    for k in range(1, n + 1):
+        yield from [(k, "load", k - 1)] if k > 1 else []
+        yield from [(k, "train", k), (k, "save", k)]
+        yield from ((k, "evaluate", j) for j in range(1, k + 1))
+
+
 def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationProfile:
     """Train sequentially and evaluate on every task seen so far.
 
-    For k = 1..n: load the checkpoint of iteration k-1 (when k > 1), train
-    one epoch on task k, save the iteration-k checkpoint, then evaluate on
-    tasks 1..k to fill profile row k. A run over n tasks therefore performs
-    exactly n(n+1)/2 evaluations.
+    Runs ``stage_plan(n)`` in order. For k = 1..n: load the checkpoint of
+    iteration k-1 (when k > 1), train one epoch on task k, save the
+    iteration-k checkpoint, then evaluate on tasks 1..k to fill profile
+    row k: exactly n(n+1)/2 evaluations in all.
 
     Args:
         adapter: Model adapter exposing ``train_task(task)``,
@@ -239,7 +250,7 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
         DegradationProfile of shape n x n.
 
     Raises:
-        SequenceError: An adapter call failed; carries the task index.
+        SequenceError: An adapter method is missing or failed; names the task and stage.
     """
     if not tasks:
         raise ValueError("run_sequence requires at least one task")
@@ -250,23 +261,18 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
     def state_path(iteration: int) -> str:
         return os.path.join(state_dir, f"state_{iteration:03d}.bin")
 
-    for k, task in enumerate(tasks, start=1):
-        if k > 1:
-            _run_stage(adapter.load, k, "load", state_path(k - 1))
-        _run_stage(adapter.train_task, k, "train", task)
-        _run_stage(adapter.save, k, "save", state_path(k))
-        for j in range(1, k + 1):
-            a[k - 1, j - 1] = _run_stage(
-                adapter.evaluate_task, k, f"evaluate task {j}", tasks[j - 1]
-            )
+    for k, kind, j in stage_plan(n):
+        try:
+            if kind in ("load", "save"):
+                result = getattr(adapter, kind)(state_path(j))
+            else:
+                result = getattr(adapter, f"{kind}_task")(tasks[j - 1])
+        except Exception as exc:  # noqa: BLE001 - context is re-raised
+            stage = f"evaluate task {j}" if kind == "evaluate" else kind
+            raise SequenceError(f"task {k} ({stage}): {exc}") from exc
+        if kind == "evaluate":
+            a[k - 1, j - 1] = result
     return DegradationProfile(a)
-
-
-def _run_stage(fn, task_index: int, stage: str, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - context is re-raised
-        raise SequenceError(f"task {task_index} ({stage}): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from colanet_cl.clbench import (
     read_profile_csv,
     render_summary,
     run_sequence,
+    stage_plan,
     summarize,
     truncate_percent,
     write_baseline_csv,
@@ -331,6 +332,60 @@ def test_run_sequence_wraps_evaluation_failures(tmp_path):
         run_sequence(adapter, fake_tasks(3), state_dir=str(tmp_path))
     assert str(excinfo.value) == "task 2 (evaluate task 2): scripted failure"
     assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize(
+    "fail_on, message",
+    [
+        (("load", "state_001.bin"), "task 2 (load): scripted failure"),
+        (("save", "state_002.bin"), "task 2 (save): scripted failure"),
+    ],
+)
+def test_run_sequence_wraps_checkpoint_failures(tmp_path, fail_on, message):
+    adapter = FakeAdapter(fail_on=fail_on)
+    with pytest.raises(SequenceError) as excinfo:
+        run_sequence(adapter, fake_tasks(3), state_dir=str(tmp_path))
+    assert str(excinfo.value) == message
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    assert adapter.calls[-1] == fail_on
+
+
+def nested_loop_order(n):
+    """The stage order of a run written as the plain nested loop."""
+    order = []
+    for k in range(1, n + 1):
+        if k > 1:
+            order.append((k, "load", k - 1))
+        order.append((k, "train", k))
+        order.append((k, "save", k))
+        for j in range(1, k + 1):
+            order.append((k, "evaluate", j))
+    return order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stage_plan_is_the_run_order(tmp_path, n):
+    plan = list(stage_plan(n))
+    assert plan == nested_loop_order(n)
+    evaluations = [(k, j) for k, kind, j in plan if kind == "evaluate"]
+    assert len(evaluations) == n * (n + 1) // 2
+    assert evaluations == [(k, j) for k in range(1, n + 1) for j in range(1, k + 1)]
+    for index, (k, kind, j) in enumerate(plan):
+        if kind == "load":
+            assert j == k - 1
+            assert plan[index + 1] == (k, "train", k)
+    assert [stage for stage in plan if stage[1] == "load"] == [
+        (k, "load", k - 1) for k in range(2, n + 1)
+    ]
+    # The adapter sees exactly the plan's calls, in the plan's order.
+    adapter = FakeAdapter()
+    run_sequence(adapter, fake_tasks(n), state_dir=str(tmp_path))
+    checkpoint = {"load", "save"}
+    assert adapter.calls == [
+        ("eval" if kind == "evaluate" else kind,
+         f"state_{j:03d}.bin" if kind in checkpoint else j)
+        for _, kind, j in plan
+    ]
 
 
 # ------------------------------------------------------------- CSV round trip

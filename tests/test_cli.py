@@ -742,6 +742,23 @@ def test_run_adapter_bug_is_internal_error(tmp_path, synthetic_mnist_dir, capsys
     assert not list(out_dir.glob("profile_seed*.csv"))
 
 
+def test_run_missing_adapter_method_is_internal_error(tmp_path, synthetic_mnist_dir, capsys,
+                                                      monkeypatch):
+    class IncompleteAdapter:
+        def train_task(self, task):
+            pass
+
+    monkeypatch.setattr(cli, "build_adapter", lambda cfg, seed: IncompleteAdapter())
+    out_dir = tmp_path / "out"
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: task 1 (save): " in err
+    assert "has no attribute 'save'" in err
+    assert "Traceback" not in err
+    assert not list(out_dir.glob("profile_seed*.csv"))
+
+
 def test_run_command_writes_all_artifacts(tmp_path, synthetic_mnist_dir, capsys):
     cfg = run_config(tmp_path, synthetic_mnist_dir)
     out_dir = str(tmp_path / "out")
