@@ -108,10 +108,8 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hidden, exp / exp.sum(axis=1, keepdims=True)
 
 
-def mlp_loss_and_grads(
-    p: MlpParams, x: np.ndarray, y: np.ndarray
-) -> tuple[float, dict]:
-    """Mean cross-entropy loss and its gradients for one mini-batch.
+def mlp_grads(p: MlpParams, x: np.ndarray, y: np.ndarray) -> dict:
+    """Gradients of the mean cross-entropy loss for one mini-batch.
 
     Args:
         p: Network parameters.
@@ -119,13 +117,11 @@ def mlp_loss_and_grads(
         y: (B,) integer labels.
 
     Returns:
-        (loss, grads) where grads maps parameter name to an array of the
+        The gradients, keyed by parameter name, each an array of the
         parameter's shape.
     """
     batch = len(x)
     hidden, probs = mlp_forward(p, x)
-    loss = float(-np.log(probs[np.arange(batch), y] + 1e-300).mean())
-
     dlogits = probs.copy()
     dlogits[np.arange(batch), y] -= 1.0
     dlogits /= batch
@@ -136,7 +132,7 @@ def mlp_loss_and_grads(
     dhidden[hidden <= 0.0] = 0.0
     dW1 = x.T @ dhidden
     db1 = dhidden.sum(axis=0)
-    return loss, {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
 
 def adadelta_step(p: MlpParams, grads: dict) -> None:
@@ -210,8 +206,7 @@ def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for images, labels in task.train.batches(batch_size):
-        _, grads = mlp_loss_and_grads(p, images / 255.0, labels)
-        adadelta_step(p, grads)
+        adadelta_step(p, mlp_grads(p, images / 255.0, labels))
 
 
 def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:

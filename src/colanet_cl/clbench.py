@@ -250,7 +250,7 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
         DegradationProfile of shape n x n.
 
     Raises:
-        SequenceError: An adapter method is missing or failed; names the task and stage.
+        SequenceError: A stage failed, or gave an accuracy outside [0, 1]; names the stage.
     """
     if not tasks:
         raise ValueError("run_sequence requires at least one task")
@@ -267,11 +267,13 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
                 result = getattr(adapter, kind)(state_path(j))
             else:
                 result = getattr(adapter, f"{kind}_task")(tasks[j - 1])
+            if kind == "evaluate":
+                a[k - 1, j - 1] = result
+                if not 0.0 <= a[k - 1, j - 1] <= 1.0:
+                    raise ValueError(f"accuracy {result!r} is not a fraction in [0, 1]")
         except Exception as exc:  # noqa: BLE001 - context is re-raised
             stage = f"evaluate task {j}" if kind == "evaluate" else kind
             raise SequenceError(f"task {k} ({stage}): {exc}") from exc
-        if kind == "evaluate":
-            a[k - 1, j - 1] = result
     return DegradationProfile(a)
 
 

@@ -354,15 +354,20 @@ class Network:
         return out if leak == 0.0 else _decay(out.astype(np.float64), leak)
 
     def _screen(self, u, counts, pixels) -> np.ndarray:
-        """``race``'s winners of a window's (t, b, C*M) screened potentials;
-        a row whose first candidate is below its upper bound goes to
-        ``_first_crossing`` with its (t, U) ``counts``."""
-        winners = _first_crossings((u >= self._lows).transpose(1, 0, 2))
-        rows = np.flatnonzero(winners >= 0)
-        firsts = winners[rows]
-        paths = u[:, rows, firsts].T
-        at = (paths >= self._lows[firsts, None]).argmax(axis=1)
-        for row in rows[paths[np.arange(rows.size), at] < self._highs[firsts]]:
+        """``race``'s winners of a window's (t, b, C*M) screened potentials,
+        read as ``_first_crossing`` reads one: one argmax over a row's (step,
+        neuron) crossings gives both, or -1 if it has none; a row whose first
+        candidate is below its upper bound goes to ``_first_crossing`` with
+        its (t, U) ``counts``."""
+        batch, width = u.shape[1:]
+        crossed = (u >= self._lows).transpose(1, 0, 2).reshape(batch, -1)
+        first = crossed.argmax(axis=1)
+        rows = np.arange(batch)
+        hit = crossed[rows, first]
+        step, winners = np.divmod(first, width)
+        near = hit & (u[step, rows, winners] < self._highs[winners])
+        winners[~hit] = -1
+        for row in np.flatnonzero(near):
             winners[row] = self._first_crossing(u[:, row], counts[:, row], pixels)
         return winners
 
@@ -447,17 +452,6 @@ def _decay(drives: np.ndarray, leak: float) -> np.ndarray:
     for t in range(1, len(drives)):
         drives[t] += (1.0 - leak) * drives[t - 1]
     return drives
-
-
-def _first_crossings(crossed: np.ndarray) -> np.ndarray:
-    """Per row of (b, t, C*M) crossings: the race winner, or -1 if it has none.
-    A row's first True in C order is the earliest step's lowest index."""
-    flat = crossed.reshape(len(crossed), -1)
-    first = flat.argmax(axis=1)
-    uncrossed = ~flat[np.arange(len(flat)), first]
-    first %= crossed.shape[2]
-    first[uncrossed] = -1
-    return first
 
 
 def _first_step(threshold: float, peak: float, steps: int) -> int:

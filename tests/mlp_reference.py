@@ -3,7 +3,8 @@
 The plain array formula of the update, which allocates several
 parameter-sized temporaries per step, and an epoch that scales the whole
 training split to [0, 1] up front. ``baseline.adadelta_step`` and
-``baseline.mlp_train_epoch`` must match these byte for byte.
+``baseline.mlp_train_epoch`` must match these byte for byte. Also the mean
+cross-entropy loss that ``baseline.mlp_grads`` differentiates.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from colanet_cl.baseline import (
     ADADELTA_EPS,
     ADADELTA_RHO,
     MlpParams,
-    mlp_loss_and_grads,
+    mlp_forward,
+    mlp_grads,
 )
 from colanet_cl.dataset import TaskSpec
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2")
+
+
+def mlp_loss(p: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy loss of a (B, 784) float64 batch with labels ``y``."""
+    _, probs = mlp_forward(p, x)
+    return float(-np.log(probs[np.arange(len(x)), y] + 1e-300).mean())
 
 
 def reference_adadelta_step(p: MlpParams, grads: dict) -> None:
@@ -42,5 +50,4 @@ def reference_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) ->
     for start in range(0, len(images), batch_size):
         x = images[start : start + batch_size]
         y = labels[start : start + batch_size]
-        _, grads = mlp_loss_and_grads(p, x, y)
-        reference_adadelta_step(p, grads)
+        reference_adadelta_step(p, mlp_grads(p, x, y))

@@ -19,9 +19,9 @@ from colanet_cl.baseline import (
     adadelta_step,
     mlp_evaluate,
     mlp_forward,
+    mlp_grads,
     mlp_init,
     mlp_load,
-    mlp_loss_and_grads,
     mlp_save,
     mlp_train_epoch,
 )
@@ -39,6 +39,7 @@ from conftest import (
 )
 from mlp_reference import (
     PARAM_NAMES,
+    mlp_loss,
     reference_adadelta_step,
     reference_train_epoch,
 )
@@ -89,7 +90,7 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     x = rng.random((4, 784))
     y = rng.integers(0, 10, size=4)
-    _, grads = mlp_loss_and_grads(p, x, y)
+    grads = mlp_grads(p, x, y)
     eps = 1e-6
     for name in ("W1", "b1", "W2", "b2"):
         arr = getattr(p, name)
@@ -97,9 +98,9 @@ def test_gradients_match_finite_differences():
         for idx in rng.choice(flat.size, size=8, replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            up, _ = mlp_loss_and_grads(p, x, y)
+            up = mlp_loss(p, x, y)
             flat[idx] = orig - eps
-            down, _ = mlp_loss_and_grads(p, x, y)
+            down = mlp_loss(p, x, y)
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
             analytic = grads[name].reshape(-1)[idx]
@@ -113,11 +114,10 @@ def test_loss_decreases_on_repeated_steps():
     rng = np.random.default_rng(5)
     x = rng.random((32, 784))
     y = rng.integers(0, 10, size=32)
-    first, grads = mlp_loss_and_grads(p, x, y)
+    first = mlp_loss(p, x, y)
     for _ in range(50):
-        adadelta_step(p, grads)
-        loss, grads = mlp_loss_and_grads(p, x, y)
-    assert loss < first
+        adadelta_step(p, mlp_grads(p, x, y))
+    assert mlp_loss(p, x, y) < first
 
 
 def test_adadelta_constants():

@@ -350,6 +350,35 @@ def test_run_sequence_wraps_checkpoint_failures(tmp_path, fail_on, message):
     assert adapter.calls[-1] == fail_on
 
 
+class ScoringAdapter(FakeAdapter):
+    """A ``FakeAdapter`` whose second evaluation (task 2's of task 1)
+    returns ``accuracy``."""
+
+    def __init__(self, accuracy):
+        super().__init__()
+        self.accuracy = accuracy
+
+    def evaluate_task(self, task):
+        score = super().evaluate_task(task)
+        evaluations = sum(stage == "eval" for stage, _ in self.calls)
+        return self.accuracy if evaluations == 2 else score
+
+
+@pytest.mark.parametrize("accuracy", [1.5, None, float("nan")])
+def test_run_sequence_rejects_an_accuracy_outside_the_unit_interval(tmp_path, accuracy):
+    """An evaluation whose result is not a fraction in [0, 1] fails in its
+    own stage, as a ``SequenceError`` naming it, and the run stops there."""
+    adapter = ScoringAdapter(accuracy)
+    with pytest.raises(SequenceError) as excinfo:
+        run_sequence(adapter, fake_tasks(3), state_dir=str(tmp_path))
+    assert str(excinfo.value) == (
+        f"task 2 (evaluate task 1): accuracy {accuracy!r} is not a fraction in [0, 1]"
+    )
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert adapter.calls[-1] == ("eval", 1)
+    assert len(adapter.calls) == 7
+
+
 def nested_loop_order(n):
     """The stage order of a run written as the plain nested loop."""
     order = []

@@ -759,6 +759,31 @@ def test_run_missing_adapter_method_is_internal_error(tmp_path, synthetic_mnist_
     assert not list(out_dir.glob("profile_seed*.csv"))
 
 
+@pytest.mark.parametrize("accuracy", [1.5, None, float("nan")])
+def test_run_accuracy_outside_the_unit_interval_is_internal_error(
+    tmp_path, synthetic_mnist_dir, capsys, monkeypatch, accuracy
+):
+    class MisscoringAdapter:
+        def train_task(self, task):
+            pass
+
+        def save(self, path):
+            open(path, "wb").close()
+
+        def evaluate_task(self, task):
+            return accuracy
+
+    monkeypatch.setattr(cli, "build_adapter", lambda cfg, seed: MisscoringAdapter())
+    out_dir = tmp_path / "out"
+    cfg = run_config(tmp_path, synthetic_mnist_dir)
+    assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error: task 1 (evaluate task 1): accuracy " in err
+    assert "is not a fraction in [0, 1]" in err
+    assert "Traceback" not in err
+    assert not list(out_dir.glob("profile_seed*.csv"))
+
+
 def test_run_command_writes_all_artifacts(tmp_path, synthetic_mnist_dir, capsys):
     cfg = run_config(tmp_path, synthetic_mnist_dir)
     out_dir = str(tmp_path / "out")

@@ -21,7 +21,6 @@ from colanet_cl import colanet
 from colanet_cl.colanet import (
     _CONFIG_FIELDS as CONFIG_FIELDS,
     _CONFIG_PACK as CONFIG_PACK,
-    _first_crossings,
     _first_step,
     ColaNetAdapter,
     ColaNetConfig,
@@ -497,18 +496,86 @@ def test_race_matches_whole_window_oracle(seed, alpha, steps, leak, batch, famil
 def test_first_crossings_match_the_reference_readout(
     batch, steps, neurons, density, seed
 ):
-    """The readout picks the earliest step's lowest crossing index and marks
-    the rows with none -1, on crossings dense enough to tie at every step,
-    rows with no crossing and rows whose crossings all sit in the last step."""
+    """The batch read-out (``_screen``) picks the earliest step's lowest
+    crossing index and marks the rows with none -1, on crossings dense
+    enough to tie at every step, rows with no crossing and rows whose
+    crossings all sit in the last step. Both bounds are 0.5, so crossings
+    given as 0/1 potentials decide every row on the screen."""
     rng = np.random.default_rng(seed)
     crossed = rng.random((batch, steps, neurons)) < density
     crossed[::3] = False
     crossed[1::3, :-1] = False
-    winners = _first_crossings(crossed)
+    net = Network(ColaNetConfig(class_count=neurons, microcolumns=1, seed=0))
+    net._lows = net._highs = np.full(neurons, 0.5)
+    u = np.ascontiguousarray(by_step(crossed), dtype=np.float32)
+    winners = net._screen(u, np.zeros((steps, batch, 0), np.float32), np.arange(0))
     expected = ref.first_crossing_winners(crossed.astype(np.float64), 0.5)
     assert winners.dtype == np.int64
     assert np.array_equal(winners, expected)
     assert (winners[::3] == -1).all()
+
+
+def test_screen_settles_the_rows_whose_first_candidate_is_below_its_bound():
+    """``_screen`` sends a row to ``_first_crossing``, with its own
+    potentials and counts, exactly when its first candidate (earliest step,
+    then lowest index, at or above its lower bound) lies below its upper
+    bound. A first candidate at its upper bound wins on the screen, whatever
+    crosses later, and a row with no candidate is -1 without a settle."""
+    net = Network(ColaNetConfig(class_count=3, microcolumns=1, seed=0))
+    net._lows = np.full(3, 0.25)
+    net._highs = np.array([0.5, 0.75, 0.5])
+    u = np.full((2, 5, 3), 0.125, dtype=np.float32)
+    u[0, 0, 2] = 0.5  # at its bound: wins; the later 1.0 does not matter
+    u[1, 0, 0] = 1.0
+    u[1, 1, 1:] = [0.5, 1.0]  # below neuron 1's bound, beside a sure crossing
+    u[:, 3, 0] = [0.375, 1.0]  # below the bound at step 0, above it at step 1
+    u[:, 4, 0] = [0.0, 0.5]  # at the bound, at step 1
+    counts = np.random.default_rng(0).random((2, 5, 4)).astype(np.float32)
+    settled = []
+
+    def settle(row_u, row_counts, pixels):
+        settled.append((row_u, row_counts))
+        return 9
+
+    net._first_crossing = settle
+    winners = net._screen(u, counts, np.arange(4))
+    assert winners.tolist() == [2, 9, -1, 9, 0]
+    assert len(settled) == 2
+    for (row_u, row_counts), row in zip(settled, [1, 3]):
+        assert np.array_equal(row_u, u[:, row])
+        assert np.array_equal(row_counts, counts[:, row])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(RACE_ALPHAS),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([2, 5, 64]),
+    st.sampled_from(["uniform", "template"]),
+)
+def test_screen_reads_each_row_as_the_one_image_race(seed, alpha, leak, batch, family):
+    """On a whole window's potentials from random weights and counts, the
+    batch read-out's winners are ``_first_crossing``'s, row by row: rows
+    decided on the screen, rows settled on exact sums (some forced there by
+    a potential moved between its neuron's bounds) and undecided rows (row 0
+    is silent)."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(alpha=alpha, leak=leak)
+    net = Network(cfg, weights=race_weights(rng, cfg, family))
+    spikes = race_spikes(rng, batch, cfg.steps_active)
+    spikes[0] = False
+    pixels = np.flatnonzero(spikes.any(axis=(0, 1)) | (rng.random(784) < 0.1))
+    counts = race_counts(spikes[:, :, pixels])
+    u = net._potentials(counts, net._drive_w[pixels])
+    rows = 1 + np.flatnonzero(rng.random(batch - 1) < 0.3)
+    steps = rng.integers(0, cfg.steps_active, rows.size)
+    neurons = rng.integers(0, cfg.neuron_count, rows.size)
+    u[steps, rows, neurons] = (net._lows[neurons] + net._highs[neurons]) / 2
+    winners = net._screen(u, counts, pixels)
+    alone = [net._first_crossing(u[:, b], counts[:, b], pixels) for b in range(batch)]
+    assert winners.tolist() == alone
+    assert winners[0] == -1
 
 
 def two_window_batch() -> tuple[Network, np.ndarray]:
