@@ -220,23 +220,31 @@ def truncate_percent(fraction: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stage_plan(n: int) -> Iterator[tuple[int, str, int]]:
+def stage_plan(n: int, by_task: bool = False) -> Iterator[tuple[int, str, int]]:
     """Yield an n-task run's stages in order as (task k, kind, j): for k = 1..n,
     ``load`` checkpoint k-1 (k > 1), ``train`` task k, ``save`` checkpoint k,
-    then ``evaluate`` task j for j = 1..k."""
+    then ``evaluate`` task j for j = 1..k. With ``by_task`` the evaluations
+    follow the training, for j = n..1 from the checkpoint held, then loading
+    the rest of [j, n] in ascending order: n(n-1)/2 evaluation loads."""
     for k in range(1, n + 1):
         yield from [(k, "load", k - 1)] if k > 1 else []
         yield from [(k, "train", k), (k, "save", k)]
-        yield from ((k, "evaluate", j) for j in range(1, k + 1))
+        yield from ((k, "evaluate", j) for j in range(1, k + 1) if not by_task)
+    held = n
+    for j in range(n, 0, -1) if by_task else []:
+        for k in [held, *(c for c in range(j, n + 1) if c != held)]:
+            yield from [(k, "load", k)] * (k != held) + [(k, "evaluate", j)]
+            held = k
 
 
 def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationProfile:
     """Train sequentially and evaluate on every task seen so far.
 
-    Runs ``stage_plan(n)`` in order. For k = 1..n: load the checkpoint of
-    iteration k-1 (when k > 1), train one epoch on task k, save the
-    iteration-k checkpoint, then evaluate on tasks 1..k to fill profile
-    row k: exactly n(n+1)/2 evaluations in all.
+    Runs ``stage_plan(n, by_task)`` in order, ``by_task`` if the adapter's
+    class sets ``evaluates_by_task``. For k = 1..n: load checkpoint k-1
+    (k > 1), train one epoch on task k, save checkpoint k, then evaluate
+    tasks 1..k to fill profile row k: n(n+1)/2 evaluations in all, one
+    per cell in both plan orders.
 
     Args:
         adapter: Model adapter exposing ``train_task(task)``,
@@ -261,7 +269,7 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
     def state_path(iteration: int) -> str:
         return os.path.join(state_dir, f"state_{iteration:03d}.bin")
 
-    for k, kind, j in stage_plan(n):
+    for k, kind, j in stage_plan(n, getattr(adapter, "evaluates_by_task", False)):
         try:
             if kind in ("load", "save"):
                 result = getattr(adapter, kind)(state_path(j))
@@ -272,8 +280,8 @@ def run_sequence(adapter, tasks: list[TaskSpec], state_dir: str) -> DegradationP
                 if not 0.0 <= a[k - 1, j - 1] <= 1.0:
                     raise ValueError(f"accuracy {result!r} is not a fraction in [0, 1]")
         except Exception as exc:  # noqa: BLE001 - context is re-raised
-            stage = f"evaluate task {j}" if kind == "evaluate" else kind
-            raise SequenceError(f"task {k} ({stage}): {exc}") from exc
+            stage = {"evaluate": f"evaluate task {j}", "load": f"load checkpoint {j}"}
+            raise SequenceError(f"task {k} ({stage.get(kind, kind)}): {exc}") from exc
     return DegradationProfile(a)
 
 

@@ -498,11 +498,11 @@ def train_sample(net: Network, drawn: Presentation, label: int) -> PresentationO
     return outcome
 
 
-def _spike_counts(images: np.ndarray, steps: int, rng) -> np.ndarray:
-    """``encode_active_batch``'s (T, nnz) draw over ``images`` as the races'
-    input: float32 spike counts cumulated from step 0 with T - 1 row adds."""
-    counts = encode_active_batch(images, steps, rng).astype(np.float32)
-    for t in range(1, steps):
+def _spike_counts(spikes: np.ndarray) -> np.ndarray:
+    """``encode_active_batch``'s (T, nnz) draw as the races' input: float32
+    spike counts cumulated from step 0 with T - 1 row adds."""
+    counts = spikes.astype(np.float32)
+    for t in range(1, len(counts)):
         counts[t] += counts[t - 1]
     return counts
 
@@ -512,7 +512,7 @@ def presentations(images: np.ndarray, steps_active: int, rng: np.random.Generato
     ``pixels`` (ascending), a (T, n) view of the block's ``_spike_counts``,
     and its row of the block's float64 per-pixel counts, the ``eligibility``."""
     rows, pixels = np.divmod(np.flatnonzero(images != 0), N_INPUTS)
-    counts = _spike_counts(images, steps_active, rng)
+    counts = _spike_counts(encode_active_batch(images, steps_active, rng))
     eligibility = np.zeros(images.shape)
     eligibility[rows, pixels] = counts[-1]
     ends = np.cumsum(np.bincount(rows, minlength=len(images))).tolist()
@@ -541,7 +541,7 @@ def evaluate_task(
     batch_size: int = 64,
     diagnostics: dict | None = None,
 ) -> float:
-    """Accuracy on a task's test split (batched, no mutation).
+    """Accuracy on a task's test split: ``score`` on its ``race_input``.
 
     Each batch's ``_spike_counts``, placed in one step-major (T, B, U)
     raster over its lit pixels, are raced without plasticity; an image's
@@ -560,24 +560,38 @@ def evaluate_task(
     Returns:
         Fraction of correctly classified test images.
     """
+    return score(net, race_input(net, task, seed, batch_size), diagnostics)
+
+
+def race_input(net: Network, task, seed: int | None = None, batch_size: int = 64) -> list:
+    """A task's test split drawn for ``evaluate_task``, per batch: the (T, nnz)
+    bool draw over its lit ``pixels``, its places in the batch, the labels."""
     root = net.config.seed if seed is None else seed
     rng = generator_from(root, "eval", task.task_id)
-    correct = 0
-    silent = 0
+    batches = []
     for images, labels in task.test.batches(batch_size):
         pixels = np.flatnonzero(images.any(axis=0))
         images = images[:, pixels]
-        drawn = _spike_counts(images, net.config.steps_active, rng)
-        counts = np.zeros((len(drawn), *images.shape), dtype=np.float32)
-        counts.reshape(len(drawn), -1)[:, np.flatnonzero(images)] = drawn
+        drawn = encode_active_batch(images, net.config.steps_active, rng)
+        batches.append((drawn, pixels, np.flatnonzero(images), labels))
+    return batches
+
+
+def score(net: Network, batches: list, diagnostics: dict | None = None) -> float:
+    """``evaluate_task``'s accuracy of ``net`` on a ``race_input``."""
+    correct = silent = images = 0
+    for drawn, pixels, places, labels in batches:
+        counts = np.zeros((len(drawn), len(labels), len(pixels)), dtype=np.float32)
+        counts.reshape(len(drawn), -1)[:, places] = _spike_counts(drawn)
         winners = net.race(counts, pixels)
         quiet = winners < 0
         predicted = np.where(quiet, 0, winners // net.config.microcolumns)
         silent += int(quiet.sum())
         correct += int((predicted == labels).sum())
+        images += len(labels)
     if diagnostics is not None:
         diagnostics["silent"] = diagnostics.get("silent", 0) + silent
-    return correct / len(task.test) if len(task.test) else 0.0
+    return correct / images if images else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +706,24 @@ def export_heatmaps(net: Network, path: str) -> None:
 
 
 class ColaNetAdapter:
-    """Model adapter wiring the columnar network into ``run_sequence``."""
+    """Model adapter wiring the columnar network into ``run_sequence``, which
+    evaluates it task by task: it races each checkpoint on one ``race_input``."""
+
+    evaluates_by_task = True
 
     def __init__(self, config: ColaNetConfig):
         self.net = Network(config)
+        self.drawn_for, self.drawn = (None,), None
 
     def train_task(self, task) -> None:
         train_task(self.net, task)
 
     def evaluate_task(self, task) -> float:
-        return evaluate_task(self.net, task)
+        drawn_for = (task, self.net.config.seed, self.net.config.steps_active)
+        if self.drawn_for[0] is not task or self.drawn_for[1:] != drawn_for[1:]:
+            self.drawn = None  # drop the last draw before making the next
+            self.drawn, self.drawn_for = race_input(self.net, task), drawn_for
+        return score(self.net, self.drawn)
 
     def save(self, path: str) -> None:
         save_state(self.net, path)

@@ -337,7 +337,7 @@ def test_run_sequence_wraps_evaluation_failures(tmp_path):
 @pytest.mark.parametrize(
     "fail_on, message",
     [
-        (("load", "state_001.bin"), "task 2 (load): scripted failure"),
+        (("load", "state_001.bin"), "task 2 (load checkpoint 1): scripted failure"),
         (("save", "state_002.bin"), "task 2 (save): scripted failure"),
     ],
 )
@@ -392,29 +392,68 @@ def nested_loop_order(n):
     return order
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stage_plan_is_the_run_order(tmp_path, n):
-    plan = list(stage_plan(n))
-    assert plan == nested_loop_order(n)
+class TaskMajorAdapter(FakeAdapter):
+    """A ``FakeAdapter`` that asks for the task-major plan and scores task j
+    as (10 k + j) / 100, k being the checkpoint it last saved or loaded."""
+
+    evaluates_by_task = True
+
+    def evaluate_task(self, task):
+        super().evaluate_task(task)
+        held = [detail for stage, detail in self.calls if stage in ("load", "save")][-1]
+        return (10 * int(held[len("state_"):-len(".bin")]) + task.task_id) / 100
+
+
+@pytest.mark.parametrize(
+    "n, by_task",
+    [(n, False) for n in range(1, 5)] + [(n, True) for n in range(1, 5)],
+    ids=[str(n) for n in range(1, 5)] + [f"by_task-{n}" for n in range(1, 5)],
+)
+def test_stage_plan_is_the_run_order(tmp_path, n, by_task):
+    plan = list(stage_plan(n, by_task))
     evaluations = [(k, j) for k, kind, j in plan if kind == "evaluate"]
-    assert len(evaluations) == n * (n + 1) // 2
-    assert evaluations == [(k, j) for k in range(1, n + 1) for j in range(1, k + 1)]
-    for index, (k, kind, j) in enumerate(plan):
-        if kind == "load":
-            assert j == k - 1
-            assert plan[index + 1] == (k, "train", k)
-    assert [stage for stage in plan if stage[1] == "load"] == [
-        (k, "load", k - 1) for k in range(2, n + 1)
-    ]
-    # The adapter sees exactly the plan's calls, in the plan's order.
-    adapter = FakeAdapter()
-    run_sequence(adapter, fake_tasks(n), state_dir=str(tmp_path))
+    assert sorted(evaluations) == [(k, j) for k in range(1, n + 1) for j in range(1, k + 1)]
+    # Checkpoint k's evaluations run while k was the last checkpoint saved or loaded.
+    held = None
+    for k, kind, j in plan:
+        held = j if kind in ("load", "save") else held
+        assert kind != "evaluate" or held == k
+    training = [stage for stage in nested_loop_order(n) if stage[1] != "evaluate"]
+    if by_task:
+        assert plan[: len(training)] == training
+        rest = plan[len(training):]
+        loads = [k for k, kind, j in rest if kind == "load"]
+        assert len(loads) == n * (n - 1) // 2
+        assert all(kind == "evaluate" or j == k for k, kind, j in rest)
+        # Each task's evaluations are adjacent, tasks n..1, and a block loads
+        # its other checkpoints in ascending order.
+        assert [j for _, j in evaluations] == sorted((j for _, j in evaluations), reverse=True)
+        for task in range(1, n + 1):
+            block = [k for k, j in evaluations if j == task]
+            assert block[1:] == sorted(block[1:])
+    else:
+        assert plan == nested_loop_order(n)
+        assert evaluations == [(k, j) for k in range(1, n + 1) for j in range(1, k + 1)]
+        for index, (k, kind, j) in enumerate(plan):
+            if kind == "load":
+                assert j == k - 1
+                assert plan[index + 1] == (k, "train", k)
+        assert [stage for stage in plan if stage[1] == "load"] == [
+            (k, "load", k - 1) for k in range(2, n + 1)
+        ]
+    # The adapter sees exactly the plan's calls, in the plan's order, and its
+    # scores land in the cells the plan names.
+    adapter = TaskMajorAdapter() if by_task else FakeAdapter()
+    profile = run_sequence(adapter, fake_tasks(n), state_dir=str(tmp_path))
     checkpoint = {"load", "save"}
     assert adapter.calls == [
         ("eval" if kind == "evaluate" else kind,
          f"state_{j:03d}.bin" if kind in checkpoint else j)
         for _, kind, j in plan
     ]
+    if by_task:
+        for k, j in evaluations:
+            assert profile.a[k - 1, j - 1] == (10 * k + j) / 100
 
 
 # ------------------------------------------------------------- CSV round trip

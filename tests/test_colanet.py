@@ -10,6 +10,7 @@ import math
 import struct
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from colanet_cl.colanet import (
     evaluate_task,
     export_heatmaps,
     load_state,
+    race_input,
     save_state,
     train_sample,
     train_task,
@@ -1504,3 +1506,34 @@ def test_adapter_wires_network_into_sequences(tmp_path):
     profile = run_sequence(adapter, tasks, state_dir=str(tmp_path))
     lower = np.tril_indices(2)
     assert (profile.a[lower] == 1.0).all()
+
+
+def test_adapter_races_every_checkpoint_on_one_draw_per_task(tmp_path, synthetic_mnist_dir):
+    """Task-major evaluation from one held draw per task scores every profile
+    cell as ``evaluate_task`` does on the reloaded checkpoint, and the
+    adapter lets go of a task's draw when it draws the next."""
+    from colanet_cl.clbench import run_sequence
+    from colanet_cl.dataset import make_permuted_stream
+
+    tasks = make_permuted_stream(3, 5, synthetic_mnist_dir)
+    adapter = ColaNetAdapter(ColaNetConfig(microcolumns=3, seed=2))
+    profile = run_sequence(adapter, tasks, state_dir=str(tmp_path))
+    for k in range(1, 4):
+        net = load_state(str(tmp_path / f"state_{k:03d}.bin"))
+        for j in range(1, k + 1):
+            assert profile.a[k - 1, j - 1] == evaluate_task(net, tasks[j - 1])
+
+    adapter = ColaNetAdapter(ColaNetConfig(microcolumns=3, seed=2))
+    adapter.evaluate_task(tasks[0])
+    first = weakref.ref(adapter.drawn[0][0])
+    adapter.evaluate_task(tasks[1])
+    held = adapter.drawn
+    adapter.evaluate_task(tasks[1])
+    assert adapter.drawn is held
+    assert first() is None
+    assert adapter.drawn_for[0] is tasks[1]
+    expected = race_input(adapter.net, tasks[1])
+    assert len(held) == len(expected)
+    for got, want in zip(held, expected):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
