@@ -26,7 +26,7 @@ BLAS, batch size or gathered pixels. Stored weights, plasticity and
 thresholds stay unrounded. Both race shapes take float32 spike counts
 cumulated from step 0 (``_spike_counts``) and race the windows ``_windows``
 picks: one image at a time in training (``_race_image``, on blocks drawn by
-``presentations``), 64 at a time in evaluation (``race``).
+``presentations``), ``_EVAL_BATCH`` at a time in evaluation (``race``).
 
 The race sums in float32, over a pixel-major float32 copy of the grid
 weights, and settles exactly only what those sums cannot decide. Let
@@ -73,6 +73,9 @@ STATE_FORMAT_VERSION = 1
 #: Training draws blocks of at most this many images and 2^20 uniforms, but of
 #: one image at least: a block's arrays stay small at any ``steps_active``.
 _TRAIN_BATCH = 64
+
+#: Evaluation draws and races a test split this many images at a time.
+_EVAL_BATCH = 64
 
 #: ``Network._refresh`` derives the race state of this many rows per pass.
 _REFRESH_ROWS = 64
@@ -534,42 +537,20 @@ def train_task(net: Network, task) -> None:
             train_sample(net, drawn, label)
 
 
-def evaluate_task(
-    net: Network,
-    task,
-    seed: int | None = None,
-    batch_size: int = 64,
-    diagnostics: dict | None = None,
-) -> float:
-    """Accuracy on a task's test split: ``score`` on its ``race_input``.
-
-    Each batch's ``_spike_counts``, placed in one step-major (T, B, U)
-    raster over its lit pixels, are raced without plasticity; an image's
-    prediction is its winner's column (class 0, counted as silent, when
-    nothing fires). Encoding noise comes from a generator derived from
-    ``(seed or config.seed, "eval", task_id)``, so evaluating the same
-    network on the same task twice yields identical accuracy.
-
-    Args:
-        net: The network (not mutated).
-        task: TaskSpec whose test split is evaluated.
-        seed: Optional root seed override for the evaluation noise.
-        batch_size: Number of images encoded and raced per batch.
-        diagnostics: Optional dict collecting the "silent" counter.
-
-    Returns:
-        Fraction of correctly classified test images.
-    """
-    return score(net, race_input(net, task, seed, batch_size), diagnostics)
+def evaluate_task(net: Network, task) -> float:
+    """Accuracy of ``net`` (not mutated) on a task's test split: ``score``
+    on its ``race_input``."""
+    return score(net, race_input(net, task))
 
 
-def race_input(net: Network, task, seed: int | None = None, batch_size: int = 64) -> list:
-    """A task's test split drawn for ``evaluate_task``, per batch: the (T, nnz)
-    bool draw over its lit ``pixels``, its places in the batch, the labels."""
-    root = net.config.seed if seed is None else seed
-    rng = generator_from(root, "eval", task.task_id)
+def race_input(net: Network, task) -> list:
+    """A task's test split drawn for ``score``, per batch of ``_EVAL_BATCH``
+    images: the (T, nnz) bool draw over its lit ``pixels``, its places in the
+    batch, the labels. The noise comes from ``(config.seed, "eval",
+    task_id)``, so a network draws the same input for a task every time."""
+    rng = generator_from(net.config.seed, "eval", task.task_id)
     batches = []
-    for images, labels in task.test.batches(batch_size):
+    for images, labels in task.test.batches(_EVAL_BATCH):
         pixels = np.flatnonzero(images.any(axis=0))
         images = images[:, pixels]
         drawn = encode_active_batch(images, net.config.steps_active, rng)
@@ -577,20 +558,21 @@ def race_input(net: Network, task, seed: int | None = None, batch_size: int = 64
     return batches
 
 
-def score(net: Network, batches: list, diagnostics: dict | None = None) -> float:
-    """``evaluate_task``'s accuracy of ``net`` on a ``race_input``."""
-    correct = silent = images = 0
+def score(net: Network, batches: list) -> float:
+    """Fraction of a ``race_input``'s images that ``net`` classifies right.
+
+    Each batch's ``_spike_counts``, placed in one step-major (T, B, U)
+    raster over its lit pixels, are raced without plasticity; an image's
+    prediction is its winner's column (class 0 when nothing fires).
+    """
+    correct = images = 0
     for drawn, pixels, places, labels in batches:
         counts = np.zeros((len(drawn), len(labels), len(pixels)), dtype=np.float32)
         counts.reshape(len(drawn), -1)[:, places] = _spike_counts(drawn)
         winners = net.race(counts, pixels)
-        quiet = winners < 0
-        predicted = np.where(quiet, 0, winners // net.config.microcolumns)
-        silent += int(quiet.sum())
+        predicted = np.where(winners < 0, 0, winners // net.config.microcolumns)
         correct += int((predicted == labels).sum())
         images += len(labels)
-    if diagnostics is not None:
-        diagnostics["silent"] = diagnostics.get("silent", 0) + silent
     return correct / images if images else 0.0
 
 

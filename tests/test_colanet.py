@@ -1051,6 +1051,28 @@ def test_block_boundaries_do_not_move_training(steps, monkeypatch):
 # ------------------------------------------------------------------ inference
 
 
+def reseeded(net: Network, seed: int) -> Network:
+    """``net``'s weights in a network whose config has another ``seed``, and
+    so another evaluation noise stream."""
+    return Network(dataclasses.replace(net.config, seed=seed), weights=net.weights)
+
+
+def evaluate_recording(net: Network, task) -> tuple[float, list[np.ndarray]]:
+    """``evaluate_task``'s accuracy and the winners of each ``Network.race``
+    batch it raced."""
+    race, batches = net.race, []
+
+    def recording_race(counts, pixels):
+        batches.append(race(counts, pixels))
+        return batches[-1]
+
+    net.race = recording_race
+    try:
+        return evaluate_task(net, task), batches
+    finally:
+        del net.race
+
+
 def test_learning_on_disjoint_supports_is_perfect():
     task = stripes_task()
     net = Network(ColaNetConfig(microcolumns=2, seed=0))
@@ -1066,19 +1088,20 @@ def test_single_image_imprint_predicts_its_class():
     train_sample(net, presentation(net, img), label)
     train_sample(net, presentation(net, img), label)
     only = LabeledDataset(img[None].copy(), np.array([label]))
-    assert evaluate_task(net, dataclasses.replace(task, test=only), seed=1) == 1.0
+    assert evaluate_task(reseeded(net, 1), dataclasses.replace(task, test=only)) == 1.0
 
 
 def test_evaluate_task_deterministic_and_pure():
     task = stripes_task(class_count=4)
     cfg = ColaNetConfig(class_count=4, microcolumns=2, seed=3)
-    net = Network(cfg)
-    train_task(net, task)
+    trained = Network(cfg)
+    train_task(trained, task)
+    net = reseeded(trained, 11)
     weights_before = net.weights.copy()
     rng_before = net.rng.bit_generator.state
-    a = evaluate_task(net, task, seed=11)
-    b = evaluate_task(net, task, seed=11)
-    c = evaluate_task(net, task, seed=12)
+    a = evaluate_task(net, task)
+    b = evaluate_task(net, task)
+    c = evaluate_task(reseeded(trained, 12), task)
     assert a == b
     assert isinstance(c, float)
     assert np.array_equal(net.weights, weights_before)
@@ -1098,7 +1121,7 @@ def test_evaluate_task_matches_reference_reimplementation():
         test=LabeledDataset(images, labels),
     )
 
-    got = evaluate_task(net, task, seed=77)
+    got = evaluate_task(reseeded(net, 77), task)
 
     eval_rng = generator_from(77, "eval", task.task_id)
     spikes = encode_raster(images, cfg.steps_active, eval_rng)
@@ -1119,32 +1142,34 @@ def test_evaluate_task_matches_reference_reimplementation():
     assert got == correct / len(images)
 
 
-def assert_batch_size_free(net: Network, images, labels) -> None:
-    """Accuracy and silent count are the same at batch sizes 1, 7, 64 and
-    256, and neither trivial."""
+def assert_batch_size_free(monkeypatch, net: Network, images, labels) -> None:
+    """Every image's winner, and so the accuracy, is the same at evaluation
+    batches (``_EVAL_BATCH``) of 1, 7, 64 and 256, and neither trivial."""
     test = LabeledDataset(images, labels)
     task = TaskSpec(task_id=3, train=test, test=test)
-    results = set()
-    for batch_size in (1, 7, 64, 256):
-        diagnostics = {}
-        accuracy = evaluate_task(net, task, batch_size=batch_size, diagnostics=diagnostics)
-        results.add((accuracy, diagnostics["silent"]))
-    assert len(results) == 1
-    (accuracy, silent), = results
-    assert 0.0 < accuracy < 1.0 and silent < len(labels)
+    runs = []
+    for size in (1, 7, 64, 256):
+        monkeypatch.setattr(colanet, "_EVAL_BATCH", size)
+        accuracy, batches = evaluate_recording(net, task)
+        assert [len(b) for b in batches[:-1]] == [size] * (len(batches) - 1)
+        runs.append((accuracy, np.concatenate(batches)))
+    accuracy, winners = runs[0]
+    for other, other_winners in runs[1:]:
+        assert other == accuracy and np.array_equal(other_winners, winners)
+    assert 0.0 < accuracy < 1.0 and (winners < 0).sum() < len(labels)
 
 
-def test_evaluate_task_does_not_depend_on_batch_size():
+def test_evaluate_task_does_not_depend_on_batch_size(monkeypatch):
     rng = np.random.default_rng(8)
     cfg = ColaNetConfig(class_count=4, microcolumns=3, alpha=0.05, seed=2)
     net = Network(cfg, weights=rng.uniform(-0.05, 0.08, (cfg.neuron_count, 784)))
     images = rng.integers(0, 256, size=(300, 784), dtype=np.uint8)
     images[rng.random(images.shape) < 0.8] = 0  # sparse, like glyphs
     labels = rng.integers(0, 4, size=300).astype(np.int64)
-    assert_batch_size_free(net, images, labels)
+    assert_batch_size_free(monkeypatch, net, images, labels)
 
 
-def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
+def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size(monkeypatch):
     """Each batch races over its own nonzero pixels and draws per nonzero
     pixel; a network trained at alpha = 2.5 races from step 2 on."""
     images, labels = sparse_glyph_stream(300, seed=8)
@@ -1152,7 +1177,7 @@ def test_evaluate_task_from_a_later_race_start_does_not_depend_on_batch_size():
     for img, label in zip(images, labels):
         train_sample(net, presentation(net, img), int(label))
     assert min(net._first_steps) == 2
-    assert_batch_size_free(net, images, labels)
+    assert_batch_size_free(monkeypatch, net, images, labels)
 
 
 def test_evaluate_task_permutes_one_batch_not_the_split():
@@ -1175,9 +1200,9 @@ def test_evaluate_task_counts_silent_presentations():
     cfg = ColaNetConfig(class_count=2, microcolumns=1, u_const=1e9)
     net = Network(cfg, weights=np.zeros((2, 784)))
     task = stripes_task(class_count=2)
-    diagnostics = {}
-    acc = evaluate_task(net, task, diagnostics=diagnostics)
-    assert diagnostics["silent"] == len(task.test)
+    acc, batches = evaluate_recording(net, task)
+    winners = np.concatenate(batches)
+    assert len(winners) == len(task.test) and (winners == -1).all()
     # Silent presentations predict class 0, so accuracy is class 0's share.
     assert acc == pytest.approx(float((task.test.labels == 0).mean()))
 
@@ -1537,3 +1562,30 @@ def test_adapter_races_every_checkpoint_on_one_draw_per_task(tmp_path, synthetic
     for got, want in zip(held, expected):
         for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": 2}, {"steps_active": 12}], ids=["seed", "steps_active"]
+)
+def test_adapter_draws_again_for_another_seed_or_window(tmp_path, change):
+    """A checkpoint whose ``seed`` or ``steps_active`` differs from the held
+    draw's gets a new draw of the same task, and the adapter scores it as
+    ``evaluate_task`` scores the checkpoint."""
+    rng = np.random.default_rng(5)
+    cfg = ColaNetConfig(class_count=4, microcolumns=3, alpha=0.05, seed=1)
+    weights = rng.uniform(-0.05, 0.08, (cfg.neuron_count, 784))
+    images = rng.integers(0, 256, size=(100, 784), dtype=np.uint8)
+    images[rng.random(images.shape) < 0.8] = 0
+    test = LabeledDataset(images, rng.integers(0, 4, size=100).astype(np.int64))
+    task = TaskSpec(task_id=1, train=test, test=test)
+    paths = [str(tmp_path / name) for name in ("held.bin", "other.bin")]
+    save_state(Network(cfg, weights=weights), paths[0])
+    save_state(Network(dataclasses.replace(cfg, **change), weights=weights), paths[1])
+
+    adapter = ColaNetAdapter(cfg)
+    adapter.load(paths[0])
+    adapter.evaluate_task(task)
+    held = adapter.drawn
+    adapter.load(paths[1])
+    assert adapter.evaluate_task(task) == evaluate_task(load_state(paths[1]), task)
+    assert adapter.drawn is not held
