@@ -10,10 +10,9 @@ Subcommands
     Recompute metrics from an existing profile CSV (optionally with a
     fresh-model baseline-accuracy CSV enabling forward transfer).
 ``sweep``
-    Run every seed at every point of an ``alpha`` and/or ``ns`` grid, each
-    point's seeds writing the files of a ``run`` under ``point_NNN/``, and
-    tabulate (alpha, ns, seed, AA, FM) per unit in ``sweep.csv``, printing
-    the same rows.
+    Run every seed at every point of the grid the config's listed network
+    keys span, each point's seeds writing a ``run``'s files in ``point_NNN/``,
+    and tabulate (listed keys, seed, AA, FM) per unit in ``sweep.csv``.
 ``heatmap``
     Render the receptive fields of a saved network state as a PPM image.
 ``baseline-acc``
@@ -22,8 +21,8 @@ Subcommands
 
 Config files are flat ``key = value`` text; ``#`` starts a comment. Keys not
 recognized are rejected so typos cannot silently change an experiment.
-``data_dir`` is required, and ``alpha_grid``/``ns_grid`` are read by
-``sweep`` only; every config rule is checked before anything is written.
+``data_dir`` is required, and only ``sweep`` reads a network key listing
+comma-separated values; every config rule is checked before anything is written.
 ``run``, ``sweep`` and ``baseline-acc`` share one loop over their units.
 Every run writes ``manifest.json`` echoing the resolved configuration, the
 seeds, a content hash of each input data file (git blob SHA-1), and the
@@ -40,6 +39,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -114,8 +114,11 @@ def _listed(parse):
 
 
 def _key(default, parse, network: bool = False):
-    """A config key: its default, its text parser, and whether ColaNetConfig takes it."""
-    return dataclasses.field(default=default, metadata={"parse": parse, "network": network})
+    """A config key: its default, its text parser, and whether ColaNetConfig
+    takes it; a network key's value with a comma parses as a tuple of values."""
+    listed = _listed(parse)
+    text = (lambda raw: listed(raw) if "," in raw else parse(raw)) if network else parse
+    return dataclasses.field(default=default, metadata={"parse": text, "network": network})
 
 
 @dataclass
@@ -124,18 +127,18 @@ class ExperimentConfig:
 
     Every field is echoed into the run manifest for provenance, so a field
     the chosen model does not read must keep its default: the colanet keys
-    and grids for ``mlp``, ``batch_size`` for ``colanet``. ``n_tasks`` left
-    unset is the scenario's own task count, the only one a two-task scenario
-    takes. The rules on ``data_dir`` and the grids are checked on loading
-    and in ``main``.
+    for ``mlp``, ``batch_size`` for ``colanet``. A network key whose value
+    has a comma holds a tuple of distinct values: a sweep axis. ``n_tasks``
+    left unset is the scenario's own task count, the only one a two-task
+    scenario takes. Loading checks ``data_dir``, and ``main`` the axes.
     """
 
     model: str = _key("colanet", str)
     scenario: str = _key("permuted", str)
     n_tasks: int | None = _key(None, int)
+    microcolumns: int = _key(ColaNetConfig.microcolumns, int, network=True)
     alpha: float = _key(ColaNetConfig.alpha, _finite_float, network=True)
     ns: float | None = _key(None, _parse_bool_none, network=True)
-    microcolumns: int = _key(ColaNetConfig.microcolumns, int, network=True)
     eta_plus: float = _key(ColaNetConfig.eta_plus, _finite_float, network=True)
     eta_minus: float = _key(ColaNetConfig.eta_minus, _finite_float, network=True)
     init_high: float = _key(ColaNetConfig.init_high, _finite_float, network=True)
@@ -147,8 +150,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = _key((1,), _listed(int))
     data_dir: str | None = _key(None, str)
     out_dir: str = _key("out", str)
-    alpha_grid: tuple[float, ...] = _key((), _listed(_finite_float))
-    ns_grid: tuple[float | None, ...] = _key((), _listed(_parse_bool_none))
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -164,14 +165,14 @@ class ExperimentConfig:
         if self.scenario != "permuted" and self.n_tasks != tasks:
             raise UsageError(f"the {self.scenario} scenario runs {tasks} tasks; "
                              f"n_tasks must be {tasks}, got {self.n_tasks}")
-        if not self.seeds:
-            raise UsageError("seeds must list at least one seed")
-        if not all(0 <= seed < 2**64 for seed in self.seeds):
-            raise UsageError(f"seeds must be in [0, 2**64), got {list(self.seeds)}")
-        for key in ("seeds", "alpha_grid", "ns_grid"):
+        for key in ("seeds", *listed_keys(self)):
             values = getattr(self, key)
+            if not values:
+                raise UsageError(f"{key} must list at least one value")
             if len(set(values)) < len(values):
                 raise UsageError(f"{key} lists a value more than once: {list(values)}")
+        if not all(0 <= seed < 2**64 for seed in self.seeds):
+            raise UsageError(f"seeds must be in [0, 2**64), got {list(self.seeds)}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.train_count is not None and self.train_count < 1:
@@ -182,7 +183,7 @@ class ExperimentConfig:
             raise UsageError("out_dir must not be empty")
         other, unread = "mlp", ("batch_size",)
         if self.model == "mlp":
-            other, unread = "colanet", NETWORK_KEYS + ("alpha_grid", "ns_grid")
+            other, unread = "colanet", NETWORK_KEYS
         changed = [f.name for f in dataclasses.fields(self)
                    if f.name in unread and getattr(self, f.name) != f.default]
         if changed:
@@ -194,6 +195,11 @@ _KEY_PARSERS = {f.name: f.metadata["parse"] for f in dataclasses.fields(Experime
 #: The ExperimentConfig fields a colanet run copies into its ColaNetConfig.
 NETWORK_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
                      if f.metadata["network"])
+
+
+def listed_keys(cfg: ExperimentConfig) -> list[str]:
+    """The network keys ``cfg`` lists values of: its sweep axes, in field order."""
+    return [key for key in NETWORK_KEYS if isinstance(getattr(cfg, key), tuple)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +225,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        key, raw = map(str.strip, stripped.split("=", 1))
         if key not in _KEY_PARSERS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in set_on:
@@ -248,12 +252,9 @@ def load_experiment_config(path: str, data_dir: str | None = None,
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     values = parse_config_text(text, path)
-    if data_dir is not None:
-        values["data_dir"] = data_dir
-    if out_dir is not None:
-        values["out_dir"] = out_dir
-    if seed is not None:
-        values["seeds"] = (seed,)
+    seeds = None if seed is None else (seed,)
+    overrides = {"data_dir": data_dir, "out_dir": out_dir, "seeds": seeds}
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     cfg = ExperimentConfig(**values)
     if cfg.data_dir is None:
         raise UsageError("data_dir is required (config key or --data-dir)")
@@ -274,14 +275,12 @@ def load_experiment_config(path: str, data_dir: str | None = None,
 def grid_points(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """One config per sweep point, in sweep order.
 
-    The points are the cross product of ``alpha_grid`` and ``ns_grid``, alpha
-    outermost; an empty grid stands for the single configured value.
+    The points are the cross product of the listed keys' values in
+    ``NETWORK_KEYS`` order, first key outermost; without one, ``cfg`` alone.
     """
-    return [
-        dataclasses.replace(cfg, alpha=alpha, ns=ns, alpha_grid=(), ns_grid=())
-        for alpha in cfg.alpha_grid or (cfg.alpha,)
-        for ns in cfg.ns_grid or (cfg.ns,)
-    ]
+    keys = listed_keys(cfg)
+    return [dataclasses.replace(cfg, **dict(zip(keys, values)))
+            for values in itertools.product(*(getattr(cfg, key) for key in keys))]
 
 
 def build_tasks(cfg: ExperimentConfig, seed: int) -> list[dataset.TaskSpec]:
@@ -393,12 +392,12 @@ def run_units(cfg: ExperimentConfig, command: str, unit=run_unit):
     """Write the manifest, then run each (grid point, seed) unit in order.
 
     The units are ``grid_points(cfg)`` × ``cfg.seeds``, points outermost,
-    each run as ``unit(point, seed, out_dir)``. Without a grid the one
+    each run as ``unit(point, seed, out_dir)``. Without a listed key the one
     point's files go to the output directory; with one, point NNN's go to
     ``point_NNN/``. Yields ``(point, seed, result)`` as each unit finishes.
     """
     write_manifest(cfg, command)
-    gridded = bool(cfg.alpha_grid or cfg.ns_grid)
+    gridded = bool(listed_keys(cfg))
     for index, point in enumerate(grid_points(cfg)):
         out_dir = os.path.join(cfg.out_dir, f"point_{index:03d}") if gridded else cfg.out_dir
         for seed in cfg.seeds:
@@ -430,16 +429,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
     The units are those of ``run_units``: point NNN's seeds write their
     files to ``point_NNN/`` under the output directory. ``sweep.csv`` holds
-    one row per unit, in unit order, and the same rows are printed. The
-    alpha and ns cells are ``repr(float)``, the shortest digits that read
-    back as the same float (ns off is empty); the AA and FM cells are the
-    last row of the unit's metrics table.
+    one row per unit, in unit order, and the same rows are printed: the
+    point's value of each listed key as its ``repr`` (for a float, the
+    shortest digits that read back as the same float; ns off is empty), the
+    seed, and the AA and FM of the last row of the unit's metrics table.
     """
-    rows = [["alpha", "ns", "seed", "AA", "FM"]]
+    keys = listed_keys(cfg)
+    rows = [[*keys, "seed", "AA", "FM"]]
     for point, seed, report in run_units(cfg, "sweep"):
         header, *_, last = metrics_table(report)
         final = dict(zip(header, last))
-        rows.append([point.alpha, point.ns, seed, final["AA"], final["FM"]])
+        rows.append([*(getattr(point, key) for key in keys), seed, final["AA"], final["FM"]])
     print(write_table(os.path.join(cfg.out_dir, "sweep.csv"), rows), end="")
     return EXIT_OK
 
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("baseline", nargs="?",
                            help="optional baseline-accuracy CSV (for FWT)")
     p_metrics.add_argument("--out", help="directory for metrics.csv")
-    add_config_flags(sub.add_parser("sweep", help="grid sweep over alpha/ns"))
+    add_config_flags(sub.add_parser("sweep", help="grid sweep over listed network keys"))
     p_heatmap = sub.add_parser("heatmap", help="render receptive fields")
     p_heatmap.add_argument("state", help="saved network state file")
     p_heatmap.add_argument("--out", required=True, help="output PPM path")
@@ -529,11 +529,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_experiment_config(
             args.config, data_dir=args.data_dir, out_dir=args.out, seed=args.seed
         )
-        grids = [key for key in ("alpha_grid", "ns_grid") if getattr(cfg, key)]
-        if args.command == "sweep" and not grids:
-            raise UsageError("sweep requires alpha_grid and/or ns_grid")
-        if args.command != "sweep" and grids:
-            raise UsageError(f"{args.command} does not read {', '.join(grids)}; sweep does")
+        listed = listed_keys(cfg)
+        if (args.command == "sweep") != bool(listed):
+            raise UsageError("only sweep reads listed values, and sweep needs one; "
+                             f"the config lists {', '.join(listed) or 'none'}")
         return _CONFIG_COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

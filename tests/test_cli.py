@@ -60,8 +60,8 @@ def test_parse_config_text_full():
         microcolumns = 45
         seeds = 1, 2, 3
         train_count = none
-        alpha_grid = 0.1, 0.2
-        ns_grid = none, 0, 100
+        leak = 0.1, 0.2
+        eta_plus = 0.05,
         """
     )
     assert values["model"] == "colanet"
@@ -72,8 +72,10 @@ def test_parse_config_text_full():
     assert values["microcolumns"] == 45
     assert values["seeds"] == (1, 2, 3)
     assert values["train_count"] is None
-    assert values["alpha_grid"] == (0.1, 0.2)
-    assert values["ns_grid"] == (None, 0.0, 100.0)
+    assert values["leak"] == (0.1, 0.2)
+    assert values["eta_plus"] == (0.05,)
+    listed = parse_config_text("alpha = 0.1, 0.2\nns = none, 0, 100\nmicrocolumns = 3, 4")
+    assert listed == {"alpha": (0.1, 0.2), "ns": (None, 0.0, 100.0), "microcolumns": (3, 4)}
 
 
 def test_parse_config_ns_off_means_disabled():
@@ -114,13 +116,13 @@ CONFIG_BYTES = b"""# experiment
 model = colanet
 scenario = permuted
 n_tasks = 3
-alpha = 0.5
-ns = 0
+alpha = 0.1, 0.2
+ns = none, 0, 100
 microcolumns = 45
 train_count = 200
 seeds = 1, 2
-alpha_grid = 0.1, 0.2
-ns_grid = none, 0, 100
+leak = 0.05
+u_const = 2
 data_dir = data
 """
 
@@ -188,10 +190,10 @@ def test_two_task_scenarios_run_two_tasks(tmp_path, synthetic_mnist_dir, emnist_
 def test_keys_the_model_does_not_read_are_usage_errors(tmp_path, capsys):
     """The manifest echoes every field, so one the model never reads must
     keep its default: each that differs is named, and ``run`` exits 1."""
-    with pytest.raises(UsageError, match="mlp model does not read alpha, microcolumns;"):
+    with pytest.raises(UsageError, match="mlp model does not read microcolumns, alpha;"):
         ExperimentConfig(model="mlp", alpha=5.0, microcolumns=90)
-    with pytest.raises(UsageError, match="mlp model does not read ns_grid; .* colanet"):
-        ExperimentConfig(model="mlp", ns_grid=(0.0,))
+    with pytest.raises(UsageError, match="mlp model does not read ns; .* colanet"):
+        ExperimentConfig(model="mlp", ns=(0.0,))
     with pytest.raises(UsageError, match="colanet model does not read batch_size;"):
         ExperimentConfig(model="colanet", batch_size=7)
     # Defaults, spelled out or not, are accepted.
@@ -241,7 +243,7 @@ def test_config_without_data_dir_is_usage_error(tmp_path, capsys, monkeypatch, c
     anything is written, not with a traceback from hashing the inputs."""
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "exp.cfg"
-    path.write_text("alpha_grid = 0.1, 0.2\n" if command == "sweep" else "n_tasks = 2\n")
+    path.write_text("alpha = 0.1, 0.2\n" if command == "sweep" else "n_tasks = 2\n")
     assert main([command, "--config", str(path), "--out", "out"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: data_dir is required" in err and "Traceback" not in err
@@ -261,6 +263,50 @@ def test_every_network_key_reaches_the_network_config(tmp_path):
     config = build_adapter(load_experiment_config(str(path)), seed=7).net.config
     assert {key: getattr(config, key) for key in settings} == settings
     assert config.seed == 7
+
+
+#: Two valid values of each network key, as a config lists them.
+LISTED_VALUES = dict(microcolumns=(3, 4), alpha=(1.5, 2.5), ns=(None, 100.0),
+                     eta_plus=(0.05, 0.1), eta_minus=(0.2, 0.3), init_high=(0.002, 0.003),
+                     u_const=(2.0, 3.0), leak=(0.0, 0.1))
+
+
+@pytest.mark.parametrize("key", cli.NETWORK_KEYS)
+def test_every_network_key_is_a_sweep_axis(tmp_path, key):
+    """Any network key listing two values is a two-point sweep axis, and each
+    point's value reaches the ColaNetConfig that ``build_adapter`` builds."""
+    values = LISTED_VALUES[key]
+    path = tmp_path / "exp.cfg"
+    text = ", ".join("off" if value is None else repr(value) for value in values)
+    small = "" if key == "microcolumns" else "microcolumns = 2\n"
+    path.write_text(f"{key} = {text}\n{small}data_dir = d\n")
+    cfg = load_experiment_config(str(path))
+    assert getattr(cfg, key) == values and cli.listed_keys(cfg) == [key]
+    points = cli.grid_points(cfg)
+    assert [getattr(point, key) for point in points] == list(values)
+    for point, value in zip(points, values):
+        assert cli.listed_keys(point) == []
+        assert getattr(build_adapter(point, seed=7).net.config, key) == value
+
+
+def test_hyperparameter_grid_runs_in_key_order(tmp_path):
+    """The stability-plasticity grid (M x alpha x ns x leak) is one sweep
+    config of 64 points: the cross product in NETWORK_KEYS order, microcolumns
+    outermost and leak innermost. Every point is validated on loading; none
+    is trained."""
+    path = tmp_path / "grid.cfg"
+    path.write_text("n_tasks = 10\nseeds = 1, 2, 3\nmicrocolumns = 15, 30, 45, 90\n"
+                    "alpha = 0.5, 1, 2.5, 5\nns = 0, off\nleak = 0, 0.05\ndata_dir = d\n")
+    cfg = load_experiment_config(str(path))
+    keys = cli.listed_keys(cfg)
+    assert keys == ["microcolumns", "alpha", "ns", "leak"]
+    points = [tuple(getattr(point, key) for key in keys) for point in cli.grid_points(cfg)]
+    assert len(points) == 64
+    assert points[0] == (15, 0.5, 0.0, 0.0)
+    assert points[-1] == (90, 5.0, None, 0.05)
+    assert [point[0] for point in points] == [m for m in (15, 30, 45, 90) for _ in range(16)]
+    assert points == [(m, a, ns, leak) for m in (15, 30, 45, 90) for a in (0.5, 1.0, 2.5, 5.0)
+                      for ns in (0.0, None) for leak in (0.0, 0.05)]
 
 
 # ------------------------------------------------------------- baseline CSV
@@ -436,8 +482,8 @@ def test_bad_config_key_is_usage_error(tmp_path, capsys):
 
 def test_bad_network_setting_is_usage_error(tmp_path, capsys):
     """Settings that the experiment config or ColaNetConfig rejects exit 1
-    before any run starts, including the sweep grid's points, and so does a
-    value listed twice in ``seeds`` or a grid, compared after parsing."""
+    before any run starts, including every sweep point, and so does a value
+    listed twice in ``seeds`` or a network key, compared after parsing."""
     repeated = "lists a value more than once"
     for command, text, message in (
         ("run", "ns = -784\n", "error:"),
@@ -445,12 +491,17 @@ def test_bad_network_setting_is_usage_error(tmp_path, capsys):
         ("run", "microcolumns = 0\n", "error:"),
         ("run", "microcolumns = 4294967296\n", "error:"),  # 2**32: beyond its uint32 slot
         ("run", "train_count = -5\n", "error:"),
-        ("sweep", "ns_grid = 0, -1\n", "error:"),
+        ("sweep", "ns = 0, -1\n", "error:"),
+        ("sweep", "microcolumns = 3, 0\n", "error:"),
         ("run", "seeds = 1, 1\n", f"seeds {repeated}"),
         ("run", "seeds = 3, 1, 03\n", f"seeds {repeated}"),
-        ("sweep", "alpha_grid = 2.5, 1, 2.50\n", f"alpha_grid {repeated}"),
-        ("sweep", "ns_grid = none, inf\n", f"ns_grid {repeated}"),
-        ("sweep", "ns_grid = off, 0, none\n", f"ns_grid {repeated}"),
+        ("sweep", "alpha = 2.5, 1, 2.50\n", f"alpha {repeated}"),
+        ("sweep", "alpha = 2.5, 2.50\n", f"alpha {repeated}"),
+        ("sweep", "ns = none, inf\n", f"ns {repeated}"),
+        ("sweep", "ns = off, 0, none\n", f"ns {repeated}"),
+        ("sweep", "ns = off, none\n", f"ns {repeated}"),
+        ("sweep", "microcolumns = 15, 015\n", f"microcolumns {repeated}"),
+        ("sweep", "leak = 0, 0.0\n", f"leak {repeated}"),
     ):
         path = tmp_path / "exp.cfg"
         path.write_text(f"model = colanet\ndata_dir = /tmp\n{text}")
@@ -465,7 +516,7 @@ def test_empty_out_dir_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
     """An empty output directory, from the config or ``--out``, exits 1
     before anything is written."""
     monkeypatch.chdir(tmp_path)
-    overrides = {"alpha_grid": "0.1, 0.2"} if command == "sweep" else {}
+    overrides = {"alpha": "0.1, 0.2"} if command == "sweep" else {}
     if source == "config":
         overrides["out_dir"] = ""
     cfg = run_config(tmp_path, synthetic_mnist_dir, **overrides)
@@ -476,17 +527,30 @@ def test_empty_out_dir_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
 
 
 @pytest.mark.parametrize("command", ["run", "baseline-acc"])
-@pytest.mark.parametrize("key", ["alpha_grid", "ns_grid"])
+@pytest.mark.parametrize("key", ["alpha", "ns", "microcolumns", "leak"])
 def test_grid_outside_sweep_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
                                            command, key):
-    """Only ``sweep`` reads the grids: ``run`` or ``baseline-acc`` given one
-    exits 1 naming it before the manifest is written, rather than running
-    the configured point alone."""
-    grid = {"alpha_grid": "0.5, 1", "ns_grid": "0, 100"}[key]
+    """Only ``sweep`` reads listed values: ``run`` or ``baseline-acc`` given
+    a listed key exits 1 naming it before the manifest is written, rather
+    than running one of its values alone."""
+    grid = {"alpha": "0.5, 1", "ns": "0, 100", "microcolumns": "2, 3", "leak": "0,"}[key]
     cfg = run_config(tmp_path, synthetic_mnist_dir, **{key: grid})
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
-    assert f"error: {command} does not read {key}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: only sweep reads listed values, and sweep needs one; the config lists {key}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline-acc"])
+@pytest.mark.parametrize("key", ["alpha", "seeds"])
+def test_empty_list_is_usage_error(tmp_path, synthetic_mnist_dir, capsys, command, key):
+    """A key listing no value (``alpha = ,``) exits 1 naming it before the
+    manifest is written, rather than sweeping no point."""
+    cfg = run_config(tmp_path, synthetic_mnist_dir, **{key: ","})
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
+    assert f"error: {key} must list at least one value" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -494,12 +558,12 @@ def test_sweep_without_grids_is_usage_error(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("model = colanet\ndata_dir = /tmp\n")
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
-    assert "sweep requires alpha_grid" in capsys.readouterr().err
+    assert "sweep needs one; the config lists none" in capsys.readouterr().err
 
 
 def test_sweep_rejects_mlp_grid(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
-    path.write_text("model = mlp\nalpha_grid = 0.1\ndata_dir = /tmp\n")
+    path.write_text("model = mlp\nalpha = 0.1, 0.2\ndata_dir = /tmp\n")
     assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
     assert "colanet" in capsys.readouterr().err
 
@@ -637,7 +701,7 @@ def test_run_with_bad_data_file_writes_no_profile(tmp_path, synthetic_mnist_dir,
         values = load_idx(str(labels)).copy()
         values[5] = 12
         write_idx(str(labels), values)
-    grid = {"alpha_grid": "0.01, 0.02"} if command == "sweep" else {}
+    grid = {"alpha": "0.01, 0.02"} if command == "sweep" else {}
     cfg = run_config(tmp_path, str(data_dir), seeds="1, 2", **grid)
     out_dir = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out_dir)]) == EXIT_DATA
@@ -664,14 +728,14 @@ def test_run_non_positive_batch_size_is_usage_error(tmp_path, synthetic_mnist_di
 @pytest.mark.parametrize(
     "key, value",
     [("alpha", "nan"), ("leak", "inf"), ("eta_plus", "-inf"), ("eta_minus", "nan"),
-     ("init_high", "inf"), ("u_const", "-inf"), ("alpha_grid", "0.5, nan"),
-     ("ns", "nan"), ("ns", "-inf"), ("ns_grid", "0, -inf")],
+     ("init_high", "inf"), ("u_const", "-inf"), ("alpha", "0.5, nan"),
+     ("ns", "nan"), ("ns", "-inf"), ("ns", "0, -inf")],
 )
 def test_run_non_finite_float_is_usage_error(tmp_path, synthetic_mnist_dir, capsys,
                                              model, key, value):
     """NaN and infinite floats exit 1 before the manifest is written, whatever
-    the model, so manifest.json never holds NaN or Infinity (only ``ns`` and
-    ``ns_grid`` take +inf, which means off)."""
+    the model, so manifest.json never holds NaN or Infinity (only ``ns``,
+    listed or not, takes +inf, which means off)."""
     cfg = run_config(tmp_path, synthetic_mnist_dir, model=model, **{key: value})
     out_dir = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out_dir)]) == EXIT_USAGE
@@ -858,17 +922,17 @@ def test_sweep_command(tmp_path, synthetic_mnist_dir, capsys):
     for grid in (("0.01", "0.02"), ("2.5000001", "2.5000002")):
         cfg = run_config(
             tmp_path, synthetic_mnist_dir, n_tasks=1, train_count=60,
-            alpha_grid=", ".join(grid),
+            alpha=", ".join(grid),
         )
         out_dir = str(tmp_path / f"sweep{grid[0]}")
         assert main(["sweep", "--config", cfg, "--out", out_dir]) == EXIT_OK
         with open(os.path.join(out_dir, "sweep.csv")) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == "alpha,ns,seed,AA,FM"
+        assert lines[0] == "alpha,seed,AA,FM"
         assert len(lines) == 3
         # Single-task points have no forgetting value: the FM cell is empty.
-        assert lines[1].startswith(f"{grid[0]},,5,") and lines[1].endswith(",")
-        assert lines[2].startswith(f"{grid[1]},,5,")
+        assert lines[1].startswith(f"{grid[0]},5,") and lines[1].endswith(",")
+        assert lines[2].startswith(f"{grid[1]},5,")
         for point in ("point_000", "point_001"):
             assert os.path.exists(os.path.join(out_dir, point, "profile_seed5.csv"))
         # Sweep prints the rows sweep.csv holds.
@@ -891,7 +955,7 @@ def test_ns_inf_is_ns_off(tmp_path, synthetic_mnist_dir, capsys):
         assert json.loads(manifest, parse_constant=strict)["config"]["ns"] is None
         profiles.append((out_dir / "profile_seed5.csv").read_bytes())
     assert profiles[0] == profiles[1]
-    assert parse_config_text("ns_grid = inf, 0")["ns_grid"] == (None, 0.0)
+    assert parse_config_text("ns = inf, 0")["ns"] == (None, 0.0)
 
 
 def files(root) -> dict[str, bytes]:
@@ -901,29 +965,33 @@ def files(root) -> dict[str, bytes]:
 
 
 def test_sweep_point_is_a_run(tmp_path, synthetic_mnist_dir, capsys):
-    """A sweep point writes exactly the files ``run`` writes at its alpha."""
-    cfg = run_config(tmp_path, synthetic_mnist_dir, alpha_grid="0.01, 0.02")
-    sweep_dir = tmp_path / "sweep"
-    assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
-    run_cfg = run_config(tmp_path, synthetic_mnist_dir, alpha="0.02")
-    run_dir = tmp_path / "run"
-    assert main(["run", "--config", run_cfg, "--out", str(run_dir)]) == EXIT_OK
-    point = files(sweep_dir / "point_001")
-    assert sorted(point) == [
-        "metrics_seed5.csv",
-        "profile_seed5.csv",
-        os.path.join("states_seed5", "state_001.bin"),
-        os.path.join("states_seed5", "state_002.bin"),
-        "summary_seed5.txt",
-    ]
-    ran = files(run_dir)
-    del ran["manifest.json"]
-    assert point == ran
-    # The point's AA and FM cells are the last row of its metrics table.
-    metrics = point["metrics_seed5.csv"].decode().splitlines()
-    final = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
-    sweep_rows = (sweep_dir / "sweep.csv").read_text().splitlines()
-    assert sweep_rows[2] == f"0.02,,5,{final['AA']},{final['FM']}"
+    """A sweep point writes exactly the files ``run`` writes at its value,
+    on the alpha axis and on the microcolumns axis alike."""
+    for key, listed, value in (("alpha", "0.01, 0.02", "0.02"),
+                               ("microcolumns", "2, 3", "3")):
+        cfg = run_config(tmp_path, synthetic_mnist_dir, **{key: listed})
+        sweep_dir = tmp_path / f"sweep_{key}"
+        assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
+        run_cfg = run_config(tmp_path, synthetic_mnist_dir, **{key: value})
+        run_dir = tmp_path / f"run_{key}"
+        assert main(["run", "--config", run_cfg, "--out", str(run_dir)]) == EXIT_OK
+        point = files(sweep_dir / "point_001")
+        assert sorted(point) == [
+            "metrics_seed5.csv",
+            "profile_seed5.csv",
+            os.path.join("states_seed5", "state_001.bin"),
+            os.path.join("states_seed5", "state_002.bin"),
+            "summary_seed5.txt",
+        ]
+        ran = files(run_dir)
+        del ran["manifest.json"]
+        assert point == ran
+        # The point's AA and FM cells are the last row of its metrics table.
+        metrics = point["metrics_seed5.csv"].decode().splitlines()
+        final = dict(zip(metrics[0].split(","), metrics[-1].split(",")))
+        sweep_rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+        assert sweep_rows[0] == f"{key},seed,AA,FM"
+        assert sweep_rows[2] == f"{value},5,{final['AA']},{final['FM']}"
 
 
 def test_sweep_runs_every_seed_at_every_point(tmp_path, synthetic_mnist_dir, capsys):
@@ -931,7 +999,7 @@ def test_sweep_runs_every_seed_at_every_point(tmp_path, synthetic_mnist_dir, cap
     point's directory holds every seed's files, and a unit's files are those
     ``run --seed S`` writes at its point."""
     cfg = run_config(tmp_path, synthetic_mnist_dir, train_count=60, seeds="1, 2, 3",
-                     alpha_grid="0.01, 2.5", ns_grid="off, 0")
+                     alpha="0.01, 2.5", ns="off, 0")
     sweep_dir = tmp_path / "sweep"
     assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
     assert json.loads((sweep_dir / "manifest.json").read_text())["seeds"] == [1, 2, 3]
@@ -1001,6 +1069,9 @@ DEMO_CONFIGS = {
     "columnar_2task.cfg": dict(model="colanet", n_tasks=2, microcolumns=45, alpha=2.5,
                                ns=0.0, seeds=(1,), train_count=20000),
     "mlp_forgetting.cfg": dict(model="mlp", n_tasks=4, seeds=(1,), train_count=10000),
+    "stability_sweep.cfg": dict(model="colanet", n_tasks=3, microcolumns=(15, 45),
+                                alpha=(0.023817, 2.5), ns=(None, 0.0), seeds=(1,),
+                                train_count=10000),
 }
 
 #: ``colanet-cl metrics demos/quickstart_profile.csv``: the summary it prints
@@ -1037,20 +1108,23 @@ def test_demo_config_loads(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
 def test_demo_config_runs(tmp_path, synthetic_mnist_dir, capsys, name):
-    """Each demo config, cut to 60 training images per task, runs end to end;
-    the colanet demo's last checkpoint renders as a heatmap."""
+    """Each demo config, cut to 60 training images per task, runs end to end,
+    through ``sweep`` if it lists a key; a colanet demo's last checkpoint
+    (the first point's, in a sweep) renders as a heatmap."""
     with open(os.path.join(DEMOS_DIR, name), encoding="utf-8") as fh:
         text, cuts = re.subn(r"(?m)^train_count\s*=.*$", "train_count = 60", fh.read())
     assert cuts == 1
     cfg = tmp_path / name
     cfg.write_text(text)
     out_dir = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--data-dir", synthetic_mnist_dir,
-                 "--out", str(out_dir)]) == EXIT_OK
+    swept = cli.listed_keys(load_experiment_config(str(cfg), data_dir=synthetic_mnist_dir))
+    assert main(["sweep" if swept else "run", "--config", str(cfg), "--data-dir",
+                 synthetic_mnist_dir, "--out", str(out_dir)]) == EXIT_OK
+    unit_dir = out_dir / "point_000" if swept else out_dir
     n_tasks = DEMO_CONFIGS[name]["n_tasks"]
-    assert read_profile_csv(str(out_dir / "profile_seed1.csv")).k == n_tasks
+    assert read_profile_csv(str(unit_dir / "profile_seed1.csv")).k == n_tasks
     if DEMO_CONFIGS[name]["model"] == "colanet":
-        state = out_dir / "states_seed1" / f"state_{n_tasks:03d}.bin"
+        state = unit_dir / "states_seed1" / f"state_{n_tasks:03d}.bin"
         heatmap = tmp_path / "receptive_fields.ppm"
         assert main(["heatmap", str(state), "--out", str(heatmap)]) == EXIT_OK
         assert heatmap.read_bytes().startswith(b"P6\n")
