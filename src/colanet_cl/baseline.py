@@ -6,12 +6,20 @@ per-parameter adaptive step (rho=0.95, eps=1e-6, no global learning rate).
 Inputs are intensities scaled to [0, 1]. One epoch per task, mini-batches of
 32, samples taken in dataset order so a run is fully deterministic given the
 initialization seed.
+
+The first MLP product in a process pins NumPy's bundled OpenBLAS to one
+thread, so the weights do not depend on the thread count, and starts a worker
+thread that shares AdaDelta's chunks and evaluation's row slices with the
+caller, bit-identically. The pin is never undone: after a multi-threaded
+product, OpenBLAS's threads spin for 10 to 50 ms, and slow the Python work that
+follows ~1.76x. Without a bundled OpenBLAS nothing is pinned; no worker starts.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,12 +33,11 @@ N_OUT = 10
 
 ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-6
-#: Elements per AdaDelta chunk (256 KiB of float64). One chunk's six operands
-#: stay in L2 across the update's passes; on a 2-vCPU Xeon, chunks of 16384
-#: and 32768 trained fastest, smaller ones pay NumPy's per-call overhead and
-#: larger ones spill out of L2.
-_CHUNK = 32768
-#: Test images per forward pass of ``mlp_evaluate`` (affects speed only).
+#: Elements per AdaDelta chunk (224 KiB of float64). Caller and worker hold two
+#: chunks of scratch each, over 1 MiB at 32768; on a 2-vCPU Xeon 28672 trains
+#: as fast, 16384 ~18% slower (GIL hand-offs); larger chunks spill out of L2.
+_CHUNK = 28672
+#: Test images per batch of ``mlp_evaluate`` (affects speed only).
 _EVAL_BATCH = 1024
 
 MLP_MAGIC = b"MLPB"
@@ -97,6 +104,7 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``x`` is float64 with values in [0, 1]; each row of probabilities sums to 1.
     """
+    _pinned_worker()  # before the process's first product
     # One hidden array, updated in place: spare split-sized temporaries would
     # be fresh, page-faulting memory on every evaluation.
     hidden = x @ p.W1
@@ -143,42 +151,44 @@ def adadelta_step(p: MlpParams, grads: dict) -> None:
     squared-update average is updated with the step just taken.
 
     The update runs over each parameter's flat view in cache-sized chunks of
-    ``_CHUNK`` elements through two scratch buffers, so it allocates nothing
-    of parameter size. Every element goes through the operations of the
-    whole-array formula in the same order, except that the weight subtracts
-    ``q = sqrt(..) / sqrt(..) * grad`` where the formula adds ``-q``; IEEE
-    negation is exact, so the bytes are the same.
+    ``_CHUNK`` elements, shared by the caller and the worker, each through
+    its own scratch, so it allocates nothing of parameter size. Every element
+    goes through the operations of the whole-array formula in the same order,
+    except that the weight subtracts ``q = sqrt(..) / sqrt(..) * grad`` where
+    the formula adds ``-q``; IEEE negation is exact, so the bytes are the same.
 
     Args:
         p: Parameters (mutated); arrays and accumulators are C-contiguous.
         grads: Gradients keyed by parameter name.
     """
-    tmp_buf = np.empty(_CHUNK)
-    q_buf = np.empty(_CHUNK)
+    jobs = []
     for name in _PARAM_ORDER:
-        w = _flat_view(getattr(p, name))
-        eg = _flat_view(p.grad_sq[name])
-        ex = _flat_view(p.update_sq[name])
-        g = grads[name].reshape(-1)
-        for start in range(0, w.size, _CHUNK):
-            chunk = slice(start, start + _CHUNK)
-            g_c, eg_c, ex_c = g[chunk], eg[chunk], ex[chunk]
-            tmp, q = tmp_buf[: len(g_c)], q_buf[: len(g_c)]
-            eg_c *= ADADELTA_RHO
-            np.multiply(g_c, 1.0 - ADADELTA_RHO, out=tmp)
-            tmp *= g_c
-            eg_c += tmp
-            np.add(ex_c, ADADELTA_EPS, out=q)
-            np.sqrt(q, out=q)
-            np.add(eg_c, ADADELTA_EPS, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            q /= tmp
-            q *= g_c
-            ex_c *= ADADELTA_RHO
-            np.multiply(q, 1.0 - ADADELTA_RHO, out=tmp)
-            tmp *= q
-            ex_c += tmp
-            w[chunk] -= q
+        w, eg, ex = map(_flat_view, (getattr(p, name), p.grad_sq[name], p.update_sq[name]))
+        flat = (w, eg, ex, grads[name].reshape(-1))
+        jobs += [[a[i : i + _CHUNK] for a in flat] for i in range(0, w.size, _CHUNK)]
+    _shared(_adadelta_chunks, jobs)
+
+
+def _adadelta_chunks(jobs) -> None:
+    """Update each (w, eg, ex, g) chunk of ``jobs`` through own scratch."""
+    tmp_buf, q_buf = np.empty((2, _CHUNK))
+    for w_c, eg_c, ex_c, g_c in jobs:
+        tmp, q = tmp_buf[: len(g_c)], q_buf[: len(g_c)]
+        eg_c *= ADADELTA_RHO
+        np.multiply(g_c, 1.0 - ADADELTA_RHO, out=tmp)
+        tmp *= g_c
+        eg_c += tmp
+        np.add(ex_c, ADADELTA_EPS, out=q)
+        np.sqrt(q, out=q)
+        np.add(eg_c, ADADELTA_EPS, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        q /= tmp
+        q *= g_c
+        ex_c *= ADADELTA_RHO
+        np.multiply(q, 1.0 - ADADELTA_RHO, out=tmp)
+        tmp *= q
+        ex_c += tmp
+        w_c -= q
 
 
 def _flat_view(a: np.ndarray) -> np.ndarray:
@@ -186,6 +196,35 @@ def _flat_view(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise ValueError("AdaDelta needs C-contiguous parameter arrays")
     return a.reshape(-1)
+
+
+@cache
+def _pinned_worker():
+    """The worker, once NumPy's bundled OpenBLAS is pinned to one thread, or None."""
+    import ctypes
+    import glob
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    libs = glob.glob(os.path.dirname(np.__file__) + "/../numpy.libs/*openblas*")
+    names = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+    setters = [getattr(c, s) for c in map(ctypes.CDLL, libs) for s in names if hasattr(c, s)]
+    if not setters:
+        return None
+    setters[0].argtypes, setters[0].restype = [ctypes.c_int], None
+    setters[0](1)
+    os.register_at_fork(after_in_child=_pinned_worker.cache_clear)  # thread is lost
+    return ThreadPoolExecutor(1)
+
+
+def _shared(drain, jobs: list) -> None:
+    """``drain(jobs)`` on the caller and the worker over one shared iterator;
+    returns when both are done, re-raising an exception of either."""
+    jobs, worker = iter(jobs), _pinned_worker()
+    ahead = worker.submit(drain, jobs) if worker else None
+    drain(jobs)
+    if ahead is not None:
+        ahead.result()
 
 
 def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
@@ -212,9 +251,9 @@ def mlp_train_epoch(p: MlpParams, task: TaskSpec, batch_size: int = 32) -> None:
 def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
     """Classification accuracy on a task's test split.
 
-    The split is read and classified ``_EVAL_BATCH`` images per forward
-    pass, each batch scaled to [0, 1] into one reused buffer, so no copy of
-    the whole split is made.
+    The split is read ``_EVAL_BATCH`` images at a time, each batch scaled to
+    [0, 1] into one reused buffer, so no copy of the whole split is made, and
+    classified in two row slices, which the caller and the worker share.
 
     Args:
         p: Network parameters.
@@ -224,12 +263,18 @@ def mlp_evaluate(p: MlpParams, task: TaskSpec) -> float:
         Fraction of correctly classified test images.
     """
     buffer = np.empty((min(len(task.test), _EVAL_BATCH), N_IN))
-    correct = 0
+    correct = []
+
+    def classify(slices) -> None:
+        for images, labels, out in slices:
+            probs = mlp_forward(p, np.divide(images, 255.0, out=out))[1]
+            correct.append(int((probs.argmax(axis=1) == labels).sum()))
+
     for images, labels in task.test.batches(_EVAL_BATCH):
-        x = np.divide(images, 255.0, out=buffer[: len(labels)])
-        probs = mlp_forward(p, x)[1]
-        correct += int((probs.argmax(axis=1) == labels).sum())
-    return correct / len(task.test) if len(task.test) else 0.0
+        half = (len(labels) + 1) // 2
+        rows = (slice(0, half), slice(half, len(labels)))
+        _shared(classify, [(images[r], labels[r], buffer[r]) for r in rows])
+    return sum(correct) / len(task.test) if len(task.test) else 0.0
 
 
 def mlp_save(p: MlpParams, path: str) -> None:

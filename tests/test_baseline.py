@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import glob
+import json
 import os
 import struct
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from colanet_cl import baseline
 from colanet_cl.baseline import (
     ADADELTA_EPS,
     ADADELTA_RHO,
@@ -32,6 +38,7 @@ from colanet_cl.statefile import StateFormatError
 from conftest import (
     bit_flips,
     flip,
+    python_env,
     saved_bytes,
     tiny_task,
     traced_peak,
@@ -382,3 +389,106 @@ def test_adapter_runs_a_sequence_deterministically(tmp_path):
     b = run_sequence(MlpAdapter(seed=0), tasks, state_dir=str(tmp_path / "b")).a
     lower = np.tril_indices(2)
     assert np.array_equal(a[lower], b[lower])
+
+
+def test_without_bundled_openblas_nothing_is_pinned_and_no_thread_starts(monkeypatch):
+    """Where the OpenBLAS lookup finds nothing, an epoch and an evaluation
+    run on the caller alone and still match the reference bytes."""
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    unpinned = baseline._pinned_worker.__wrapped__
+    assert unpinned() is None
+    monkeypatch.setattr(baseline, "_pinned_worker", unpinned)
+    task = tiny_task(seed=8, n_train=203, n_test=2500)
+    p = mlp_init(9)
+    q = copy.deepcopy(p)
+    threads = threading.active_count()
+    mlp_train_epoch(p, task)
+    accuracy = mlp_evaluate(p, task)
+    assert threading.active_count() == threads
+    reference_train_epoch(q, task)
+    assert_params_bytes_equal(p, q)
+    _, probs = mlp_forward(q, task.test.images.astype(np.float64) / 255.0)
+    assert accuracy == float((probs.argmax(axis=1) == task.test.labels).mean())
+
+
+def test_worker_exception_reraises_in_the_caller():
+    if baseline._pinned_worker() is None:
+        pytest.skip("no bundled OpenBLAS, so no worker thread")
+
+    def drain(jobs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("raised in the worker")
+        for _ in jobs:
+            pass
+
+    with pytest.raises(RuntimeError, match="raised in the worker"):
+        baseline._shared(drain, [1, 2, 3])
+
+
+def test_shared_jobs_run_exactly_once_under_frequent_thread_switches():
+    """Caller and worker pull from one iterator: no job is lost or run
+    twice, even when the interpreter switches threads every microsecond."""
+    done, jobs = [], list(range(20000))
+
+    def drain(jobs):
+        for job in jobs:
+            done.append(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            done.clear()
+            baseline._shared(drain, jobs)
+            assert sorted(done) == jobs
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: Runs ``colanet-cl`` with the arguments given, then prints, as one JSON
+#: line: its exit code, (live threads, OpenBLAS thread count or None) before
+#: and after, and whether ``concurrent.futures`` was imported.
+RUN_IN_CHILD = """
+import ctypes, glob, json, os, sys, threading
+import numpy as np
+from colanet_cl.cli import main
+
+libs = glob.glob(os.path.dirname(np.__file__) + "/../numpy.libs/*openblas*")
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+getters = [getattr(c, s) for c in map(ctypes.CDLL, libs) for s in names if hasattr(c, s)]
+
+def state():
+    return threading.active_count(), getters[0]() if getters else None
+
+before = state()
+code = main(sys.argv[1:])
+print(json.dumps([code, before, state(), "concurrent.futures" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("model", ["colanet", "mlp"])
+def test_only_the_mlp_pins_blas_and_starts_a_thread(model, tmp_path, synthetic_mnist_dir):
+    """A colanet run starts no thread, imports no executor and leaves the
+    BLAS thread count as it found it; an MLP run, the control, pins it to
+    one and starts one worker. One child process at a time, each started
+    at two OpenBLAS threads."""
+    columns = "microcolumns = 3\n" if model == "colanet" else ""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"model = {model}\n{columns}n_tasks = 2\ntrain_count = 100\n"
+        f"seeds = 1\ndata_dir = {synthetic_mnist_dir}\n"
+    )
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_IN_CHILD, *argv],
+        env={**python_env(), "OPENBLAS_NUM_THREADS": "2"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, (threads, blas), after, futures = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    if model == "colanet":
+        assert after == [threads, blas] and not futures
+    elif blas is not None:
+        assert after == [threads + 1, 1] and futures

@@ -14,6 +14,8 @@ renormalization off: plasticity is then elementwise, with no row sum.
 from __future__ import annotations
 
 import hashlib
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,8 @@ from colanet_cl import colanet
 from colanet_cl.cli import EXIT_OK, main
 from colanet_cl.colanet import ColaNetConfig, Network, evaluate_task, train_task
 from colanet_cl.dataset import LabeledDataset, TaskSpec
+
+from conftest import python_env
 
 #: SHA-256 of the raw winners (flat index, -1 when silent) as little-endian
 #: int64, from ``stable_setting_pass()``. Taken when the encoder began
@@ -55,6 +59,13 @@ RUN_FILES = (
     "summary_seed1.txt",
     "states_seed1/state_003.bin",
 )
+
+#: SHA-256 over ``RUN_FILES``, hashed as for ``RUN_SHA256``, of a 3-task
+#: ``colanet-cl run`` of the MLP on the same corpus. Taken when the MLP began
+#: running its products at one OpenBLAS thread: it equals the earlier code's
+#: output under ``OPENBLAS_NUM_THREADS=1``, whose checkpoints differed from
+#: those it wrote at the two threads it used by default.
+MLP_RUN_SHA256 = "4fe99e1930134cc70337375a536b37531532329d2f60f3843d69b0e997a3720f"
 
 
 def sparse_glyph_stream(count: int = 300, seed: int = 2024):
@@ -167,3 +178,30 @@ def test_run_output_bytes_are_pinned(tmp_path, synthetic_mnist_dir, capsys):
         data = (out / name).read_bytes()
         digest.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
     assert digest.hexdigest() == RUN_SHA256
+
+
+def test_mlp_run_output_bytes_are_pinned_at_any_blas_thread_count(
+    tmp_path, synthetic_mnist_dir
+):
+    """A 3-task MLP run writes the same profile, metrics, summary and last
+    checkpoint bytes under ``OPENBLAS_NUM_THREADS=1`` and ``=2``, each in
+    its own child process, one after the other."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "model = mlp\nn_tasks = 3\ntrain_count = 150\n"
+        f"seeds = 1\ndata_dir = {synthetic_mnist_dir}\n"
+    )
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "colanet_cl.cli", "run"]
+            + ["--config", str(cfg), "--out", str(out)],
+            env={**python_env(), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        )
+        digest = hashlib.sha256()
+        for name in RUN_FILES:
+            data = (out / name).read_bytes()
+            digest.update(name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+        assert digest.hexdigest() == MLP_RUN_SHA256, f"OPENBLAS_NUM_THREADS={threads}"
